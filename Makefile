@@ -7,7 +7,7 @@ STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
 .PHONY: all build test vet fmt-check race bench obs-smoke service-smoke check \
-	fuzz-smoke golden bench-gate corpus-smoke cluster-smoke streaming-smoke \
+	fuzz-smoke golden bench-gate bench-smoke corpus-smoke cluster-smoke streaming-smoke \
 	lint lint-custom lint-v2 compat-manifest staticcheck govulncheck tools
 
 all: check
@@ -141,6 +141,12 @@ lint: fmt-check vet lint-custom
 # must stay within the baseline's time ratio with exact allocs/op.
 # To re-baseline: make bench-gate BENCHGATE_FLAGS='-write BENCH_baseline.json'
 BENCHGATE_FLAGS ?= -baseline BENCH_baseline.json
+# The end-to-end benchmark (bench/) is its own module, so the root
+# `go test ./...` never compiles it; vet and test it against the
+# current tree's APIs.
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 bench-gate:
 	$(GO) test -run '^$$' -bench 'BenchmarkPipelineEventsPerSec$$|BenchmarkCBWSOnAccess$$|BenchmarkCorpusReplayEventsPerSec$$|BenchmarkPythiaOnAccess$$|BenchmarkGazeOnAccess$$' \
 		-count 3 . | tee /tmp/cbws-bench.out

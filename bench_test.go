@@ -77,7 +77,7 @@ func BenchmarkFigure5Skew(b *testing.B) {
 		for _, name := range harness.Figure5Workloads {
 			spec, _ := workload.ByName(name)
 			c := core.NewCensus(16)
-			trace.Limit{Gen: spec.Make(), Max: 300_000}.Generate(c)
+			trace.DriveBatches(trace.Limit{Gen: spec.Make(), Max: 300_000}, c)
 			cov = append(cov, c.CoverageAt(0.25))
 		}
 		b.ReportMetric(100*stats.Mean(cov), "top25%cov")

@@ -39,21 +39,23 @@ func syntheticTrace(name string, instructions uint64) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	b := trace.NewBatcher(w)
 	pc := uint64(0x400000)
 	addr := uint64(0x1000_0000)
 	var done uint64
 	for done < instructions {
-		w.Consume(trace.Event{Kind: trace.BlockBegin, Block: 1})
+		b.Event(trace.Event{Kind: trace.BlockBegin, Block: 1})
 		for i := 0; i < 16; i++ {
-			w.Consume(trace.Event{Kind: trace.Load, PC: pc, Addr: mem.Addr(addr)})
-			w.Consume(trace.Event{Kind: trace.Instr, N: 8})
+			b.Event(trace.Event{Kind: trace.Load, PC: pc, Addr: mem.Addr(addr)})
+			b.Event(trace.Event{Kind: trace.Instr, N: 8})
 			addr += 64
 			done += 9
 		}
-		w.Consume(trace.Event{Kind: trace.Branch, PC: pc + 0x80, Taken: true})
-		w.Consume(trace.Event{Kind: trace.BlockEnd, Block: 1})
+		b.Event(trace.Event{Kind: trace.Branch, PC: pc + 0x80, Taken: true})
+		b.Event(trace.Event{Kind: trace.BlockEnd, Block: 1})
 		done += 3
 	}
+	b.Flush()
 	if err := w.Close(); err != nil {
 		return nil, err
 	}

@@ -91,7 +91,7 @@ func runCapture(args []string) {
 	if err != nil {
 		cli.Errorf("tracegen", "%v", err)
 	}
-	trace.Limit{Gen: spec.Make(), Max: *n}.Generate(w)
+	trace.DriveBatches(trace.Limit{Gen: spec.Make(), Max: *n}, w)
 	if err := w.Close(); err != nil {
 		cli.Errorf("tracegen", "%v", err)
 	}
@@ -172,7 +172,7 @@ func readStream(path string) (*trace.Trace, error) {
 		return nil, err
 	}
 	tr := trace.New(r.Name())
-	if err := r.Decode(tr); err != nil {
+	if err := r.DecodeBatches(tr); err != nil {
 		return nil, err
 	}
 	return tr, nil

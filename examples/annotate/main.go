@@ -71,7 +71,7 @@ func main() {
 		log.Fatal(err)
 	}
 	tr := trace.New("matsum")
-	if err := m.Run(tr); err != nil {
+	if err := m.RunBatches(tr); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\n=== first 20 committed events ===")

@@ -32,7 +32,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	trace.Limit{Gen: wl.Make(), Max: 300_000}.Generate(w)
+	trace.DriveBatches(trace.Limit{Gen: wl.Make(), Max: 300_000}, w)
 	if err := w.Close(); err != nil {
 		log.Fatal(err)
 	}

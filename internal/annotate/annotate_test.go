@@ -70,7 +70,7 @@ func runAnnotated(t *testing.T, p *ir.Program) *trace.Trace {
 	if err != nil {
 		t.Fatalf("interp.New: %v", err)
 	}
-	if err := m.Run(tr); err != nil {
+	if err := m.RunBatches(tr); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	return tr

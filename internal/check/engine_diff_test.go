@@ -49,17 +49,17 @@ func randomTrace(rng *rand.Rand, events int) *trace.Trace {
 		addr := mem.Addr(rng.Intn(1<<16) * 8)
 		switch rng.Intn(12) {
 		case 0, 1:
-			tr.Consume(trace.Event{Kind: trace.Instr, N: rng.Intn(9)}) // N=0 means 1
+			tr.Events = append(tr.Events, trace.Event{Kind: trace.Instr, N: rng.Intn(9)}) // N=0 means 1
 		case 2, 3, 4, 5:
-			tr.Consume(trace.Event{Kind: trace.Load, PC: pc, Addr: addr})
+			tr.Events = append(tr.Events, trace.Event{Kind: trace.Load, PC: pc, Addr: addr})
 		case 6, 7:
-			tr.Consume(trace.Event{Kind: trace.Store, PC: pc, Addr: addr})
+			tr.Events = append(tr.Events, trace.Event{Kind: trace.Store, PC: pc, Addr: addr})
 		case 8, 9:
-			tr.Consume(trace.Event{Kind: trace.Branch, PC: pc, Taken: rng.Intn(3) != 0})
+			tr.Events = append(tr.Events, trace.Event{Kind: trace.Branch, PC: pc, Taken: rng.Intn(3) != 0})
 		case 10:
-			tr.Consume(trace.Event{Kind: trace.BlockBegin, Block: block})
+			tr.Events = append(tr.Events, trace.Event{Kind: trace.BlockBegin, Block: block})
 		default:
-			tr.Consume(trace.Event{Kind: trace.BlockEnd, Block: block})
+			tr.Events = append(tr.Events, trace.Event{Kind: trace.BlockEnd, Block: block})
 			if rng.Intn(4) == 0 {
 				block = rng.Intn(3)
 			}

@@ -76,11 +76,11 @@ func TestCensusSteadyStateAllocationFree(t *testing.T) {
 	c := NewCensus(16)
 	k := 0
 	iter := func() {
-		c.Consume(trace.Event{Kind: trace.BlockBegin, Block: 1})
+		c.observe(trace.Event{Kind: trace.BlockBegin, Block: 1})
 		for j := 0; j < 4; j++ {
-			c.Consume(trace.Event{Kind: trace.Load, Addr: mem.Addr((k*4 + j) * 64)})
+			c.observe(trace.Event{Kind: trace.Load, Addr: mem.Addr((k*4 + j) * 64)})
 		}
-		c.Consume(trace.Event{Kind: trace.BlockEnd, Block: 1})
+		c.observe(trace.Event{Kind: trace.BlockEnd, Block: 1})
 		k++
 	}
 	for i := 0; i < 8; i++ {

@@ -13,12 +13,12 @@ import (
 func tableITrace() *trace.Trace {
 	tr := trace.New("table1")
 	emit := func(addrs []uint64) {
-		tr.Consume(trace.Event{Kind: trace.BlockBegin, Block: 0})
+		tr.Events = append(tr.Events, trace.Event{Kind: trace.BlockBegin, Block: 0})
 		for i, a := range addrs {
 			kind := trace.Load
-			tr.Consume(trace.Event{Kind: kind, PC: uint64(0x100 + 4*i), Addr: mem.Addr(a)})
+			tr.Events = append(tr.Events, trace.Event{Kind: kind, PC: uint64(0x100 + 4*i), Addr: mem.Addr(a)})
 		}
-		tr.Consume(trace.Event{Kind: trace.BlockEnd, Block: 0})
+		tr.Events = append(tr.Events, trace.Event{Kind: trace.BlockEnd, Block: 0})
 	}
 	emit([]uint64{0x4800, 0x4804, 0xFE50, 0x481C, 0xFE50, 0x7FE0, 0x7FE0})
 	emit([]uint64{0x4900, 0x4904, 0xFC50, 0x491C, 0x7FE0})
@@ -53,11 +53,11 @@ func TestTableIConstruction(t *testing.T) {
 
 func TestExtractRespectsMaxVec(t *testing.T) {
 	tr := trace.New("big")
-	tr.Consume(trace.Event{Kind: trace.BlockBegin, Block: 0})
+	tr.Events = append(tr.Events, trace.Event{Kind: trace.BlockBegin, Block: 0})
 	for i := 0; i < 40; i++ {
-		tr.Consume(trace.Event{Kind: trace.Load, PC: 1, Addr: mem.Addr(i * 64)})
+		tr.Events = append(tr.Events, trace.Event{Kind: trace.Load, PC: 1, Addr: mem.Addr(i * 64)})
 	}
-	tr.Consume(trace.Event{Kind: trace.BlockEnd, Block: 0})
+	tr.Events = append(tr.Events, trace.Event{Kind: trace.BlockEnd, Block: 0})
 	sets := ExtractCBWS(tr, 0, 16)
 	if len(sets) != 1 || len(sets[0]) != 16 {
 		t.Fatalf("got %d sets, first len %d; want 1 set of 16", len(sets), len(sets[0]))
@@ -67,9 +67,9 @@ func TestExtractRespectsMaxVec(t *testing.T) {
 func TestExtractFiltersBlockID(t *testing.T) {
 	tr := trace.New("mixed")
 	for id := 0; id < 3; id++ {
-		tr.Consume(trace.Event{Kind: trace.BlockBegin, Block: id})
-		tr.Consume(trace.Event{Kind: trace.Load, PC: 1, Addr: mem.Addr(id * 4096)})
-		tr.Consume(trace.Event{Kind: trace.BlockEnd, Block: id})
+		tr.Events = append(tr.Events, trace.Event{Kind: trace.BlockBegin, Block: id})
+		tr.Events = append(tr.Events, trace.Event{Kind: trace.Load, PC: 1, Addr: mem.Addr(id * 4096)})
+		tr.Events = append(tr.Events, trace.Event{Kind: trace.BlockEnd, Block: id})
 	}
 	sets := ExtractCBWS(tr, 1, 16)
 	if len(sets) != 1 || sets[0][0] != mem.LineOf(4096) {
@@ -79,11 +79,11 @@ func TestExtractFiltersBlockID(t *testing.T) {
 
 func TestExtractDedupsWithinBlock(t *testing.T) {
 	tr := trace.New("dedup")
-	tr.Consume(trace.Event{Kind: trace.BlockBegin, Block: 0})
+	tr.Events = append(tr.Events, trace.Event{Kind: trace.BlockBegin, Block: 0})
 	for i := 0; i < 10; i++ {
-		tr.Consume(trace.Event{Kind: trace.Load, PC: 1, Addr: mem.Addr((i % 2) * 64)})
+		tr.Events = append(tr.Events, trace.Event{Kind: trace.Load, PC: 1, Addr: mem.Addr((i % 2) * 64)})
 	}
-	tr.Consume(trace.Event{Kind: trace.BlockEnd, Block: 0})
+	tr.Events = append(tr.Events, trace.Event{Kind: trace.BlockEnd, Block: 0})
 	sets := ExtractCBWS(tr, 0, 16)
 	if len(sets[0]) != 2 {
 		t.Errorf("CBWS = %v, want 2 unique lines", sets[0])

@@ -13,8 +13,8 @@ import (
 // a small fraction of distinct vectors differentiates the vast majority
 // of loop iterations.
 //
-// Census implements trace.Sink so it can be attached to a generator
-// directly, without timing simulation.
+// Census implements trace.BatchSink so it can be attached to a
+// generator directly, without timing simulation.
 type Census struct {
 	maxVec int
 
@@ -57,8 +57,8 @@ func appendDiffKey(buf []byte, d Diff) []byte {
 	return buf
 }
 
-// Consume processes one trace event.
-func (c *Census) Consume(e trace.Event) {
+// observe processes one trace event.
+func (c *Census) observe(e trace.Event) {
 	switch e.Kind {
 	case trace.BlockBegin:
 		c.inBlock = true
@@ -92,11 +92,10 @@ func (c *Census) Consume(e trace.Event) {
 	}
 }
 
-// ConsumeBatch implements trace.BatchSink, so batch generators feed the
-// census without the per-event interface call of the legacy Sink path.
+// ConsumeBatch implements trace.BatchSink.
 func (c *Census) ConsumeBatch(batch []trace.Event) bool {
 	for i := range batch {
-		c.Consume(batch[i])
+		c.observe(batch[i])
 	}
 	return true
 }

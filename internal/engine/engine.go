@@ -110,7 +110,7 @@ func (s Stats) LoopResidency() float64 {
 	return float64(s.BlockSlots) / float64(s.TotalSlots)
 }
 
-// Engine is the timing model. It implements trace.Sink.
+// Engine is the timing model. It implements trace.BatchSink.
 type Engine struct {
 	cfg    Config
 	memsys MemPort
@@ -156,23 +156,13 @@ func New(cfg Config, memsys MemPort, blocks BlockObserver) (*Engine, error) {
 // always predicted correctly (an ideal front end).
 func (e *Engine) AttachBranchPredictor(bp BranchPredictor) { e.bp = bp }
 
-// Consume processes one trace event. It is the per-event compatibility
-// entry point; the timing logic lives in ConsumeBatch so the two paths
-// cannot diverge.
-//
-//cbws:hotpath
-func (e *Engine) Consume(ev trace.Event) {
-	batch := [1]trace.Event{ev}
-	e.ConsumeBatch(batch[:])
-}
-
 // ConsumeBatch implements trace.BatchSink: it processes a whole batch
 // of events with the hot core state (fetch/commit clocks, ROB/LDQ/STQ
 // ring positions, counters) hoisted into locals, writing it back once
 // per batch. The dispatch and commit sequences are inlined at each
 // event kind; they must stay line-for-line equivalent across arms —
-// timing results are required to be bit-identical to per-event
-// consumption.
+// timing results are required to be bit-identical wherever the batch
+// boundaries fall.
 //
 // The slot-unit clocks are decomposed into (cycle, sub-slot) pairs with
 // 0 <= sub < width, i.e. fetchQ = fcyc*width + fsub, so the

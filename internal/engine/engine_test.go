@@ -23,6 +23,9 @@ func (f *fixedMem) Store(pc uint64, addr mem.Addr, now uint64) uint64 {
 	return now + f.storeLat
 }
 
+// consume delivers one event to e as a one-event batch.
+func consume(e *Engine, ev trace.Event) { e.ConsumeBatch([]trace.Event{ev}) }
+
 func mustEngine(t *testing.T, memsys MemPort, blocks BlockObserver) *Engine {
 	t.Helper()
 	e, err := New(DefaultConfig(), memsys, blocks)
@@ -48,7 +51,7 @@ func TestConfigValidate(t *testing.T) {
 func TestWidthBoundIPC(t *testing.T) {
 	// Pure ALU instructions commit at the core width: IPC -> 4.
 	e := mustEngine(t, &fixedMem{}, nil)
-	e.Consume(trace.Event{Kind: trace.Instr, N: 100000})
+	consume(e, trace.Event{Kind: trace.Instr, N: 100000})
 	s := e.Finish()
 	if s.Instructions != 100000 {
 		t.Fatalf("instructions = %d", s.Instructions)
@@ -67,7 +70,7 @@ func TestLoadLatencyBoundIPC(t *testing.T) {
 	f := &fixedMem{loadLat: 100}
 	e := mustEngine(t, f, nil)
 	for i := 0; i < 1000; i++ {
-		e.Consume(trace.Event{Kind: trace.Load, PC: 1, Addr: mem.Addr(i * 64)})
+		consume(e, trace.Event{Kind: trace.Load, PC: 1, Addr: mem.Addr(i * 64)})
 	}
 	s := e.Finish()
 	// The 32-entry LDQ bounds memory-level parallelism: throughput
@@ -87,7 +90,7 @@ func TestLDQBoundsOverlap(t *testing.T) {
 	f := &fixedMem{loadLat: 10000}
 	e := mustEngine(t, f, nil)
 	for i := 0; i < 256; i++ {
-		e.Consume(trace.Event{Kind: trace.Load, PC: 1, Addr: mem.Addr(i * 64)})
+		consume(e, trace.Event{Kind: trace.Load, PC: 1, Addr: mem.Addr(i * 64)})
 	}
 	s := e.Finish()
 	if s.Cycles < 8*10000 {
@@ -103,7 +106,7 @@ func TestLDQLimitsOutstandingLoads(t *testing.T) {
 	f := &fixedMem{loadLat: 1000}
 	e := mustEngine(t, f, nil)
 	for i := 0; i < 33; i++ {
-		e.Consume(trace.Event{Kind: trace.Load, PC: 1, Addr: mem.Addr(i * 64)})
+		consume(e, trace.Event{Kind: trace.Load, PC: 1, Addr: mem.Addr(i * 64)})
 	}
 	if len(f.loads) != 33 {
 		t.Fatalf("observed %d loads", len(f.loads))
@@ -122,7 +125,7 @@ func TestStoresDoNotBlockCommit(t *testing.T) {
 	f := &fixedMem{storeLat: 10000}
 	e := mustEngine(t, f, nil)
 	for i := 0; i < 30; i++ {
-		e.Consume(trace.Event{Kind: trace.Store, PC: 1, Addr: mem.Addr(i * 64)})
+		consume(e, trace.Event{Kind: trace.Store, PC: 1, Addr: mem.Addr(i * 64)})
 	}
 	s := e.Finish()
 	if s.Cycles > 100 {
@@ -137,8 +140,8 @@ func TestMonotonicLoadIssueTimes(t *testing.T) {
 	f := &fixedMem{loadLat: 77}
 	e := mustEngine(t, f, nil)
 	for i := 0; i < 500; i++ {
-		e.Consume(trace.Event{Kind: trace.Instr, N: i % 5})
-		e.Consume(trace.Event{Kind: trace.Load, PC: 1, Addr: mem.Addr(i * 64)})
+		consume(e, trace.Event{Kind: trace.Instr, N: i % 5})
+		consume(e, trace.Event{Kind: trace.Load, PC: 1, Addr: mem.Addr(i * 64)})
 	}
 	for i := 1; i < len(f.loads); i++ {
 		if f.loads[i] < f.loads[i-1] {
@@ -160,12 +163,12 @@ func TestBlockObserverAndResidency(t *testing.T) {
 	e := mustEngine(t, f, rec)
 
 	// Non-loop prologue.
-	e.Consume(trace.Event{Kind: trace.Instr, N: 1000})
+	consume(e, trace.Event{Kind: trace.Instr, N: 1000})
 	for i := 0; i < 10; i++ {
-		e.Consume(trace.Event{Kind: trace.BlockBegin, Block: 7})
-		e.Consume(trace.Event{Kind: trace.Load, PC: 1, Addr: mem.Addr(i * 64)})
-		e.Consume(trace.Event{Kind: trace.Instr, N: 100})
-		e.Consume(trace.Event{Kind: trace.BlockEnd, Block: 7})
+		consume(e, trace.Event{Kind: trace.BlockBegin, Block: 7})
+		consume(e, trace.Event{Kind: trace.Load, PC: 1, Addr: mem.Addr(i * 64)})
+		consume(e, trace.Event{Kind: trace.Instr, N: 100})
+		consume(e, trace.Event{Kind: trace.BlockEnd, Block: 7})
 	}
 	s := e.Finish()
 	if len(rec.begins) != 10 || len(rec.ends) != 10 || rec.begins[0] != 7 {
@@ -182,8 +185,8 @@ func TestBlockObserverAndResidency(t *testing.T) {
 
 func TestUnterminatedBlockClosedAtFinish(t *testing.T) {
 	e := mustEngine(t, &fixedMem{}, nil)
-	e.Consume(trace.Event{Kind: trace.BlockBegin, Block: 1})
-	e.Consume(trace.Event{Kind: trace.Instr, N: 100})
+	consume(e, trace.Event{Kind: trace.BlockBegin, Block: 1})
+	consume(e, trace.Event{Kind: trace.Instr, N: 100})
 	s := e.Finish()
 	if s.Blocks != 1 {
 		t.Errorf("blocks = %d, want 1 (closed at finish)", s.Blocks)
@@ -197,11 +200,11 @@ func TestNestedBeginIgnored(t *testing.T) {
 	// A second BlockBegin while inside a block must not reset the
 	// residency accounting start.
 	e := mustEngine(t, &fixedMem{}, nil)
-	e.Consume(trace.Event{Kind: trace.BlockBegin, Block: 1})
-	e.Consume(trace.Event{Kind: trace.Instr, N: 50})
-	e.Consume(trace.Event{Kind: trace.BlockBegin, Block: 1})
-	e.Consume(trace.Event{Kind: trace.Instr, N: 50})
-	e.Consume(trace.Event{Kind: trace.BlockEnd, Block: 1})
+	consume(e, trace.Event{Kind: trace.BlockBegin, Block: 1})
+	consume(e, trace.Event{Kind: trace.Instr, N: 50})
+	consume(e, trace.Event{Kind: trace.BlockBegin, Block: 1})
+	consume(e, trace.Event{Kind: trace.Instr, N: 50})
+	consume(e, trace.Event{Kind: trace.BlockEnd, Block: 1})
 	s := e.Finish()
 	if s.Blocks != 1 {
 		t.Errorf("blocks = %d, want 1", s.Blocks)
@@ -213,7 +216,7 @@ func TestNestedBeginIgnored(t *testing.T) {
 
 func TestSnapshotMidRun(t *testing.T) {
 	e := mustEngine(t, &fixedMem{}, nil)
-	e.Consume(trace.Event{Kind: trace.Instr, N: 4000})
+	consume(e, trace.Event{Kind: trace.Instr, N: 4000})
 	snap := e.Snapshot()
 	if snap.Instructions != 4000 {
 		t.Errorf("snapshot instructions = %d", snap.Instructions)
@@ -221,7 +224,7 @@ func TestSnapshotMidRun(t *testing.T) {
 	if snap.Cycles < 1000 || snap.Cycles > 1100 {
 		t.Errorf("snapshot cycles = %d, want ~1000", snap.Cycles)
 	}
-	e.Consume(trace.Event{Kind: trace.Instr, N: 4000})
+	consume(e, trace.Event{Kind: trace.Instr, N: 4000})
 	s := e.Finish()
 	if s.Instructions-snap.Instructions != 4000 {
 		t.Errorf("delta instructions = %d", s.Instructions-snap.Instructions)
@@ -263,8 +266,8 @@ func TestMispredictPenaltyStallsFetch(t *testing.T) {
 		e := mustEngine(t, &fixedMem{}, nil)
 		e.AttachBranchPredictor(bp)
 		for i := 0; i < 1000; i++ {
-			e.Consume(trace.Event{Kind: trace.Instr, N: 3})
-			e.Consume(trace.Event{Kind: trace.Branch, PC: 0x40, Taken: true})
+			consume(e, trace.Event{Kind: trace.Instr, N: 3})
+			consume(e, trace.Event{Kind: trace.Branch, PC: 0x40, Taken: true})
 		}
 		return e.Finish()
 	}
@@ -285,7 +288,7 @@ func TestMispredictPenaltyStallsFetch(t *testing.T) {
 func TestNilPredictorIsIdeal(t *testing.T) {
 	e := mustEngine(t, &fixedMem{}, nil)
 	for i := 0; i < 100; i++ {
-		e.Consume(trace.Event{Kind: trace.Branch, PC: 0x40, Taken: i%2 == 0})
+		consume(e, trace.Event{Kind: trace.Branch, PC: 0x40, Taken: i%2 == 0})
 	}
 	s := e.Finish()
 	if s.Mispredicts != 0 {

@@ -19,7 +19,7 @@ func TestROBOccupancy(t *testing.T) {
 	// A width-bound ALU stream keeps commit hard on fetch's heels: only
 	// the entries of the last cycle or two are still waiting.
 	alu := mustEngine(t, &fixedMem{}, nil)
-	alu.Consume(trace.Event{Kind: trace.Instr, N: 100_000})
+	consume(alu, trace.Event{Kind: trace.Instr, N: 100_000})
 	if got := alu.ROBOccupancy(); got <= 0 || got > cfg.ROBEntries/2 {
 		t.Errorf("compute-bound ROB occupancy = %d, want small positive (< %d)", got, cfg.ROBEntries/2)
 	}
@@ -28,7 +28,7 @@ func TestROBOccupancy(t *testing.T) {
 	// back-pressure then pins dispatch one ROB-length behind commit, so
 	// the structure reads (nearly) full — and never beyond capacity.
 	for i := 0; i < 200; i++ {
-		e.Consume(trace.Event{Kind: trace.Load, PC: 1, Addr: mem.Addr(i * 64)})
+		consume(e, trace.Event{Kind: trace.Load, PC: 1, Addr: mem.Addr(i * 64)})
 	}
 	occ := e.ROBOccupancy()
 	if occ <= cfg.ROBEntries/2 {
@@ -44,8 +44,8 @@ func TestROBOccupancyIsReadOnly(t *testing.T) {
 	a := mustEngine(t, f, nil)
 	b := mustEngine(t, &fixedMem{loadLat: 500}, nil)
 	for i := 0; i < 100; i++ {
-		a.Consume(trace.Event{Kind: trace.Load, PC: 1, Addr: mem.Addr(i * 64)})
-		b.Consume(trace.Event{Kind: trace.Load, PC: 1, Addr: mem.Addr(i * 64)})
+		consume(a, trace.Event{Kind: trace.Load, PC: 1, Addr: mem.Addr(i * 64)})
+		consume(b, trace.Event{Kind: trace.Load, PC: 1, Addr: mem.Addr(i * 64)})
 		a.ROBOccupancy() // sampled every event on a only
 	}
 	sa, sb := a.Finish(), b.Finish()

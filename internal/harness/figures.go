@@ -43,11 +43,11 @@ func TableI() *report.Table {
 	block1 := []uint64{0x4900, 0x4904, 0xFC50, 0x491C, 0x7FE0}
 	tr := trace.New("table1")
 	emitBlock := func(addrs []uint64) {
-		tr.Consume(trace.Event{Kind: trace.BlockBegin, Block: 0})
+		tr.Events = append(tr.Events, trace.Event{Kind: trace.BlockBegin, Block: 0})
 		for i, a := range addrs {
-			tr.Consume(trace.Event{Kind: trace.Load, PC: uint64(0x100 + 4*i), Addr: mem.Addr(a)})
+			tr.Events = append(tr.Events, trace.Event{Kind: trace.Load, PC: uint64(0x100 + 4*i), Addr: mem.Addr(a)})
 		}
-		tr.Consume(trace.Event{Kind: trace.BlockEnd, Block: 0})
+		tr.Events = append(tr.Events, trace.Event{Kind: trace.BlockEnd, Block: 0})
 	}
 	emitBlock(block0)
 	emitBlock(block1)
@@ -130,7 +130,7 @@ func Figure5(maxInstr uint64) (*report.Table, error) {
 			return nil, fmt.Errorf("harness: unknown workload %q", name)
 		}
 		c := core.NewCensus(16)
-		trace.Limit{Gen: spec.Make(), Max: maxInstr}.Generate(c)
+		trace.DriveBatches(trace.Limit{Gen: spec.Make(), Max: maxInstr}, c)
 		t.AddRow(name,
 			fmt.Sprintf("%d", c.DistinctVectors()),
 			fmt.Sprintf("%d", c.Iterations()),

@@ -60,16 +60,11 @@ func (m *Machine) SetWord(addr mem.Addr, val int64) { m.memory[addr] = val }
 // Word reads back the 8-byte word at addr (0 if never written).
 func (m *Machine) Word(addr mem.Addr) int64 { return m.memory[addr] }
 
-// Run executes the program from instruction 0, emitting events into
-// sink. Consecutive non-memory instructions are batched into Instr
-// events.
-func (m *Machine) Run(sink trace.Sink) error {
-	return m.RunBatches(trace.AsBatchSink(sink))
-}
-
-// RunBatches executes the program, emitting events into sink through a
-// reusable batch buffer. Execution stops early — without error and
-// without panicking — once the sink reports it wants no more events.
+// RunBatches executes the program from instruction 0, emitting events
+// into sink through a reusable batch buffer. Consecutive non-memory
+// instructions are batched into Instr events. Execution stops early —
+// without error and without panicking — once the sink reports it wants
+// no more events.
 func (m *Machine) RunBatches(sink trace.BatchSink) error {
 	b := trace.NewBatcher(sink)
 	pending := 0
@@ -229,14 +224,9 @@ type Generator struct {
 // Name implements trace.Generator.
 func (g Generator) Name() string { return g.Prog.Name }
 
-// Generate implements trace.Generator. Execution errors (budget, bad
-// opcode) terminate the stream early; validation errors panic because
-// they indicate a malformed kernel, a programming error.
-func (g Generator) Generate(sink trace.Sink) {
-	g.GenerateBatches(trace.AsBatchSink(sink))
-}
-
-// GenerateBatches implements trace.BatchGenerator.
+// GenerateBatches implements trace.Generator. Execution errors (budget,
+// bad opcode) terminate the stream early; validation errors panic
+// because they indicate a malformed kernel, a programming error.
 func (g Generator) GenerateBatches(sink trace.BatchSink) {
 	m, err := New(g.Prog, g.MaxStep)
 	if err != nil {

@@ -19,7 +19,7 @@ func run(t *testing.T, p *ir.Program, init func(m *Machine)) (*Machine, *trace.T
 		init(m)
 	}
 	tr := trace.New(p.Name)
-	if err := m.Run(tr); err != nil {
+	if err := m.RunBatches(tr); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	return m, tr
@@ -179,7 +179,7 @@ func TestStepBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = m.Run(trace.New("x"))
+	err = m.RunBatches(trace.New("x"))
 	if !errors.Is(err, ErrStepBudget) {
 		t.Errorf("err = %v, want ErrStepBudget", err)
 	}
@@ -200,7 +200,7 @@ func TestBlockMarkersEmitted(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := trace.New("markers")
-	if err := m.Run(tr); err != nil {
+	if err := m.RunBatches(tr); err != nil {
 		t.Fatal(err)
 	}
 	if tr.Events[0].Kind != trace.BlockBegin || tr.Events[0].Block != 3 {

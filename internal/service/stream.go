@@ -86,9 +86,12 @@ type Stream struct {
 	dec  trace.ChunkDecoder
 	sum  hash.Hash // SHA-256 of the raw stream bytes, for content addressing
 
-	ring  []trace.Event //cbws:guardedby mu — bounded FIFO between ingest and simulation
+	ring  []trace.Event //cbws:guardedby mu — bounded FIFO between ingest and simulation; nil once finished
 	head  int           //cbws:guardedby mu
 	count int           //cbws:guardedby mu
+	// ringCap is the ring's length as allocated, still reported in
+	// chunk acks after finishStream has released the ring.
+	ringCap int
 
 	state       StreamState //cbws:guardedby mu
 	errMsg      string      //cbws:guardedby mu
@@ -122,6 +125,7 @@ func newStream(id string, spec JobSpec, tenantName string, ten *tenant, bufferEv
 		ten:      ten,
 		sum:      sha256.New(),
 		ring:     make([]trace.Event, bufferEvents),
+		ringCap:  bufferEvents,
 		state:    StreamOpen,
 		lastRecv: now,
 		done:     make(chan struct{}),
@@ -265,7 +269,7 @@ func (st *Stream) ackLocked() ChunkAck {
 		State:          st.state,
 		BytesIn:        st.bytesIn,
 		BufferedEvents: st.count,
-		BufferCap:      len(st.ring),
+		BufferCap:      st.ringCap,
 	}
 }
 
@@ -388,7 +392,7 @@ func (p streamProbe) OnSample(s *sim.Sample) {
 	st.mu.Unlock()
 }
 
-// streamGen adapts the stream's event ring to trace.BatchGenerator: the
+// streamGen adapts the stream's event ring to trace.Generator: the
 // generator the long-lived sim.RunContext pulls from. Between quanta it
 // releases and re-acquires its scheduler slot, so concurrently active
 // streams round-robin across the stream worker pool. While the ring is
@@ -405,9 +409,6 @@ type streamGen struct {
 // like a closed job's would.
 func (g *streamGen) Name() string { return g.st.Spec.Workload }
 
-// Generate implements trace.Generator.
-func (g *streamGen) Generate(sink trace.Sink) { g.GenerateBatches(trace.AsBatchSink(sink)) }
-
 // waitReadable blocks until the ring has events or the stream's input
 // is over. It reports false when generation should end: aborted, or
 // input closed with the ring drained.
@@ -421,7 +422,7 @@ func (g *streamGen) waitReadable() bool {
 	return !st.aborted && st.count > 0
 }
 
-// GenerateBatches implements trace.BatchGenerator.
+// GenerateBatches implements trace.Generator.
 func (g *streamGen) GenerateBatches(sink trace.BatchSink) {
 	for {
 		if !g.waitReadable() {
@@ -605,7 +606,10 @@ func (s *Service) runStream(st *Stream) {
 
 // finishStream settles the stream's terminal state and counters. With
 // key set the stream is done; with msg set it failed; with neither the
-// state was already terminal (canceled/failed) and is left as is.
+// state was already terminal (canceled/failed) and is left as is. The
+// runner is past its last ring read and a terminal stream admits no
+// more events, so the ring is released here: the stream stays listed
+// without pinning StreamBufferEvents events.
 func (s *Service) finishStream(st *Stream, key, msg string) {
 	st.mu.Lock()
 	switch {
@@ -624,6 +628,7 @@ func (s *Service) finishStream(st *Stream, key, msg string) {
 		s.counters.streamsCanceled.Add(1)
 	}
 	st.commitPendingLocked()
+	st.ring, st.head, st.count = nil, 0, 0
 	st.mu.Unlock()
 }
 

@@ -194,9 +194,7 @@ func encodeWorkloadTrace(t *testing.T, name string, max uint64) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range captured.Events {
-		w.Consume(e)
-	}
+	w.ConsumeBatch(captured.Events)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -659,5 +657,90 @@ func TestStreamOpenValidation(t *testing.T) {
 	// the wire — they just never adopt a closed-job cache key.
 	if code, m, _ := openStream(t, ts.URL, `{"tenant": "a", "workload": "custom-app", "prefetcher": "cbws"}`); code != http.StatusCreated {
 		t.Errorf("custom workload: %d %v, want 201", code, m)
+	}
+}
+
+// TestFinishedStreamsReleaseRing checks every terminal path — done
+// (closed under budget, or stopped by the exhausted budget), failed and
+// canceled — drops the stream's event ring once the runner settles it,
+// while a late chunk gets the status it always got and acks keep
+// reporting the ring's capacity.
+func TestFinishedStreamsReleaseRing(t *testing.T) {
+	const wl = "stencil-default"
+	cfg := testConfig()
+	svc, ts := newTestService(t, cfg)
+	client := apiv1.NewClient(ts.URL)
+	req := apiv1.OpenStreamRequest{Tenant: "acme", Workload: wl, Prefetcher: "cbws"}
+	open := func() string {
+		t.Helper()
+		view, err := client.OpenStream(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return view.ID
+	}
+	settled := func(name, id string, want StreamState) {
+		t.Helper()
+		st, ok := svc.Stream(id)
+		if !ok {
+			t.Fatalf("%s: stream %s not listed", name, id)
+		}
+		<-st.done
+		st.mu.Lock()
+		state, ring, count := st.state, st.ring, st.count
+		st.mu.Unlock()
+		if state != want {
+			t.Fatalf("%s: state %s, want %s", name, state, want)
+		}
+		if ring != nil || count != 0 {
+			t.Errorf("%s: finished stream still holds a %d-event ring (%d buffered)", name, len(ring), count)
+		}
+	}
+	late := []byte{byte(trace.Instr), 0x01}
+
+	// Done under budget, closed by the client: late input is refused.
+	half := streamTrace(t, client, req, encodeWorkloadTrace(t, wl, cfg.BaseSim.MaxInstructions/2), 16<<10)
+	settled("done", half.ID, StreamDone)
+	if code, _ := postChunk(t, ts.URL, half.ID, late); code != http.StatusConflict {
+		t.Errorf("done: late chunk got %d, want 409", code)
+	}
+
+	// Done because the budget ran out: late input is accepted and
+	// discarded, and the ack still reports the ring's capacity.
+	full := open()
+	feedChunks(t, client, full, encodeWorkloadTrace(t, wl, 2*cfg.BaseSim.MaxInstructions))
+	if _, err := client.WaitStream(full); err != nil {
+		t.Fatal(err)
+	}
+	settled("budget done", full, StreamDone)
+	ack, err := client.SendChunk(full, late, nil)
+	if err != nil {
+		t.Fatalf("budget done: late chunk: %v", err)
+	}
+	if ack.BufferCap != svc.cfg.StreamBufferEvents {
+		t.Errorf("budget done: ack buffer_cap %d, want %d", ack.BufferCap, svc.cfg.StreamBufferEvents)
+	}
+
+	// Failed on a malformed chunk.
+	bad := open()
+	if code, _ := postChunk(t, ts.URL, bad, []byte("this is not CBWT")); code != http.StatusBadRequest {
+		t.Fatalf("failed: garbage chunk got %d, want 400", code)
+	}
+	settled("failed", bad, StreamFailed)
+	if code, _ := postChunk(t, ts.URL, bad, late); code != http.StatusConflict {
+		t.Errorf("failed: late chunk got %d, want 409", code)
+	}
+
+	// Canceled by the client mid-trace.
+	cut := open()
+	if _, err := client.SendChunk(cut, encodeTestHeader(t, wl), nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.AbortStream(cut); err != nil {
+		t.Fatal(err)
+	}
+	settled("canceled", cut, StreamCanceled)
+	if code, _ := postChunk(t, ts.URL, cut, late); code != http.StatusConflict {
+		t.Errorf("canceled: late chunk got %d, want 409", code)
 	}
 }

@@ -1,60 +1,54 @@
 package sim
 
 import (
+	"math/rand/v2"
 	"testing"
 
-	"cbws/internal/branch"
-	"cbws/internal/cache"
 	"cbws/internal/core"
-	"cbws/internal/engine"
 	"cbws/internal/prefetch"
 	"cbws/internal/trace"
 	"cbws/internal/workload"
 )
 
-// runPerEvent mirrors Run exactly, except the trace is delivered one
-// event at a time — the shape of the pre-batching pipeline. Timing
-// semantics must not depend on where batch boundaries fall, so both
-// paths have to produce identical metrics.
-func runPerEvent(cfg Config, wl trace.Generator, pf prefetch.Prefetcher) (Result, error) {
-	h, err := cache.NewHierarchy(cfg.Memory)
-	if err != nil {
-		return Result{}, err
-	}
-	pf.Reset()
-	if eo, ok := pf.(prefetch.EvictionObserver); ok {
-		h.OnL1Evict(eo.OnCacheEvict)
-	}
-	p := newPort(h, pf)
-	eng, err := engine.New(cfg.Core, p, p)
-	if err != nil {
-		return Result{}, err
-	}
-	if !cfg.IdealBranchPrediction {
-		bp, err := branch.New(cfg.Branch)
-		if err != nil {
-			return Result{}, err
-		}
-		eng.AttachBranchPredictor(bp)
-	}
-	sink := &runSink{eng: eng, h: h, warmup: cfg.WarmupInstructions,
-		warmed: cfg.WarmupInstructions == 0}
-	var gen trace.Generator = wl
-	if cfg.MaxInstructions > 0 {
-		gen = trace.Limit{Gen: wl, Max: cfg.MaxInstructions}
-	}
-	trace.Drive(gen, trace.SinkFunc(sink.Consume))
-	eng.Finish()
-	h.Finish()
-	final := takeSnapshot(eng, h)
-	m := final.sub(sink.base)
-	return Result{Workload: wl.Name(), Prefetcher: pf.Name(), Metrics: m}, nil
+// splitSink re-chunks every batch it receives into sub-batches whose
+// lengths come from next (each in [1, len(rest)]) before forwarding
+// them to down.
+type splitSink struct {
+	down trace.BatchSink
+	next func(rest int) int
 }
 
-// TestBatchedRunMatchesPerEventReference is the golden equivalence
-// check for the batched pipeline: for a grid of workloads × prefetchers
-// the batched Run and the per-event reference must agree on every
-// metric, bit for bit.
+func (s *splitSink) ConsumeBatch(batch []trace.Event) bool {
+	for i := 0; i < len(batch); {
+		n := s.next(len(batch) - i)
+		if !s.down.ConsumeBatch(batch[i : i+n]) {
+			return false
+		}
+		i += n
+	}
+	return true
+}
+
+// splitGen delivers gen's stream through a splitSink, so everything
+// downstream of the generator — the instruction limiter, warmup
+// snapshot, engine and memory system — sees the re-chunked batches.
+type splitGen struct {
+	gen  trace.Generator
+	next func(rest int) int
+}
+
+func (g splitGen) Name() string { return g.gen.Name() }
+
+func (g splitGen) GenerateBatches(sink trace.BatchSink) {
+	g.gen.GenerateBatches(&splitSink{down: sink, next: g.next})
+}
+
+// TestBatchedRunMatchesPerEventReference is the batch-boundary
+// invariance check: timing semantics must not depend on where batch
+// boundaries fall, so for a grid of workloads × prefetchers the same
+// stream delivered as one-event batches and split at seeded random
+// points must agree with the plain batched Run on every metric, bit for
+// bit.
 func TestBatchedRunMatchesPerEventReference(t *testing.T) {
 	factories := map[string]func() prefetch.Prefetcher{
 		"none":   func() prefetch.Prefetcher { return prefetch.NewNone() },
@@ -78,13 +72,20 @@ func TestBatchedRunMatchesPerEventReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := runPerEvent(cfg, spec.Make(), mk())
-			if err != nil {
-				t.Fatal(err)
+			rng := rand.New(rand.NewPCG(uint64(len(wlName)), uint64(len(pfName))))
+			splits := map[string]func(rest int) int{
+				"per-event": func(int) int { return 1 },
+				"random":    func(rest int) int { return 1 + rng.IntN(rest) },
 			}
-			if batched.Metrics != ref.Metrics {
-				t.Errorf("%s/%s: batched run diverges from per-event reference\n  batched: %+v\n  per-event: %+v",
-					wlName, pfName, batched.Metrics, ref.Metrics)
+			for splitName, next := range splits {
+				ref, err := Run(cfg, splitGen{gen: spec.Make(), next: next}, mk())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if batched.Metrics != ref.Metrics {
+					t.Errorf("%s/%s: batched run diverges from %s delivery\n  batched: %+v\n  %s: %+v",
+						wlName, pfName, splitName, batched.Metrics, splitName, ref.Metrics)
+				}
 			}
 		}
 	}

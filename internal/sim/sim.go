@@ -205,9 +205,8 @@ func RunContext(ctx context.Context, cfg Config, wl trace.Generator, pf prefetch
 // Event.Count per event, so the event that crosses the next boundary —
 // the warmup end or a sampling mark — can be located by a plain count
 // scan, no simulation needed, and the batch split there: the snapshot
-// lands after exactly the same event the per-event pipeline would have
-// snapshotted at, while every fragment still takes the engine's batch
-// fast path. With no probe, progress callback or cancellable context
+// lands after exactly the same event wherever the batch boundaries
+// fall, while every fragment still takes the engine's batch fast path. With no probe, progress callback or cancellable context
 // attached, the post-warmup path is a single boundary check followed by
 // the plain batched consume.
 type runSink struct {
@@ -229,11 +228,6 @@ type runSink struct {
 	prev     snapshot
 	seq      int
 	sample   Sample // reused across samples: steady-state sampling allocates nothing
-}
-
-func (s *runSink) Consume(ev trace.Event) {
-	batch := [1]trace.Event{ev}
-	s.ConsumeBatch(batch[:])
 }
 
 // nextBoundary returns the smallest pending instruction boundary (the

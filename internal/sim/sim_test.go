@@ -12,24 +12,39 @@ import (
 	"cbws/internal/trace"
 )
 
+// genFunc adapts a test body that emits events one at a time to
+// trace.Generator; events emitted after the sink stops are dropped.
+type genFunc struct {
+	name string
+	body func(emit func(trace.Event) bool)
+}
+
+func (g genFunc) Name() string { return g.name }
+
+func (g genFunc) GenerateBatches(sink trace.BatchSink) {
+	b := trace.NewBatcher(sink)
+	g.body(b.Event)
+	b.Flush()
+}
+
 // stridedLoop is a synthetic generator: an annotated loop whose
 // iteration touches `lanes` lines spaced `gap` lines apart, advancing by
 // `stride` lines per iteration, with `compute` filler instructions.
 func stridedLoop(iters, lanes, gap int, stride int64, compute int) trace.Generator {
-	return trace.GeneratorFunc{GenName: "strided", Fn: func(s trace.Sink) {
+	return genFunc{name: "strided", body: func(emit func(trace.Event) bool) {
 		base := mem.LineAddr(1 << 24)
 		for n := 0; n < iters; n++ {
-			s.Consume(trace.Event{Kind: trace.BlockBegin, Block: 0})
+			emit(trace.Event{Kind: trace.BlockBegin, Block: 0})
 			cur := base.Add(stride * int64(n))
 			for l := 0; l < lanes; l++ {
-				s.Consume(trace.Event{
+				emit(trace.Event{
 					Kind: trace.Load,
 					PC:   uint64(0x1000 + 4*l),
 					Addr: cur.Add(int64(l * gap)).Byte(),
 				})
 			}
-			s.Consume(trace.Event{Kind: trace.Instr, N: compute})
-			s.Consume(trace.Event{Kind: trace.BlockEnd, Block: 0})
+			emit(trace.Event{Kind: trace.Instr, N: compute})
+			emit(trace.Event{Kind: trace.BlockEnd, Block: 0})
 		}
 	}}
 }
@@ -122,13 +137,13 @@ func TestSMSEvictionWiring(t *testing.T) {
 	// SMS ends generations on L1 evictions; run a region-friendly
 	// workload and verify SMS actually issues prefetches (it cannot
 	// without generation ends).
-	gen := trace.GeneratorFunc{GenName: "regions", Fn: func(s trace.Sink) {
+	gen := genFunc{name: "regions", body: func(emit func(trace.Event) bool) {
 		// Touch many sequential 2KB regions fully, one after another.
 		for r := 0; r < 3000; r++ {
 			base := mem.Addr(1<<28 + r*2048)
 			for off := 0; off < 2048; off += 64 {
-				s.Consume(trace.Event{Kind: trace.Load, PC: 0x2000, Addr: base + mem.Addr(off)})
-				s.Consume(trace.Event{Kind: trace.Instr, N: 3})
+				emit(trace.Event{Kind: trace.Load, PC: 0x2000, Addr: base + mem.Addr(off)})
+				emit(trace.Event{Kind: trace.Instr, N: 3})
 			}
 		}
 	}}
@@ -224,13 +239,13 @@ func TestIdealBranchPrediction(t *testing.T) {
 	// A divergent-branch trace under the ideal front end must be at
 	// least as fast as under the tournament predictor.
 	gen := func() trace.Generator {
-		return trace.GeneratorFunc{GenName: "branchy", Fn: func(s trace.Sink) {
+		return genFunc{name: "branchy", body: func(emit func(trace.Event) bool) {
 			rng := uint64(7)
 			for i := 0; i < 30_000; i++ {
-				s.Consume(trace.Event{Kind: trace.Instr, N: 5})
+				emit(trace.Event{Kind: trace.Instr, N: 5})
 				rng ^= rng << 13
 				rng ^= rng >> 7
-				s.Consume(trace.Event{Kind: trace.Branch, PC: 0x40, Taken: rng&1 == 0})
+				emit(trace.Event{Kind: trace.Branch, PC: 0x40, Taken: rng&1 == 0})
 			}
 		}}
 	}

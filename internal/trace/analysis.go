@@ -45,7 +45,7 @@ type StrideCount struct {
 	Count  uint64
 }
 
-// analyzer implements Sink.
+// analyzer is the BatchSink behind Analyze.
 type analyzer struct {
 	s       Summary
 	lines   map[mem.LineAddr]struct{}
@@ -78,16 +78,15 @@ func Analyze(gen Generator, max uint64) *Summary {
 	return &a.s
 }
 
-// ConsumeBatch implements BatchSink so batched generators feed the
-// analyzer without a per-event adapter.
+// ConsumeBatch implements BatchSink.
 func (a *analyzer) ConsumeBatch(batch []Event) bool {
 	for i := range batch {
-		a.Consume(batch[i])
+		a.observe(batch[i])
 	}
 	return true
 }
 
-func (a *analyzer) Consume(e Event) {
+func (a *analyzer) observe(e Event) {
 	a.s.Instructions += uint64(e.Count())
 	switch e.Kind {
 	case Load, Store:

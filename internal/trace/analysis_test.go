@@ -8,15 +8,15 @@ import (
 )
 
 func analysisFixture() Generator {
-	return GeneratorFunc{GenName: "fixture", Fn: func(s Sink) {
+	return genFunc{name: "fixture", body: func(emit func(Event) bool) {
 		for i := 0; i < 100; i++ {
-			s.Consume(Event{Kind: BlockBegin, Block: 0})
-			s.Consume(Event{Kind: Load, PC: 0x10, Addr: mem.Addr(1<<20 + i*64)})
-			s.Consume(Event{Kind: Load, PC: 0x14, Addr: mem.Addr(1<<21 + i*128)})
-			s.Consume(Event{Kind: Store, PC: 0x18, Addr: mem.Addr(1<<22 + i*64)})
-			s.Consume(Event{Kind: Instr, N: 5})
-			s.Consume(Event{Kind: Branch, PC: 0x1c, Taken: i%4 != 0})
-			s.Consume(Event{Kind: BlockEnd, Block: 0})
+			emit(Event{Kind: BlockBegin, Block: 0})
+			emit(Event{Kind: Load, PC: 0x10, Addr: mem.Addr(1<<20 + i*64)})
+			emit(Event{Kind: Load, PC: 0x14, Addr: mem.Addr(1<<21 + i*128)})
+			emit(Event{Kind: Store, PC: 0x18, Addr: mem.Addr(1<<22 + i*64)})
+			emit(Event{Kind: Instr, N: 5})
+			emit(Event{Kind: Branch, PC: 0x1c, Taken: i%4 != 0})
+			emit(Event{Kind: BlockEnd, Block: 0})
 		}
 	}}
 }
@@ -73,12 +73,12 @@ func TestAnalyzeStrides(t *testing.T) {
 }
 
 func TestAnalyzeOverflowBucket(t *testing.T) {
-	g := GeneratorFunc{GenName: "big", Fn: func(s Sink) {
-		s.Consume(Event{Kind: BlockBegin, Block: 0})
+	g := genFunc{name: "big", body: func(emit func(Event) bool) {
+		emit(Event{Kind: BlockBegin, Block: 0})
 		for i := 0; i < 40; i++ {
-			s.Consume(Event{Kind: Load, PC: 1, Addr: mem.Addr(i * 64)})
+			emit(Event{Kind: Load, PC: 1, Addr: mem.Addr(i * 64)})
 		}
-		s.Consume(Event{Kind: BlockEnd, Block: 0})
+		emit(Event{Kind: BlockEnd, Block: 0})
 	}}
 	s := Analyze(g, 0)
 	if s.BlockSizes[17] != 1 {

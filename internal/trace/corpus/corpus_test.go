@@ -316,7 +316,7 @@ func TestWriterRejectsOutOfRangeFields(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w.Consume(e)
+		w.ConsumeBatch([]trace.Event{e})
 		if err := w.Close(); err == nil {
 			t.Errorf("%s: expected Close to report the encoding error", name)
 		}

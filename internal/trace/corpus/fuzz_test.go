@@ -101,7 +101,7 @@ func FuzzCorpusRoundTrip(f *testing.F) {
 			return
 		}
 		first := trace.New(r.Name())
-		if err := r.Decode(first); err != nil {
+		if err := r.DecodeBatches(first); err != nil {
 			return // stream rejected: nothing to pack
 		}
 		for _, opts := range []corpus.Options{
@@ -140,7 +140,7 @@ func FuzzCorpusParse(f *testing.F) {
 		f.Fatal(err)
 	}
 	tr := trace.New(r.Name())
-	if err := r.Decode(tr); err != nil {
+	if err := r.DecodeBatches(tr); err != nil {
 		f.Fatal(err)
 	}
 	for _, opts := range []corpus.Options{{}, {BlockEvents: 128, Compress: true}} {

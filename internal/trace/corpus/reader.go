@@ -323,11 +323,11 @@ func (c *Corpus) Close() error {
 	return err
 }
 
-// Replayer replays a corpus as a trace.BatchGenerator. Each Replayer
-// owns its decode buffers, so independent simulations can replay one
-// shared Corpus concurrently; a single Replayer is not safe for
-// concurrent use but is reusable — every Generate/Replay call starts
-// from the first event.
+// Replayer replays a corpus as a trace.Generator. Each Replayer owns
+// its decode buffers, so independent simulations can replay one shared
+// Corpus concurrently; a single Replayer is not safe for concurrent use
+// but is reusable — every GenerateBatches/Replay call starts from the
+// first event.
 type Replayer struct {
 	c       *Corpus
 	buf     []trace.Event
@@ -353,13 +353,8 @@ func (c *Corpus) NewReplayer() *Replayer {
 // Name implements trace.Generator.
 func (r *Replayer) Name() string { return r.c.name }
 
-// Generate implements trace.Generator. Decode errors on a corrupt file
-// stop the stream early; use Replay for explicit errors.
-func (r *Replayer) Generate(sink trace.Sink) {
-	_ = r.Replay(trace.AsBatchSink(sink))
-}
-
-// GenerateBatches implements trace.BatchGenerator.
+// GenerateBatches implements trace.Generator. Decode errors on a
+// corrupt file stop the stream early; use Replay for explicit errors.
 func (r *Replayer) GenerateBatches(sink trace.BatchSink) {
 	_ = r.Replay(sink)
 }

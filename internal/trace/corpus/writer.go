@@ -37,8 +37,8 @@ func (o Options) withDefaults() (Options, error) {
 }
 
 // Writer encodes an event stream into the CBWC columnar format. It
-// implements trace.Sink and trace.BatchSink, so any generator can be
-// packed with trace.DriveBatches. Encoding errors are sticky and
+// implements trace.BatchSink, so any generator can be packed with
+// trace.DriveBatches. Encoding errors are sticky and
 // reported by Close.
 type Writer struct {
 	w     io.Writer
@@ -111,14 +111,6 @@ func (w *Writer) write(p []byte) error {
 		w.err = err
 	}
 	return err
-}
-
-// Consume implements trace.Sink.
-func (w *Writer) Consume(e trace.Event) {
-	if w.err != nil {
-		return
-	}
-	w.encode(e)
 }
 
 // ConsumeBatch implements trace.BatchSink; a sticky error asks the

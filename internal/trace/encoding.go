@@ -6,8 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-
-	"cbws/internal/mem"
 )
 
 // Binary trace file format:
@@ -74,11 +72,8 @@ func (w *Writer) putVarint(v int64) {
 	_, w.err = w.w.Write(buf[:n])
 }
 
-// Consume encodes one event. Errors are sticky and reported by Close.
-func (w *Writer) Consume(e Event) {
-	if w.err != nil {
-		return
-	}
+// encode encodes one event. Errors are sticky and reported by Close.
+func (w *Writer) encode(e Event) {
 	w.err = w.w.WriteByte(byte(e.Kind))
 	switch e.Kind {
 	case Instr:
@@ -119,7 +114,7 @@ func (w *Writer) ConsumeBatch(batch []Event) bool {
 		if w.err != nil {
 			return false
 		}
-		w.Consume(batch[i])
+		w.encode(batch[i])
 	}
 	return w.err == nil
 }
@@ -135,153 +130,71 @@ func (w *Writer) Close() error {
 	return w.w.Flush()
 }
 
+// readChunk is the size of the windows Reader pulls from its source
+// and feeds to the ChunkDecoder.
+const readChunk = 32 << 10
+
 // Reader decodes a binary trace file. It implements Generator so a trace
-// file can be fed straight into the simulator.
+// file can be fed straight into the simulator. It is a thin read loop
+// around a ChunkDecoder, the format's only event decoder.
 type Reader struct {
-	r    *bufio.Reader
-	name string
+	r    io.Reader
+	dec  ChunkDecoder
+	buf  []byte
+	rest []byte // bytes read past the header, decoded first
 }
 
 // NewReader validates the header and returns a Reader.
 func NewReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(traceMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadTrace, err)
+	rd := &Reader{r: r, buf: make([]byte, readChunk)}
+	for {
+		n, err := r.Read(rd.buf)
+		rest, herr := rd.dec.feedHeader(rd.buf[:n])
+		if herr != nil {
+			return nil, herr
+		}
+		if _, ok := rd.dec.Name(); ok {
+			rd.rest = rest
+			return rd, nil
+		}
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrBadTrace, err)
+		}
 	}
-	if string(magic) != traceMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrBadTrace, magic)
-	}
-	ver, err := br.ReadByte()
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadTrace, err)
-	}
-	if ver != traceVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadTrace, ver)
-	}
-	nameLen, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadTrace, err)
-	}
-	if nameLen > 1<<16 {
-		return nil, fmt.Errorf("%w: name too long", ErrBadTrace)
-	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(br, name); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadTrace, err)
-	}
-	return &Reader{r: br, name: string(name)}, nil
 }
 
 // Name returns the trace name recorded in the file header.
-func (r *Reader) Name() string { return r.name }
+func (r *Reader) Name() string { return r.dec.name }
 
-// Generate decodes events into sink until the terminator. Decoding errors
-// surface as a panic-free early stop; use Decode for explicit errors.
-func (r *Reader) Generate(sink Sink) {
-	_ = r.Decode(sink)
-}
-
-// GenerateBatches implements BatchGenerator.
+// GenerateBatches implements Generator. Decoding errors end the stream
+// early; use DecodeBatches for explicit errors.
 func (r *Reader) GenerateBatches(sink BatchSink) {
 	_ = r.DecodeBatches(sink)
-}
-
-// Decode decodes events into sink and returns the first error.
-func (r *Reader) Decode(sink Sink) error {
-	return r.DecodeBatches(AsBatchSink(sink))
 }
 
 // DecodeBatches decodes events into sink in batches and returns the
 // first error. Events decoded before an error are still delivered, and
 // decoding stops early (without error) once the sink requests a stop.
+// A stream that ends without its terminator is malformed.
 func (r *Reader) DecodeBatches(sink BatchSink) error {
-	var lastPC, lastAddr uint64
-	buf := make([]Event, 0, batchSize)
-	flush := func() bool {
-		if len(buf) == 0 {
-			return true
+	if err := r.dec.Feed(r.rest, sink); err != nil {
+		return err
+	}
+	r.rest = nil
+	for !r.dec.Terminated() {
+		n, err := r.r.Read(r.buf)
+		if ferr := r.dec.Feed(r.buf[:n], sink); ferr != nil {
+			return ferr
 		}
-		more := sink.ConsumeBatch(buf)
-		buf = buf[:0]
-		return more
-	}
-	fail := func(err error) error {
-		flush()
-		return fmt.Errorf("%w: %v", ErrBadTrace, err)
-	}
-	for {
-		kb, err := r.r.ReadByte()
+		if err == io.EOF {
+			return r.dec.Finish()
+		}
 		if err != nil {
-			return fail(err)
-		}
-		if kb == kindEOF {
-			flush()
-			return nil
-		}
-		e := Event{Kind: Kind(kb)}
-		switch e.Kind {
-		case Instr:
-			n, err := binary.ReadUvarint(r.r)
-			if err != nil {
-				return fail(err)
-			}
-			// Bound before the int conversion: an unchecked 64-bit count
-			// would wrap into garbage (possibly negative) on 32-bit
-			// builds and distort instruction budgets everywhere.
-			if n > MaxInstrCount {
-				flush()
-				return fmt.Errorf("%w: instr count %d exceeds %d", ErrBadTrace, n, uint64(MaxInstrCount))
-			}
-			e.N = int(n)
-		case Load, Store:
-			dpc, err := binary.ReadVarint(r.r)
-			if err != nil {
-				return fail(err)
-			}
-			daddr, err := binary.ReadVarint(r.r)
-			if err != nil {
-				return fail(err)
-			}
-			lastPC = uint64(int64(lastPC) + dpc)
-			lastAddr = uint64(int64(lastAddr) + daddr)
-			e.PC = lastPC
-			e.Addr = mem.Addr(lastAddr)
-		case BlockBegin, BlockEnd:
-			id, err := binary.ReadUvarint(r.r)
-			if err != nil {
-				return fail(err)
-			}
-			if id > MaxBlockID {
-				flush()
-				return fmt.Errorf("%w: block ID %d exceeds %d", ErrBadTrace, id, uint64(MaxBlockID))
-			}
-			e.Block = int(id)
-		case Branch:
-			dpc, err := binary.ReadVarint(r.r)
-			if err != nil {
-				return fail(err)
-			}
-			lastPC = uint64(int64(lastPC) + dpc)
-			e.PC = lastPC
-			t, err := binary.ReadUvarint(r.r)
-			if err != nil {
-				return fail(err)
-			}
-			// The encoder writes exactly 0 or 1; anything else is a
-			// corrupt stream, not a "very taken" branch.
-			if t > 1 {
-				flush()
-				return fmt.Errorf("%w: branch outcome %d is not 0 or 1", ErrBadTrace, t)
-			}
-			e.Taken = t != 0
-		default:
-			flush()
-			return fmt.Errorf("%w: unknown kind %d", ErrBadTrace, kb)
-		}
-		buf = append(buf, e)
-		if len(buf) == cap(buf) && !flush() {
-			return nil
+			return fmt.Errorf("%w: %v", ErrBadTrace, err)
 		}
 	}
+	return nil
 }

@@ -17,9 +17,7 @@ func roundTrip(t *testing.T, name string, events []Event) *Reader {
 	if err != nil {
 		t.Fatalf("NewWriter: %v", err)
 	}
-	for _, e := range events {
-		w.Consume(e)
-	}
+	w.ConsumeBatch(events)
 	if err := w.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -43,10 +41,11 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if r.Name() != "rt" {
 		t.Errorf("Name = %q", r.Name())
 	}
-	var got []Event
-	if err := r.Decode(SinkFunc(func(e Event) { got = append(got, e) })); err != nil {
-		t.Fatalf("Decode: %v", err)
+	var tr Trace
+	if err := r.DecodeBatches(&tr); err != nil {
+		t.Fatalf("DecodeBatches: %v", err)
 	}
+	got := tr.Events
 	if len(got) != len(events) {
 		t.Fatalf("decoded %d events, want %d", len(got), len(events))
 	}
@@ -85,18 +84,17 @@ func TestEncodeDecodeRandom(t *testing.T) {
 		}
 	}
 	r := roundTrip(t, "random", events)
-	i := 0
-	err := r.Decode(SinkFunc(func(e Event) {
-		if i < len(events) && e != events[i] {
+	var got Trace
+	if err := r.DecodeBatches(&got); err != nil {
+		t.Fatalf("DecodeBatches: %v", err)
+	}
+	if len(got.Events) != len(events) {
+		t.Fatalf("decoded %d of %d events", len(got.Events), len(events))
+	}
+	for i, e := range got.Events {
+		if e != events[i] {
 			t.Fatalf("event %d mismatch: got %+v want %+v", i, e, events[i])
 		}
-		i++
-	}))
-	if err != nil {
-		t.Fatalf("Decode: %v", err)
-	}
-	if i != len(events) {
-		t.Errorf("decoded %d of %d events", i, len(events))
 	}
 }
 
@@ -132,7 +130,7 @@ func TestDecodeTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Consume(Event{Kind: Load, PC: 1, Addr: 64})
+	w.ConsumeBatch([]Event{{Kind: Load, PC: 1, Addr: 64}})
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -142,8 +140,8 @@ func TestDecodeTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Decode(SinkFunc(func(Event) {})); !errors.Is(err, ErrBadTrace) {
-		t.Errorf("Decode err = %v, want ErrBadTrace", err)
+	if err := r.DecodeBatches(New("sink")); !errors.Is(err, ErrBadTrace) {
+		t.Errorf("DecodeBatches err = %v, want ErrBadTrace", err)
 	}
 }
 
@@ -163,8 +161,8 @@ func TestDecodeUnknownKind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Decode(SinkFunc(func(Event) {})); !errors.Is(err, ErrBadTrace) {
-		t.Errorf("Decode err = %v, want ErrBadTrace", err)
+	if err := r.DecodeBatches(New("sink")); !errors.Is(err, ErrBadTrace) {
+		t.Errorf("DecodeBatches err = %v, want ErrBadTrace", err)
 	}
 }
 
@@ -174,7 +172,7 @@ func TestWriterRejectsUnknownKind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Consume(Event{Kind: Kind(200)})
+	w.ConsumeBatch([]Event{{Kind: Kind(200)}})
 	if err := w.Close(); err == nil {
 		t.Error("expected Close to report the encoding error")
 	}
@@ -207,8 +205,8 @@ func TestDecodeRejectsUnboundedFields(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: header rejected: %v", name, err)
 		}
-		if err := r.Decode(SinkFunc(func(Event) {})); !errors.Is(err, ErrBadTrace) {
-			t.Errorf("%s: Decode err = %v, want ErrBadTrace", name, err)
+		if err := r.DecodeBatches(New("sink")); !errors.Is(err, ErrBadTrace) {
+			t.Errorf("%s: DecodeBatches err = %v, want ErrBadTrace", name, err)
 		}
 	}
 }
@@ -222,10 +220,11 @@ func TestDecodeAcceptsBoundaryFields(t *testing.T) {
 		{Kind: BlockEnd, Block: MaxBlockID},
 	}
 	r := roundTrip(t, "bounds", events)
-	var got []Event
-	if err := r.Decode(SinkFunc(func(e Event) { got = append(got, e) })); err != nil {
-		t.Fatalf("Decode: %v", err)
+	var tr Trace
+	if err := r.DecodeBatches(&tr); err != nil {
+		t.Fatalf("DecodeBatches: %v", err)
 	}
+	got := tr.Events
 	if len(got) != len(events) {
 		t.Fatalf("decoded %d events, want %d", len(got), len(events))
 	}
@@ -250,7 +249,7 @@ func TestWriterRejectsOutOfRangeFields(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w.Consume(e)
+		w.ConsumeBatch([]Event{e})
 		if err := w.Close(); err == nil {
 			t.Errorf("%s: expected Close to report the encoding error", name)
 		}
@@ -266,7 +265,7 @@ func TestCompactEncoding(t *testing.T) {
 	}
 	const n = 10000
 	for i := 0; i < n; i++ {
-		w.Consume(Event{Kind: Load, PC: 0x400100, Addr: mem.Addr(1<<30 + i*64)})
+		w.ConsumeBatch([]Event{{Kind: Load, PC: 0x400100, Addr: mem.Addr(1<<30 + i*64)}})
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)

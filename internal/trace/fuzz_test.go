@@ -17,11 +17,13 @@ func FuzzDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	w.Consume(Event{Kind: BlockBegin, Block: 1})
-	w.Consume(Event{Kind: Load, PC: 0x400000, Addr: 0x12345})
-	w.Consume(Event{Kind: Branch, PC: 0x400004, Taken: true})
-	w.Consume(Event{Kind: Instr, N: 9})
-	w.Consume(Event{Kind: BlockEnd, Block: 1})
+	w.ConsumeBatch([]Event{
+		{Kind: BlockBegin, Block: 1},
+		{Kind: Load, PC: 0x400000, Addr: 0x12345},
+		{Kind: Branch, PC: 0x400004, Taken: true},
+		{Kind: Instr, N: 9},
+		{Kind: BlockEnd, Block: 1},
+	})
 	if err := w.Close(); err != nil {
 		f.Fatal(err)
 	}
@@ -35,14 +37,17 @@ func FuzzDecode(f *testing.F) {
 			return
 		}
 		n := 0
-		_ = r.Decode(SinkFunc(func(e Event) {
-			if e.Kind > Branch {
-				t.Fatalf("decoded invalid kind %d", e.Kind)
+		_ = r.DecodeBatches(batchSinkFunc(func(batch []Event) bool {
+			for _, e := range batch {
+				if e.Kind > Branch {
+					t.Fatalf("decoded invalid kind %d", e.Kind)
+				}
 			}
-			n++
+			n += len(batch)
 			if n > 1<<20 {
 				t.Fatal("unbounded decode")
 			}
+			return true
 		}))
 	})
 }
@@ -65,9 +70,7 @@ func FuzzRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, e := range events {
-			w.Consume(e)
-		}
+		w.ConsumeBatch(events)
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -75,20 +78,17 @@ func FuzzRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		i := 0
-		if err := r.Decode(SinkFunc(func(e Event) {
-			if i >= len(events) {
-				t.Fatal("extra events decoded")
-			}
+		var got Trace
+		if err := r.DecodeBatches(&got); err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Events) != len(events) {
+			t.Fatalf("decoded %d of %d", len(got.Events), len(events))
+		}
+		for i, e := range got.Events {
 			if e != events[i] {
 				t.Fatalf("event %d: got %+v want %+v", i, e, events[i])
 			}
-			i++
-		})); err != nil {
-			t.Fatal(err)
-		}
-		if i != len(events) {
-			t.Fatalf("decoded %d of %d", i, len(events))
 		}
 	})
 }

@@ -32,7 +32,7 @@ func encodePrefix(f *testing.F, name string, maxEvents uint64) []byte {
 }
 
 // sameEvent compares two events up to the encoder's Instr
-// normalization: Consume writes Count() (which maps N=0 to 1), so a
+// normalization: the Writer encodes Count() (which maps N=0 to 1), so a
 // decode→encode→decode cycle preserves the instruction count but not a
 // raw N of zero.
 func sameEvent(a, b trace.Event) bool {
@@ -70,7 +70,7 @@ func FuzzTraceRoundTrip(f *testing.F) {
 			return // header rejected: nothing to round-trip
 		}
 		first := trace.New(r.Name())
-		if err := r.Decode(first); err != nil {
+		if err := r.DecodeBatches(first); err != nil {
 			return // body rejected: partial decodes are not re-encodable
 		}
 		// Everything the decoder accepts must respect the field bounds;
@@ -105,7 +105,7 @@ func FuzzTraceRoundTrip(f *testing.F) {
 			t.Fatalf("name diverged: %q != %q", r2.Name(), first.Name())
 		}
 		second := trace.New(r2.Name())
-		if err := r2.Decode(second); err != nil {
+		if err := r2.DecodeBatches(second); err != nil {
 			t.Fatalf("re-encoded trace failed to decode: %v", err)
 		}
 		if len(second.Events) != len(first.Events) {

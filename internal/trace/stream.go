@@ -7,14 +7,13 @@ import (
 	"cbws/internal/mem"
 )
 
-// ChunkDecoder is the incremental counterpart of Reader: it decodes the
-// same CBWT byte stream, but fed as arbitrary chunks instead of a
-// complete file. Chunk boundaries carry no meaning — a varint, an event,
-// or even the file header may be split across any number of Feed calls —
-// so a network ingest path can forward whatever byte windows the client
-// happened to POST and still decode the exact event sequence a
-// whole-stream Reader would have produced (FuzzStreamChunkFraming pins
-// this equivalence).
+// ChunkDecoder is the CBWT decoder: it decodes the byte stream fed as
+// arbitrary chunks. Chunk boundaries carry no meaning — a varint, an
+// event, or even the file header may be split across any number of Feed
+// calls. The network ingest path forwards whatever byte windows the
+// client happened to POST, Reader whatever windows its io.Reader
+// returns, and both decode the event sequence of the whole stream
+// (FuzzStreamChunkFraming pins this equivalence).
 //
 // The steady-state Feed path allocates nothing: partial events wait in a
 // fixed-size pending buffer (a complete event is at most maxEventBytes),
@@ -24,8 +23,7 @@ import (
 //
 // Decoding errors are sticky: after the first malformed byte every
 // subsequent Feed reports the same error. Bytes after the stream
-// terminator are ignored, exactly as Reader stops reading at the
-// terminator and never inspects trailing data.
+// terminator are ignored.
 type ChunkDecoder struct {
 	phase    decodePhase
 	err      error
@@ -74,8 +72,7 @@ func (d *ChunkDecoder) Err() error { return d.err }
 // Feed decodes the next window of stream bytes, delivering complete
 // events to sink in batches. It returns the first (sticky) decode error;
 // events decoded before the error are still delivered. A sink stop
-// request discards the rest of the window (and all future ones), like a
-// Reader whose sink stopped.
+// request discards the rest of the window (and all future ones).
 func (d *ChunkDecoder) Feed(data []byte, sink BatchSink) error {
 	if d.err != nil {
 		return d.err
@@ -287,8 +284,7 @@ func (d *ChunkDecoder) decodeOne(b []byte) (e Event, n int, ok bool) {
 
 // Finish declares the input complete and checks the stream ended
 // cleanly: the header parsed, no partial event is pending, and the
-// terminator byte was seen — the same conditions under which a
-// whole-stream Reader.Decode of the concatenated bytes returns nil.
+// terminator byte was seen.
 func (d *ChunkDecoder) Finish() error {
 	if d.err != nil {
 		return d.err

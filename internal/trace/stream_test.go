@@ -15,9 +15,7 @@ func encodeTestTrace(t testing.TB, name string, events []Event) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range events {
-		w.Consume(e)
-	}
+	w.ConsumeBatch(events)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -61,20 +59,11 @@ func feedInChunks(data []byte, chunk int) ([]Event, string, error) {
 }
 
 // TestChunkDecoderEverySplit decodes the same trace at every chunk size
-// from 1 byte upward and requires the exact event sequence a whole-file
-// Reader produces, regardless of where the chunk boundaries land.
+// from 1 byte upward and requires the exact encoded event sequence,
+// regardless of where the chunk boundaries land.
 func TestChunkDecoderEverySplit(t *testing.T) {
-	events := streamTestEvents()
-	data := encodeTestTrace(t, "split-test", events)
-
-	var want Trace
-	r, err := NewReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Decode(&want); err != nil {
-		t.Fatal(err)
-	}
+	want := streamTestEvents()
+	data := encodeTestTrace(t, "split-test", want)
 
 	for chunk := 1; chunk <= len(data); chunk++ {
 		got, name, err := feedInChunks(data, chunk)
@@ -84,19 +73,19 @@ func TestChunkDecoderEverySplit(t *testing.T) {
 		if name != "split-test" {
 			t.Fatalf("chunk=%d: name %q", chunk, name)
 		}
-		if len(got) != len(want.Events) {
-			t.Fatalf("chunk=%d: %d events, want %d", chunk, len(got), len(want.Events))
+		if len(got) != len(want) {
+			t.Fatalf("chunk=%d: %d events, want %d", chunk, len(got), len(want))
 		}
 		for i := range got {
-			if got[i] != want.Events[i] {
-				t.Fatalf("chunk=%d event %d: %+v != %+v", chunk, i, got[i], want.Events[i])
+			if got[i] != want[i] {
+				t.Fatalf("chunk=%d event %d: %+v != %+v", chunk, i, got[i], want[i])
 			}
 		}
 	}
 }
 
 // TestChunkDecoderTrailingBytes checks bytes after the terminator are
-// ignored, matching Reader semantics.
+// ignored.
 func TestChunkDecoderTrailingBytes(t *testing.T) {
 	data := encodeTestTrace(t, "trail", streamTestEvents())
 	data = append(data, []byte("garbage after terminator")...)
@@ -183,7 +172,7 @@ func encodeHeader(name string) []byte {
 }
 
 // TestChunkDecoderPartialEventsDelivered checks events decoded before a
-// malformed record are still delivered, like Reader's fail() flush.
+// malformed record are still delivered.
 func TestChunkDecoderPartialEventsDelivered(t *testing.T) {
 	data := append(encodeHeader("p"),
 		byte(Instr), 0x05,
@@ -202,7 +191,7 @@ func TestChunkDecoderPartialEventsDelivered(t *testing.T) {
 }
 
 // TestChunkDecoderSinkStop checks a sink stop discards the remainder
-// without error, mirroring Reader's cooperative stop.
+// without error.
 func TestChunkDecoderSinkStop(t *testing.T) {
 	var events []Event
 	for i := 0; i < 4*batchSize; i++ {
@@ -276,9 +265,7 @@ func TestChunkDecoderFeedAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 64; i++ {
-		for _, e := range events {
-			w.Consume(e)
-		}
+		w.ConsumeBatch(events)
 	}
 	// No terminator: the decoder must stay in the event phase so the
 	// same bytes can be fed repeatedly.

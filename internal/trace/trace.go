@@ -113,47 +113,16 @@ func (e Event) String() string {
 	return "event(?)"
 }
 
-// Sink consumes trace events. The timing model and the statistics
-// collectors implement Sink.
-type Sink interface {
-	Consume(Event)
-}
-
-// SinkFunc adapts a function to the Sink interface.
-type SinkFunc func(Event)
-
-// Consume calls f(e).
-func (f SinkFunc) Consume(e Event) { f(e) }
-
-// BatchSink is the high-throughput event consumer: one virtual call
-// delivers a whole slice of events. The batch is only valid for the
-// duration of the call — producers reuse the backing array — so
-// implementations must not retain it. The return value is a cooperative
-// stop signal: false means the consumer wants no further events (its
-// budget is exhausted) and the producer should wind down.
+// BatchSink consumes the event stream: one virtual call delivers a
+// whole slice of events. It is the only consumer contract — the timing
+// model, the statistics collectors and the codecs all implement it. The
+// batch is only valid for the duration of the call — producers reuse
+// the backing array — so implementations must not retain it. The return
+// value is a cooperative stop signal: false means the consumer wants no
+// further events (its budget is exhausted) and the producer should wind
+// down.
 type BatchSink interface {
 	ConsumeBatch(batch []Event) (more bool)
-}
-
-// perEventSink adapts a plain Sink to BatchSink by replaying the batch
-// one event at a time. It never requests a stop.
-type perEventSink struct{ s Sink }
-
-func (p perEventSink) ConsumeBatch(batch []Event) bool {
-	for i := range batch {
-		p.s.Consume(batch[i])
-	}
-	return true
-}
-
-// AsBatchSink returns s itself when it already implements BatchSink and
-// otherwise wraps it in a per-event replay adapter, so batch producers
-// can feed legacy sinks without a special case.
-func AsBatchSink(s Sink) BatchSink {
-	if bs, ok := s.(BatchSink); ok {
-		return bs
-	}
-	return perEventSink{s}
 }
 
 // batchSize is the producer-side buffer length. 256 events (~10KB) is
@@ -164,10 +133,8 @@ const batchSize = 256
 // Batcher accumulates events into a reusable buffer and hands full
 // buffers to a BatchSink. It is the producer half of the batched
 // pipeline: generators allocate one Batcher per run and emit through it
-// with no further allocation.
-//
-// Batcher also implements Sink for convenience; events pushed after the
-// consumer has stopped are discarded.
+// with no further allocation. Events pushed after the consumer has
+// stopped are discarded.
 type Batcher struct {
 	sink BatchSink
 	// n is the buffer fill level. Once the consumer stops, n is pinned
@@ -241,70 +208,24 @@ func (b *Batcher) Flush() bool {
 // Stopped reports whether the consumer has requested a stop.
 func (b *Batcher) Stopped() bool { return b.stopped }
 
-// Consume implements Sink.
-func (b *Batcher) Consume(e Event) { b.Event(e) }
-
-// Generator produces a trace by pushing events into a Sink. Workloads
-// implement Generator; producing events by callback avoids materializing
-// billion-event traces.
+// Generator produces a trace by pushing batches of events into a
+// BatchSink. Workloads implement Generator; producing events by callback
+// avoids materializing billion-event traces.
 type Generator interface {
 	// Name identifies the workload (used in reports).
 	Name() string
-	// Generate pushes the complete event stream into sink.
-	Generate(sink Sink)
-}
-
-// BatchGenerator is the batched counterpart of Generator: the producer
-// emits into reusable event buffers (usually via a Batcher) and honors
-// the sink's cooperative stop signal. All in-repo generators implement
-// it; Drive and DriveBatches select the fast path automatically.
-type BatchGenerator interface {
-	Generator
-	// GenerateBatches pushes the event stream into sink in batches,
-	// stopping early once the sink returns more == false.
+	// GenerateBatches pushes the event stream into sink in batches
+	// (usually via a Batcher), stopping early once the sink returns
+	// more == false.
 	GenerateBatches(sink BatchSink)
 }
 
-// Drive feeds g's events into sink, taking the batched fast path when
-// the generator supports it. Use it instead of g.Generate(sink) so that
-// callers benefit from batching without caring which kind of generator
-// they hold.
-func Drive(g Generator, sink Sink) {
-	if bg, ok := g.(BatchGenerator); ok {
-		bg.GenerateBatches(AsBatchSink(sink))
-		return
-	}
-	g.Generate(sink)
-}
+// DriveBatches feeds g's events into sink.
+func DriveBatches(g Generator, sink BatchSink) { g.GenerateBatches(sink) }
 
-// DriveBatches feeds g's events into a batch sink. Plain generators are
-// adapted through a Batcher; events they produce after the sink stops
-// are discarded (a push generator offers no way to interrupt it).
-func DriveBatches(g Generator, sink BatchSink) {
-	if bg, ok := g.(BatchGenerator); ok {
-		bg.GenerateBatches(sink)
-		return
-	}
-	b := NewBatcher(sink)
-	g.Generate(b)
-	b.Flush()
-}
-
-// GeneratorFunc adapts a named function to the Generator interface.
-type GeneratorFunc struct {
-	GenName string
-	Fn      func(Sink)
-}
-
-// Name returns the generator name.
-func (g GeneratorFunc) Name() string { return g.GenName }
-
-// Generate runs the wrapped function.
-func (g GeneratorFunc) Generate(sink Sink) { g.Fn(sink) }
-
-// Trace is an in-memory event sequence. It implements both Sink (append)
-// and Generator (replay), which makes it convenient for tests and for
-// capturing small traces to inspect.
+// Trace is an in-memory event sequence. It implements both BatchSink
+// (append) and Generator (replay), which makes it convenient for tests
+// and for capturing small traces to inspect.
 type Trace struct {
 	TraceName string
 	Events    []Event
@@ -316,23 +237,13 @@ func New(name string) *Trace { return &Trace{TraceName: name} }
 // Name returns the trace name.
 func (t *Trace) Name() string { return t.TraceName }
 
-// Consume appends e to the trace.
-func (t *Trace) Consume(e Event) { t.Events = append(t.Events, e) }
-
 // ConsumeBatch implements BatchSink by appending the whole batch.
 func (t *Trace) ConsumeBatch(batch []Event) bool {
 	t.Events = append(t.Events, batch...)
 	return true
 }
 
-// Generate replays the captured events into sink.
-func (t *Trace) Generate(sink Sink) {
-	for _, e := range t.Events {
-		sink.Consume(e)
-	}
-}
-
-// GenerateBatches implements BatchGenerator: the whole trace is already
+// GenerateBatches implements Generator: the whole trace is already
 // materialized, so it is delivered as a single batch.
 func (t *Trace) GenerateBatches(sink BatchSink) {
 	if len(t.Events) > 0 {
@@ -352,7 +263,7 @@ func (t *Trace) Instructions() uint64 {
 // Capture materializes the events produced by g.
 func Capture(g Generator) *Trace {
 	t := New(g.Name())
-	Drive(g, t)
+	g.GenerateBatches(t)
 	return t
 }
 
@@ -369,12 +280,6 @@ type Limit struct {
 
 // Name returns the underlying generator's name.
 func (l Limit) Name() string { return l.Gen.Name() }
-
-// stopGeneration is the panic sentinel used to unwind out of a plain
-// push generator once the instruction budget is exhausted. The batched
-// path never panics: batch generators observe the sink's stop signal
-// and return normally.
-type stopGeneration struct{}
 
 // limiter truncates the batch stream at the instruction budget with
 // plain control flow: events are forwarded while the budget holds, the
@@ -417,61 +322,9 @@ func (lm *limiter) ConsumeBatch(batch []Event) bool {
 	return lm.down.ConsumeBatch(batch)
 }
 
-// Generate forwards events until the instruction budget is reached.
-func (l Limit) Generate(sink Sink) { l.GenerateBatches(AsBatchSink(sink)) }
-
-// GenerateBatches implements BatchGenerator. Batch-capable generators
-// are stopped cooperatively — no panic, no closure per event. Plain
-// push generators cannot observe a stop signal, so the legacy adapter
-// unwinds them with the panic sentinel once the budget is exhausted.
+// GenerateBatches implements Generator. The wrapped generator is
+// stopped cooperatively through the sink's stop signal — no panic, no
+// closure per event.
 func (l Limit) GenerateBatches(sink BatchSink) {
-	lm := &limiter{down: sink, max: l.Max}
-	if bg, ok := l.Gen.(BatchGenerator); ok {
-		bg.GenerateBatches(lm)
-		return
-	}
-	b := NewBatcher(lm)
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(stopGeneration); !ok {
-				panic(r)
-			}
-		}
-	}()
-	l.Gen.Generate(SinkFunc(func(e Event) {
-		if !b.Event(e) {
-			panic(stopGeneration{})
-		}
-	}))
-	b.Flush()
-}
-
-// Tee duplicates a stream into several sinks in order.
-type Tee []Sink
-
-// Consume forwards e to every sink.
-func (t Tee) Consume(e Event) {
-	for _, s := range t {
-		s.Consume(e)
-	}
-}
-
-// ConsumeBatch forwards the batch to every sink, batch-capable members
-// directly and the rest one event at a time. It requests a stop only
-// once every batch-capable member has (per-event members cannot signal).
-func (t Tee) ConsumeBatch(batch []Event) bool {
-	more := false
-	for _, s := range t {
-		if bs, ok := s.(BatchSink); ok {
-			if bs.ConsumeBatch(batch) {
-				more = true
-			}
-		} else {
-			for i := range batch {
-				s.Consume(batch[i])
-			}
-			more = true
-		}
-	}
-	return more || len(t) == 0
+	l.Gen.GenerateBatches(&limiter{down: sink, max: l.Max})
 }

@@ -34,12 +34,27 @@ func TestEventIsMem(t *testing.T) {
 	}
 }
 
+// genFunc is a test Generator whose body pushes events through emit,
+// which reports false once the consumer has stopped.
+type genFunc struct {
+	name string
+	body func(emit func(Event) bool)
+}
+
+func (g genFunc) Name() string { return g.name }
+
+func (g genFunc) GenerateBatches(sink BatchSink) {
+	b := NewBatcher(sink)
+	g.body(b.Event)
+	b.Flush()
+}
+
 func TestTraceCaptureReplay(t *testing.T) {
-	g := GeneratorFunc{GenName: "g", Fn: func(s Sink) {
-		s.Consume(Event{Kind: BlockBegin, Block: 3})
-		s.Consume(Event{Kind: Load, PC: 1, Addr: 100})
-		s.Consume(Event{Kind: Instr, N: 7})
-		s.Consume(Event{Kind: BlockEnd, Block: 3})
+	g := genFunc{name: "g", body: func(emit func(Event) bool) {
+		emit(Event{Kind: BlockBegin, Block: 3})
+		emit(Event{Kind: Load, PC: 1, Addr: 100})
+		emit(Event{Kind: Instr, N: 7})
+		emit(Event{Kind: BlockEnd, Block: 3})
 	}}
 	tr := Capture(g)
 	if tr.Name() != "g" {
@@ -53,7 +68,7 @@ func TestTraceCaptureReplay(t *testing.T) {
 	}
 	// Replay into another trace must reproduce it.
 	tr2 := New("copy")
-	tr.Generate(tr2)
+	tr.GenerateBatches(tr2)
 	if len(tr2.Events) != len(tr.Events) {
 		t.Fatalf("replayed %d events", len(tr2.Events))
 	}
@@ -65,10 +80,8 @@ func TestTraceCaptureReplay(t *testing.T) {
 }
 
 func TestLimitTruncates(t *testing.T) {
-	g := GeneratorFunc{GenName: "inf", Fn: func(s Sink) {
-		for i := 0; ; i++ {
-			s.Consume(Event{Kind: Instr, N: 10})
-			s.Consume(Event{Kind: Load, PC: 1, Addr: mem.Addr(i * 64)})
+	g := genFunc{name: "inf", body: func(emit func(Event) bool) {
+		for i := 0; emit(Event{Kind: Instr, N: 10}) && emit(Event{Kind: Load, PC: 1, Addr: mem.Addr(i * 64)}); i++ {
 		}
 	}}
 	tr := Capture(Limit{Gen: g, Max: 100})
@@ -78,8 +91,10 @@ func TestLimitTruncates(t *testing.T) {
 	}
 }
 
+// TestLimitPropagatesForeignPanic checks Limit stops its generator by
+// the sink's stop signal alone and never swallows a panic.
 func TestLimitPropagatesForeignPanic(t *testing.T) {
-	g := GeneratorFunc{GenName: "boom", Fn: func(s Sink) {
+	g := genFunc{name: "boom", body: func(func(Event) bool) {
 		panic("unrelated failure")
 	}}
 	defer func() {
@@ -87,30 +102,19 @@ func TestLimitPropagatesForeignPanic(t *testing.T) {
 			t.Error("expected the foreign panic to propagate")
 		}
 	}()
-	Limit{Gen: g, Max: 100}.Generate(SinkFunc(func(Event) {}))
+	Limit{Gen: g, Max: 100}.GenerateBatches(New("sink"))
 }
 
 func TestLimitExactBudgetNoStop(t *testing.T) {
-	// A generator that finishes within budget must not panic or stop.
-	g := GeneratorFunc{GenName: "small", Fn: func(s Sink) {
-		s.Consume(Event{Kind: Instr, N: 5})
+	// A generator that finishes within budget must not be stopped.
+	g := genFunc{name: "small", body: func(emit func(Event) bool) {
+		if !emit(Event{Kind: Instr, N: 5}) {
+			t.Error("generator stopped within budget")
+		}
 	}}
 	tr := Capture(Limit{Gen: g, Max: 100})
 	if tr.Instructions() != 5 {
 		t.Errorf("got %d instructions", tr.Instructions())
-	}
-}
-
-func TestTee(t *testing.T) {
-	a := New("a")
-	b := New("b")
-	tee := Tee{a, b}
-	tee.Consume(Event{Kind: Load, PC: 9, Addr: 640})
-	if len(a.Events) != 1 || len(b.Events) != 1 {
-		t.Fatal("tee did not duplicate")
-	}
-	if a.Events[0] != b.Events[0] {
-		t.Error("tee events differ")
 	}
 }
 

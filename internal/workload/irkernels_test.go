@@ -46,15 +46,18 @@ func TestIRVecAddCBWSPredicts(t *testing.T) {
 	p := core.New(core.Config{})
 	p.Reset()
 	issue := func(mem.LineAddr) {}
-	trace.Limit{Gen: IRVecAdd(1 << 14), Max: 300_000}.Generate(trace.SinkFunc(func(e trace.Event) {
-		switch e.Kind {
-		case trace.BlockBegin:
-			p.OnBlockBegin(e.Block)
-		case trace.BlockEnd:
-			p.OnBlockEnd(e.Block, issue)
-		case trace.Load, trace.Store:
-			p.OnAccess(prefetch.Access{PC: e.PC, Addr: e.Addr, Line: mem.LineOf(e.Addr)}, issue)
+	trace.DriveBatches(trace.Limit{Gen: IRVecAdd(1 << 14), Max: 300_000}, batchFunc(func(batch []trace.Event) bool {
+		for _, e := range batch {
+			switch e.Kind {
+			case trace.BlockBegin:
+				p.OnBlockBegin(e.Block)
+			case trace.BlockEnd:
+				p.OnBlockEnd(e.Block, issue)
+			case trace.Load, trace.Store:
+				p.OnAccess(prefetch.Access{PC: e.PC, Addr: e.Addr, Line: mem.LineOf(e.Addr)}, issue)
+			}
 		}
+		return true
 	}))
 	if p.Stats.Blocks == 0 {
 		t.Fatal("no blocks observed")

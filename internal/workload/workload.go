@@ -97,9 +97,8 @@ func (p *prng) intn(n int) int { return int(p.next() % uint64(n)) }
 
 // stopEmission unwinds a workload body once the consumer has requested
 // a stop (its instruction budget is exhausted). The bodies are deeply
-// nested loops with no natural early exit, so the one panic per run —
-// recovered in GenerateBatches — replaces the per-event closure and
-// panic the old Limit needed.
+// nested loops with no natural early exit, so they are unwound by one
+// panic per run, recovered in GenerateBatches.
 type stopEmission struct{}
 
 // emitBatch is the emit buffer length; it matches the trace package's
@@ -227,7 +226,7 @@ func (e *emit) end(id int) {
 	e.push(trace.Event{Kind: trace.BlockEnd, Block: id})
 }
 
-// gen adapts a workload body to trace.BatchGenerator.
+// gen adapts a workload body to trace.Generator.
 type gen struct {
 	name string
 	body func(*emit)
@@ -235,9 +234,7 @@ type gen struct {
 
 func (g gen) Name() string { return g.name }
 
-func (g gen) Generate(sink trace.Sink) { g.GenerateBatches(trace.AsBatchSink(sink)) }
-
-// GenerateBatches implements trace.BatchGenerator: the body emits into
+// GenerateBatches implements trace.Generator: the body emits into
 // one reusable buffer and is unwound at most once when the sink stops.
 func (g gen) GenerateBatches(sink trace.BatchSink) {
 	e := newEmit(sink)

@@ -135,6 +135,11 @@ func TestWorkloadsDeterministic(t *testing.T) {
 	}
 }
 
+// batchFunc adapts a function to trace.BatchSink.
+type batchFunc func([]trace.Event) bool
+
+func (f batchFunc) ConsumeBatch(batch []trace.Event) bool { return f(batch) }
+
 func TestWorkloadsAreLargeEnough(t *testing.T) {
 	// Every workload must naturally produce at least 5M instructions so
 	// that the 4M+1M default window never underruns.
@@ -143,8 +148,11 @@ func TestWorkloadsAreLargeEnough(t *testing.T) {
 		t.Run(s.Name, func(t *testing.T) {
 			t.Parallel()
 			var n uint64
-			trace.Limit{Gen: s.Make(), Max: 5_100_000}.Generate(trace.SinkFunc(func(e trace.Event) {
-				n += uint64(e.Count())
+			trace.DriveBatches(trace.Limit{Gen: s.Make(), Max: 5_100_000}, batchFunc(func(batch []trace.Event) bool {
+				for _, e := range batch {
+					n += uint64(e.Count())
+				}
+				return true
 			}))
 			if n < 5_000_000 {
 				t.Errorf("natural size %d < 5M instructions", n)
