@@ -27,11 +27,12 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # The harness has real concurrency (parallel matrix fill, single-flight
-# memoization), the sim probes run under it, and the service stacks a
-# worker pool and HTTP handlers on top, so all three get a
-# race-detector pass.
+# memoization), the sim probes and the check models run under it, and
+# the service stacks its slot scheduler and HTTP handlers on top, so
+# all of them get a race-detector pass — the same packages as CI's
+# race leg.
 race:
-	$(GO) test -race ./internal/sim/... ./internal/harness/... ./internal/service/... ./internal/cluster/...
+	$(GO) test -race ./internal/sim/... ./internal/harness/... ./internal/check/... ./internal/service/... ./internal/cluster/...
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...

@@ -286,8 +286,8 @@ func (c *ctl) cmdSweep(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// Submit every cell first — the ring shards them across the fleet,
-	// each daemon dedups and queues — then collect: the workers' pools
-	// provide the parallelism.
+	// each daemon dedups and queues — then collect: the daemons' slot
+	// schedulers provide the parallelism.
 	cells := make([]*sweepCell, 0, len(workloads)*len(prefetchers))
 	for _, wl := range workloads {
 		for _, pf := range prefetchers {

@@ -267,25 +267,36 @@ func TestFleetDuplicateServersRejected(t *testing.T) {
 }
 
 func TestSweepRetriesBackpressure(t *testing.T) {
+	// The first job's peer probe runs on the daemon's only slot; the
+	// fake sibling answers it only once a submission has bounced, so
+	// the depth-1 queue is full for the third cell whatever the
+	// simulation speed.
+	var svc *service.Service
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		deadline := time.Now().Add(time.Minute)
+		for svc.Counters().Rejected == 0 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		http.NotFound(w, r)
+	}))
+	t.Cleanup(peer.Close)
 	cfg := smallConfig()
 	cfg.Workers = 1
 	cfg.QueueDepth = 1
 	cfg.RetryAfter = time.Second
-	long := cfg.BaseSim
-	long.MaxInstructions = 30_000_000
-	long.WarmupInstructions = 1_000_000
-	cfg.BaseSim = long
-	_, url := startDaemon(t, cfg)
+	cfg.Peers = []string{peer.URL}
+	cfg.PeerTimeout = 2 * time.Minute
+	svc, url := startDaemon(t, cfg)
 
-	// Three cells through a depth-1 queue: the third submit is bounced
-	// with 429 and must be retried until the queue frees.
+	// Three cells through a depth-1 queue: a submit is bounced with 429
+	// and must be retried until the queue frees.
 	code, out, errOut := runCtl(t, "-server", url, "-timeout", "2m", "sweep",
 		"-workloads", "stencil-default,fft-simlarge,bfs-1m", "-prefetchers", "none")
 	if code != cli.ExitOK {
 		t.Fatalf("sweep under backpressure: exit %d\nstdout %s\nstderr %s", code, out, errOut)
 	}
 	if !strings.Contains(errOut, "queue full, retrying") {
-		t.Fatalf("sweep never hit backpressure — test config too weak?\nstderr %s", errOut)
+		t.Fatalf("sweep never hit backpressure\nstderr %s", errOut)
 	}
 	if !strings.Contains(out, "sweep: 3 cells") {
 		t.Fatalf("sweep output: %s", out)

@@ -1,7 +1,8 @@
 // Command cbwsd is the cbws simulation daemon: a long-running HTTP/JSON
 // service that accepts simulation jobs (workload × prefetcher ×
-// sim.Config), runs them on a bounded worker pool, and serves results
-// from a content-addressed cache so repeated sweeps cost nothing.
+// sim.Config) and CBWT streams, runs every simulation on one slot
+// scheduler, and serves results from a content-addressed cache so
+// repeated sweeps cost nothing.
 //
 // Usage:
 //
@@ -10,9 +11,13 @@
 //	      [-job-timeout D] [-drain-timeout D] [-addr-file PATH]
 //	      [-corpus-dir DIR] [-corpus-mmap=false]
 //	      [-peers URL[,URL...]] [-advertise URL]
-//	      [-stream-workers N] [-max-streams N] [-tenant-streams N]
+//	      [-max-streams N] [-tenant-streams N]
 //	      [-tenant-rate BYTES/S] [-tenant-burst BYTES]
 //	      [-stream-buffer EVENTS] [-stream-idle-timeout D]
+//
+// -workers bounds every simulation the daemon runs at once, closed jobs
+// and streams together; -queue bounds the closed jobs still waiting for
+// their first slot.
 //
 // -addr :0 binds an ephemeral port; combined with -addr-file the bound
 // address is written to a file once listening, so scripts can start the
@@ -62,8 +67,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", "127.0.0.1:8344", "listen address (:0 for an ephemeral port)")
 	addrFile := fs.String("addr-file", "", "write the bound address to this file once listening")
-	workers := fs.Int("workers", 0, "concurrent simulations (0: one per CPU)")
-	queue := fs.Int("queue", 64, "queued-job bound; submissions beyond it get 429")
+	workers := fs.Int("workers", 0, "concurrent simulations, closed jobs and streams together (0: one per CPU)")
+	queue := fs.Int("queue", 64, "bound on jobs waiting for their first slot; submissions beyond it get 429")
 	cacheDir := fs.String("cache-dir", "", "persist results and the cache index here (default: memory only)")
 	n := fs.Uint64("n", 4_000_000, "base instruction budget per job")
 	warm := fs.Uint64("warmup", 1_000_000, "base warmup instructions excluded from metrics")
@@ -76,7 +81,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	peers := fs.String("peers", "", "comma-separated sibling daemon URLs to peer-fetch results from (own URL is filtered out)")
 	advertise := fs.String("advertise", "", "this daemon's URL as peers see it (default: http://<bound address>)")
 	peerTimeout := fs.Duration("peer-timeout", 2*time.Second, "per-sibling budget for peer-fetch probes")
-	streamWorkers := fs.Int("stream-workers", 0, "concurrently simulating streams (0: same as -workers)")
 	maxStreams := fs.Int("max-streams", 0, "daemon-wide open-stream bound, opens beyond it get 429 (0: default 64, -1: unlimited)")
 	tenantStreams := fs.Int("tenant-streams", 0, "per-tenant concurrent-stream quota (0: default 4, -1: unlimited)")
 	tenantRate := fs.Float64("tenant-rate", 0, "per-tenant sustained chunk-ingest rate in bytes/second (0: default 8 MiB/s)")
@@ -146,7 +150,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Peers:          siblings,
 		PeerTimeout:    *peerTimeout,
 
-		StreamWorkers:      *streamWorkers,
 		MaxStreams:         *maxStreams,
 		TenantStreams:      *tenantStreams,
 		TenantRateBytes:    *tenantRate,

@@ -159,17 +159,6 @@ func isCtxErr(err error) bool {
 // with a live context re-simulates it rather than inheriting the
 // cancellation.
 func (m *Matrix) GetContext(ctx context.Context, spec workload.Spec, f Factory) (sim.Result, error) {
-	return m.GetObserved(ctx, spec, f)
-}
-
-// GetObserved is GetContext with per-call simulation options (probes,
-// progress callbacks) attached to the run. The options only fire when
-// this call ends up owning the simulation; a call that joins another
-// caller's in-flight run (single-flight) or reads a memoized cell gets
-// the result without its observers firing. The simulation service
-// relies on this: each content-addressed job owns its cell exactly
-// once, so its probe and progress hooks always attach.
-func (m *Matrix) GetObserved(ctx context.Context, spec workload.Spec, f Factory, opts ...sim.Option) (sim.Result, error) {
 	key := spec.Name + "\x00" + f.Name
 	for {
 		m.mu.Lock()
@@ -178,7 +167,7 @@ func (m *Matrix) GetObserved(ctx context.Context, spec workload.Spec, f Factory,
 			c = &cell{done: make(chan struct{})}
 			m.cells[key] = c
 			m.mu.Unlock()
-			c.res, c.err = m.run(ctx, spec, f, opts...)
+			c.res, c.err = m.run(ctx, spec, f)
 			if c.err != nil && isCtxErr(c.err) {
 				m.mu.Lock()
 				delete(m.cells, key)
@@ -200,10 +189,9 @@ func (m *Matrix) GetObserved(ctx context.Context, spec workload.Spec, f Factory,
 	}
 }
 
-// run executes one simulation, attaching the caller's per-run options
-// plus the observability probe (and the run-record write) when an
-// ObsDir is configured.
-func (m *Matrix) run(ctx context.Context, spec workload.Spec, f Factory, extra ...sim.Option) (sim.Result, error) {
+// run executes one simulation, attaching the observability probe (and
+// the run-record write) when an ObsDir is configured.
+func (m *Matrix) run(ctx context.Context, spec workload.Spec, f Factory) (sim.Result, error) {
 	wrap := func(err error) error {
 		return fmt.Errorf("harness: %s/%s: %w", spec.Name, f.Name, err)
 	}
@@ -211,7 +199,7 @@ func (m *Matrix) run(ctx context.Context, spec workload.Spec, f Factory, extra .
 		spec = m.opts.Corpus.Override(spec)
 	}
 	if m.opts.ObsDir == "" {
-		res, err := sim.RunContext(ctx, m.opts.Sim, spec.Make(), f.New(), extra...)
+		res, err := sim.RunContext(ctx, m.opts.Sim, spec.Make(), f.New())
 		if err != nil {
 			return res, wrap(err)
 		}
@@ -225,7 +213,7 @@ func (m *Matrix) run(ctx context.Context, spec workload.Spec, f Factory, extra .
 	//lint:ignore cbws/determinism wall-clock duration is telemetry only, excluded from golden hashes
 	start := time.Now()
 	res, err := sim.RunContext(ctx, m.opts.Sim, spec.Make(), f.New(),
-		append([]sim.Option{sim.WithProbe(ts), sim.WithSampleInterval(interval)}, extra...)...)
+		sim.WithProbe(ts), sim.WithSampleInterval(interval))
 	if err != nil {
 		return res, wrap(err)
 	}

@@ -1,13 +1,6 @@
 package harness
 
-import (
-	"context"
-	"sync/atomic"
-	"testing"
-
-	"cbws/internal/sim"
-	"cbws/internal/workload"
-)
+import "testing"
 
 // TestResolveFactoryKnown resolves every registered scheme.
 func TestResolveFactoryKnown(t *testing.T) {
@@ -46,55 +39,5 @@ func TestResolveFactorySuggestion(t *testing.T) {
 		if err.Error() != tc.want {
 			t.Errorf("ResolveFactory(%q):\n got %q\nwant %q", tc.name, err.Error(), tc.want)
 		}
-	}
-}
-
-// TestGetObservedAttachesHooks verifies a per-call progress hook fires
-// on the owned run and that the observed result is bit-identical to an
-// unobserved run of the same cell.
-func TestGetObservedAttachesHooks(t *testing.T) {
-	spec, ok := workload.ByName("stencil-default")
-	if !ok {
-		t.Fatal("stencil-default workload missing")
-	}
-	f, err := ResolveFactory("stride")
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := DefaultOptions()
-	opts.Sim.MaxInstructions = 200_000
-	opts.Sim.WarmupInstructions = 50_000
-
-	var calls, last atomic.Uint64
-	m := NewMatrix(opts)
-	res, err := m.GetObserved(context.Background(), spec, f,
-		sim.WithProgress(func(n uint64) { calls.Add(1); last.Store(n) }),
-		sim.WithSampleInterval(20_000))
-	if err != nil {
-		t.Fatalf("GetObserved: %v", err)
-	}
-	if calls.Load() == 0 {
-		t.Fatal("progress hook never fired on an owned run")
-	}
-	if got := last.Load(); got < opts.Sim.MaxInstructions-20_000 {
-		t.Fatalf("last progress report %d, want near %d", got, opts.Sim.MaxInstructions)
-	}
-
-	plain, err := NewMatrix(opts).Get(spec, f)
-	if err != nil {
-		t.Fatalf("unobserved Get: %v", err)
-	}
-	if plain.Metrics != res.Metrics {
-		t.Fatalf("observed run diverged from unobserved run:\n got %+v\nwant %+v", res.Metrics, plain.Metrics)
-	}
-
-	// A memoized re-read must not fire the new caller's hooks.
-	var again atomic.Uint64
-	if _, err := m.GetObserved(context.Background(), spec, f,
-		sim.WithProgress(func(uint64) { again.Add(1) })); err != nil {
-		t.Fatal(err)
-	}
-	if again.Load() != 0 {
-		t.Fatal("progress hook fired on a memoized read")
 	}
 }

@@ -10,8 +10,9 @@ import (
 // Status is a job's lifecycle state (wire type, see api/v1).
 type Status = apiv1.Status
 
-// The job lifecycle: queued → running → done | failed, with canceled
-// for jobs still queued when the daemon drains.
+// The job lifecycle: queued → running (at its first scheduler slot) →
+// done | failed, with canceled for jobs still queued when the daemon
+// drains.
 const (
 	StatusQueued   = apiv1.StatusQueued
 	StatusRunning  = apiv1.StatusRunning
@@ -49,48 +50,15 @@ func newJob(key string, spec JobSpec) *Job {
 	return &Job{Key: key, Spec: spec, status: StatusQueued, done: make(chan struct{})}
 }
 
-// setRunning transitions queued → running; it reports false when the
-// job was already canceled (drain raced the worker).
-func (j *Job) setRunning() bool {
+// set moves the job to status with msg as its error; a terminal status
+// releases status waiters.
+func (j *Job) set(status Status, msg string) {
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.status != StatusQueued {
-		return false
+	j.status, j.errMsg = status, msg
+	j.mu.Unlock()
+	if status.Terminal() {
+		close(j.done)
 	}
-	j.status = StatusRunning
-	return true
-}
-
-// finish marks the job done and releases status waiters.
-func (j *Job) finish() {
-	j.mu.Lock()
-	j.status = StatusDone
-	j.mu.Unlock()
-	close(j.done)
-}
-
-// fail marks the job failed with the given message.
-func (j *Job) fail(msg string) {
-	j.mu.Lock()
-	j.status = StatusFailed
-	j.errMsg = msg
-	j.mu.Unlock()
-	close(j.done)
-}
-
-// cancel marks a still-queued job canceled (daemon drain). Running jobs
-// are never canceled — drain waits for them.
-func (j *Job) cancel(msg string) bool {
-	j.mu.Lock()
-	if j.status != StatusQueued {
-		j.mu.Unlock()
-		return false
-	}
-	j.status = StatusCanceled
-	j.errMsg = msg
-	j.mu.Unlock()
-	close(j.done)
-	return true
 }
 
 // Done returns a channel closed when the job reaches a terminal state.

@@ -8,11 +8,11 @@ import (
 )
 
 // counters are the service's expvar-exported operational counters.
-// Everything is atomic: the submit path and the workers update them
+// Everything is atomic: the submit path and the runners update them
 // concurrently.
 type counters struct {
-	jobsQueued    atomic.Int64 // currently waiting in the queue
-	jobsRunning   atomic.Int64 // currently simulating
+	jobsQueued    atomic.Int64 // accepted, still waiting for a first scheduler slot
+	jobsRunning   atomic.Int64 // granted a first slot, not yet finished
 	jobsDone      atomic.Int64 // completed successfully (lifetime)
 	jobsFailed    atomic.Int64 // failed or timed out (lifetime)
 	jobsCanceled  atomic.Int64 // canceled while queued, by drain (lifetime)
@@ -86,9 +86,9 @@ func (s *Service) vars() Vars {
 		PeerMisses:    c.peerMisses.Load(),
 		PeerErrors:    c.peerErrors.Load(),
 		Peers:         len(s.cfg.Peers),
-		QueueDepth:    cap(s.queue),
+		QueueDepth:    s.cfg.QueueDepth,
 		Workers:       s.cfg.Workers,
-		Draining:      s.draining.Load(),
+		Draining:      s.Draining(),
 
 		StreamsOpen:     s.openStreamCount(),
 		StreamsOpened:   c.streamsOpened.Load(),

@@ -176,7 +176,7 @@ func (s *Service) handlePrefetchers(w http.ResponseWriter, r *http.Request) {
 func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, apiv1.Healthz{
 		Status:      "ok",
-		Draining:    s.draining.Load(),
+		Draining:    s.Draining(),
 		CodeVersion: s.cfg.CodeVersion,
 	})
 }

@@ -7,7 +7,8 @@
 // values plus the simulator code version — and completed results are
 // cached in memory and on disk under that hash, so a repeated sweep is
 // served in O(1) without simulating anything. Production concerns are
-// handled end to end: a bounded queue with 429 + Retry-After
+// handled end to end: one slot scheduler bounding every simulation,
+// closed jobs and streams alike, a bounded queue with 429 + Retry-After
 // backpressure, per-job timeouts, progress reporting from the
 // simulator's probe hooks, expvar counters, and graceful drain that
 // finishes running jobs and persists the cache index.
@@ -15,13 +16,10 @@ package service
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"cbws/internal/harness"
@@ -31,10 +29,12 @@ import (
 
 // Config parameterizes a Service.
 type Config struct {
-	// Workers bounds concurrent simulations (<= 0: one per CPU).
+	// Workers is the scheduler's slot count: the bound on concurrent
+	// simulations, closed jobs and streams together (<= 0: one per CPU).
 	Workers int
-	// QueueDepth bounds the number of accepted-but-not-running jobs;
-	// submissions beyond it are rejected with 429 (default 64).
+	// QueueDepth bounds the number of accepted closed jobs still waiting
+	// for their first slot; submissions beyond it are rejected with 429
+	// (default 64).
 	QueueDepth int
 	// JobTimeout aborts a single simulation after this long (0: no
 	// timeout). A timed-out job is reported failed.
@@ -58,9 +58,6 @@ type Config struct {
 	// CBWC files: a job naming such a workload runs from replay, and
 	// its key absorbs the corpus content address (JobSpec.WorkloadHash).
 	Corpus *harness.CorpusSource
-	// StreamWorkers bounds concurrently simulating streams: the slot
-	// count of the fair round-robin stream scheduler (<= 0: Workers).
-	StreamWorkers int
 	// MaxStreams bounds non-terminal streams daemon-wide; opens beyond
 	// it are rejected 429 (default 64, < 0: unlimited).
 	MaxStreams int
@@ -82,15 +79,12 @@ type Config struct {
 	// (mid-stream) streams with no chunk for this long (default 2m,
 	// < 0: never).
 	StreamIdleTimeout time.Duration
-	// StreamQuantum is how many event batches a stream simulates per
-	// scheduler slot acquisition before requeueing (default 64).
-	StreamQuantum int
 	// Clock supplies the time for rate-limit refill, idle detection and
-	// stream wall-time telemetry (default time.Now); tests inject a
+	// run-record wall-time telemetry (default time.Now); tests inject a
 	// fake.
 	Clock func() time.Time
 	// Peers are sibling daemons' base URLs (this daemon excluded).
-	// Before simulating a job, the worker asks the siblings for the
+	// Before simulating a job, the daemon asks the siblings for the
 	// job's content address in ring order and serves a validated answer
 	// from its own cache instead of simulating — the federated result
 	// cache. Empty: fully standalone, exactly the pre-cluster behavior.
@@ -123,9 +117,6 @@ func (c Config) withDefaults() Config {
 	if c.PeerTimeout <= 0 {
 		c.PeerTimeout = 2 * time.Second
 	}
-	if c.StreamWorkers <= 0 {
-		c.StreamWorkers = c.Workers
-	}
 	if c.MaxStreams == 0 {
 		c.MaxStreams = 64
 	}
@@ -144,43 +135,36 @@ func (c Config) withDefaults() Config {
 	if c.StreamIdleTimeout == 0 {
 		c.StreamIdleTimeout = 2 * time.Minute
 	}
-	if c.StreamQuantum <= 0 {
-		c.StreamQuantum = 64
-	}
 	if c.Clock == nil {
 		c.Clock = time.Now
 	}
 	return c
 }
 
-// Service is a running simulation daemon: worker pool, job table,
-// result cache.
+// Service is a running simulation daemon: slot scheduler, job and
+// stream tables, result cache.
 type Service struct {
 	cfg   Config
 	cache *Cache
-	queue chan *Job
+	sched *ticketSched
 
-	jobsMu sync.Mutex
-	jobs   map[string]*Job //cbws:guardedby jobsMu
+	// mu guards the run tables and the draining flag together: a run is
+	// registered (and counted in wg) before Drain flips the flag, and
+	// is then drained, or it is refused.
+	mu        sync.Mutex
+	jobs      map[string]*Job    //cbws:guardedby mu
+	streams   map[string]*Stream //cbws:guardedby mu
+	streamSeq uint64             //cbws:guardedby mu
+	draining  bool               //cbws:guardedby mu
 
-	matMu    sync.Mutex
-	matrices map[string]*harness.Matrix //cbws:guardedby matMu
-
-	streamsMu   sync.Mutex
-	streams     map[string]*Stream //cbws:guardedby streamsMu
-	streamSeq   uint64             //cbws:guardedby streamsMu
-	tenants     *tenantTable
-	streamSched *ticketSched
-	streamWG    sync.WaitGroup
-
+	tenants  *tenantTable
 	peers    *peerFetcher
 	counters counters
-	draining atomic.Bool
 	quit     chan struct{}
-	wg       sync.WaitGroup
+	wg       sync.WaitGroup // every job and stream runner, and the reaper
 }
 
-// New builds a Service, loads the cache, and starts the worker pool.
+// New builds a Service, loads the cache, and starts the idle reaper.
 func New(cfg Config) (*Service, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.BaseSim.Validate(); err != nil {
@@ -195,22 +179,16 @@ func New(cfg Config) (*Service, error) {
 		return nil, fmt.Errorf("service: %w", err)
 	}
 	s := &Service{
-		cfg:         cfg,
-		cache:       cache,
-		queue:       make(chan *Job, cfg.QueueDepth),
-		jobs:        make(map[string]*Job),
-		matrices:    make(map[string]*harness.Matrix),
-		streams:     make(map[string]*Stream),
-		tenants:     newTenantTable(cfg.TenantRateBytes, cfg.TenantBurstBytes),
-		streamSched: newTicketSched(cfg.StreamWorkers),
-		peers:       peers,
-		quit:        make(chan struct{}),
+		cfg:     cfg,
+		cache:   cache,
+		sched:   newTicketSched(cfg.Workers),
+		jobs:    make(map[string]*Job),
+		streams: make(map[string]*Stream),
+		tenants: newTenantTable(cfg.TenantRateBytes, cfg.TenantBurstBytes),
+		peers:   peers,
+		quit:    make(chan struct{}),
 	}
 	publishVars(s)
-	s.wg.Add(cfg.Workers)
-	for i := 0; i < cfg.Workers; i++ {
-		go s.worker()
-	}
 	if cfg.StreamIdleTimeout > 0 {
 		s.wg.Add(1)
 		go s.reaper()
@@ -226,11 +204,11 @@ func (s *Service) Cache() *Cache { return s.cache }
 func (s *Service) CodeVersion() string { return s.cfg.CodeVersion }
 
 // Submit registers the spec as a job, idempotently. The returned view
-// reflects the current state: done+cached when the result is already
-// in the content-addressed cache, the existing job's state when the
-// same spec was submitted before, queued when a fresh job was
-// accepted. ErrQueueFull is returned when the queue is at depth, and
-// ErrDraining once drain has begun.
+// reflects the state at submission: done+cached when the result is
+// already in the content-addressed cache, the existing job's state
+// when the same spec was submitted before, queued when a fresh job was
+// accepted. ErrQueueFull is returned when QueueDepth jobs already wait
+// for their first slot, and ErrDraining once drain has begun.
 func (s *Service) Submit(spec JobSpec) (JobView, error) {
 	if err := s.resolveWorkloadHash(&spec); err != nil {
 		return JobView{}, err
@@ -240,31 +218,29 @@ func (s *Service) Submit(spec JobSpec) (JobView, error) {
 		s.counters.cacheHits.Add(1)
 		return view, nil
 	}
-	if s.draining.Load() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.draining {
 		return JobView{}, ErrDraining
 	}
-	s.jobsMu.Lock()
 	if j, ok := s.jobs[key]; ok {
-		s.jobsMu.Unlock()
 		return j.View(), nil
 	}
-	j := newJob(key, spec)
-	s.jobs[key] = j
-	s.jobsMu.Unlock()
-
-	select {
-	case s.queue <- j:
-		s.counters.cacheMisses.Add(1)
-		s.counters.jobsQueued.Add(1)
-		return j.View(), nil
-	default:
-		// Queue full: forget the job so a later retry can re-create it.
-		s.jobsMu.Lock()
-		delete(s.jobs, key)
-		s.jobsMu.Unlock()
+	// Only runJob lowers jobsQueued and only this section raises it, so
+	// the check cannot admit past the depth. A bounce leaves no
+	// tombstone: a later retry creates the job afresh.
+	if s.counters.jobsQueued.Load() >= int64(s.cfg.QueueDepth) {
 		s.counters.rejected.Add(1)
 		return JobView{}, ErrQueueFull
 	}
+	j := newJob(key, spec)
+	s.jobs[key] = j
+	s.counters.cacheMisses.Add(1)
+	s.counters.jobsQueued.Add(1)
+	view := j.View() // before the runner can move it past queued
+	s.wg.Add(1)
+	go s.runJob(j)
+	return view, nil
 }
 
 // resolveWorkloadHash reconciles the spec's workload hash with the
@@ -310,8 +286,8 @@ func (s *Service) cachedView(key string) (JobView, bool) {
 
 // Job returns the live job table entry for key.
 func (s *Service) Job(key string) (*Job, bool) {
-	s.jobsMu.Lock()
-	defer s.jobsMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	j, ok := s.jobs[key]
 	return j, ok
 }
@@ -338,53 +314,21 @@ func (s *Service) Result(key string) ([]byte, bool) {
 	return s.cache.Get(key)
 }
 
-// worker runs queued jobs until drain.
-func (s *Service) worker() {
-	defer s.wg.Done()
-	for {
-		// Prefer quit over a ready job so drain stops promptly.
-		select {
-		case <-s.quit:
-			return
-		default:
-		}
-		select {
-		case <-s.quit:
-			return
-		case j := <-s.queue:
-			s.counters.jobsQueued.Add(-1)
-			s.runJob(j)
-		}
-	}
-}
-
-// matrixFor memoizes one harness.Matrix per distinct sim.Config, so
-// within a daemon lifetime the harness layer adds its single-flight
-// guarantee on top of the job-level dedup.
-func (s *Service) matrixFor(cfg sim.Config) *harness.Matrix {
-	b, err := json.Marshal(cfg)
-	if err != nil {
-		panic(err) // plain struct of scalars; cannot fail
-	}
-	sum := sha256.Sum256(b)
-	key := hex.EncodeToString(sum[:])
-	s.matMu.Lock()
-	defer s.matMu.Unlock()
-	m, ok := s.matrices[key]
-	if !ok {
-		m = harness.NewMatrix(harness.Options{Sim: cfg, Parallel: 1})
-		s.matrices[key] = m
-	}
-	return m
-}
-
-// runJob executes one job end to end: simulate with probe + progress
-// attached, assemble the PR-2 run record as the wire result, store it
-// under the job's content address.
+// runJob executes one job end to end: wait for a first slot, serve the
+// result from a sibling or simulate it with probe + progress attached,
+// and store the run record under the job's content address.
 func (s *Service) runJob(j *Job) {
-	if !j.setRunning() {
-		return // canceled while queued
+	defer s.wg.Done()
+	granted := s.sched.acquire(false)
+	s.counters.jobsQueued.Add(-1)
+	if !granted {
+		s.counters.jobsCanceled.Add(1)
+		j.set(StatusCanceled, "server draining")
+		return
 	}
+	slots := &slotGen{sched: s.sched, held: true}
+	defer slots.release()
+	j.set(StatusRunning, "")
 	s.counters.jobsRunning.Add(1)
 	defer s.counters.jobsRunning.Add(-1)
 
@@ -392,7 +336,7 @@ func (s *Service) runJob(j *Job) {
 	// it in milliseconds; simulation is the fallback, not the default.
 	if s.tryPeerFetch(j) {
 		s.counters.jobsDone.Add(1)
-		j.finish()
+		j.set(StatusDone, "")
 		return
 	}
 
@@ -418,72 +362,81 @@ func (s *Service) runJob(j *Job) {
 	}
 
 	s.counters.jobsSimulated.Add(1)
-	interval := s.cfg.SampleInterval
-	capacity := int(j.Spec.Config.MaxInstructions/interval) + 2
-	ts := sim.NewTimeSeries(capacity)
-	//lint:ignore cbws/determinism wall-clock duration is telemetry only, excluded from result hashes
-	start := time.Now()
-	m := s.matrixFor(j.Spec.Config)
-	res, err := m.GetObserved(ctx, spec, f,
-		sim.WithProbe(ts), sim.WithSampleInterval(interval),
+	ts := s.newSeries(j.Spec.Config)
+	start := s.cfg.Clock()
+	slots.gen = spec.Make()
+	res, err := sim.RunContext(ctx, j.Spec.Config, slots, f.New(),
+		sim.WithProbe(ts), sim.WithSampleInterval(s.cfg.SampleInterval),
 		sim.WithProgress(j.progress.Store))
+	slots.release()
+	if err == nil {
+		err = s.storeRecord(j.Key, j.Spec, res, ts.Points(), start)
+	}
 	if err != nil {
 		s.failJob(j, err.Error())
 		return
 	}
-	rec := harness.NewRunRecord(j.Spec.Config, res, interval, ts.Points(), time.Since(start))
+	s.counters.jobsDone.Add(1)
+	j.set(StatusDone, "")
+}
+
+// newSeries sizes a run-record time series so steady-state sampling
+// never reallocates: one point per interval plus the final sample and
+// slack for boundary overshoot.
+func (s *Service) newSeries(cfg sim.Config) *sim.TimeSeries {
+	return sim.NewTimeSeries(int(cfg.MaxInstructions/s.cfg.SampleInterval) + 2)
+}
+
+// storeRecord assembles the run record of a finished simulation and
+// caches it under key. First write wins: when the key is already
+// cached (a full-budget stream adopting a closed job's key races that
+// job), the existing bytes stay authoritative; the two differ only in
+// wall-clock telemetry.
+func (s *Service) storeRecord(key string, spec JobSpec, res sim.Result, points []sim.SamplePoint, start time.Time) error {
+	rec := harness.NewRunRecord(spec.Config, res, s.cfg.SampleInterval, points, s.cfg.Clock().Sub(start))
 	data, err := json.MarshalIndent(rec, "", "  ")
 	if err != nil {
-		s.failJob(j, fmt.Sprintf("encoding result: %v", err))
-		return
+		return fmt.Errorf("encoding result: %w", err)
 	}
 	data = append(data, '\n')
-	meta := CacheMeta{Workload: j.Spec.Workload, Prefetcher: j.Spec.Prefetcher}
-	if err := s.cache.Put(j.Key, meta, data); err != nil {
-		s.failJob(j, fmt.Sprintf("caching result: %v", err))
-		return
+	meta := CacheMeta{Workload: spec.Workload, Prefetcher: spec.Prefetcher}
+	if _, err := s.cache.PutOnce(key, meta, data); err != nil {
+		return fmt.Errorf("caching result: %w", err)
 	}
-	s.counters.jobsDone.Add(1)
-	j.finish()
+	return nil
 }
 
 func (s *Service) failJob(j *Job, msg string) {
 	s.counters.jobsFailed.Add(1)
-	j.fail(msg)
+	j.set(StatusFailed, msg)
 }
 
 // Draining reports whether drain has begun.
-func (s *Service) Draining() bool { return s.draining.Load() }
+func (s *Service) Draining() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.draining
+}
 
-// Drain gracefully stops the service: no new submissions are accepted,
-// running jobs finish, still-queued jobs are canceled, and the cache
-// index is persisted. It returns ctx.Err() if the running jobs did not
-// finish in time (the index is still persisted with whatever
-// completed).
+// Drain gracefully stops the service: no new jobs or streams are
+// accepted, closed jobs still waiting for their first slot are
+// canceled, every open stream is finalized or canceled, started runs
+// finish, and the cache index is persisted. It returns ctx.Err() if
+// the started runs did not finish in time (the index is still
+// persisted with whatever completed).
 func (s *Service) Drain(ctx context.Context) error {
-	if !s.draining.CompareAndSwap(false, true) {
+	s.mu.Lock()
+	if s.draining {
+		s.mu.Unlock()
 		return nil // already draining
 	}
+	s.draining = true
+	s.mu.Unlock()
+
 	close(s.quit)
-	// Cancel everything still waiting in the queue; workers are exiting.
-cancelQueued:
-	for {
-		select {
-		case j := <-s.queue:
-			s.counters.jobsQueued.Add(-1)
-			if j.cancel("server draining") {
-				s.counters.jobsCanceled.Add(1)
-			}
-		default:
-			break cancelQueued
-		}
-	}
-	// Finalize-or-cancel every live stream: a cleanly terminated trace
-	// finalizes into a normal cached result, everything else cancels.
+	s.sched.drain()
+	settleStreams(s.streamsByID())
 	var waitErr error
-	if err := s.drainStreams(ctx); err != nil {
-		waitErr = err
-	}
 	done := make(chan struct{})
 	go func() {
 		s.wg.Wait()

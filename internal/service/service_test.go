@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -228,16 +229,29 @@ func TestSubmitErrors(t *testing.T) {
 	}
 }
 
+// waitStatus polls key until the job reports want.
+func waitStatus(t *testing.T, svc *Service, key string, want Status) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		view, ok := svc.Status(key)
+		if ok && view.Status == want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %.12s: %+v (ok=%v), want %s", key, view, ok, want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestBackpressureAndDrain holds the single slot through the scheduler
+// once job 1 runs, so job 2 stays queued, job 3 bounces 429, drain
+// cancels job 2 and job 1 finishes — independent of simulation speed.
 func TestBackpressureAndDrain(t *testing.T) {
 	cfg := testConfig()
 	cfg.Workers = 1
 	cfg.QueueDepth = 1
-	// One long-running job occupies the single worker (~2s), one fills
-	// the queue, the third must bounce with 429 + Retry-After.
-	long := cfg.BaseSim
-	long.MaxInstructions = 60_000_000
-	long.WarmupInstructions = 1_000_000
-	cfg.BaseSim = long
 	svc, ts := newTestService(t, cfg)
 
 	submit := func(wl, pf string) (int, map[string]any, http.Header) {
@@ -246,6 +260,13 @@ func TestBackpressureAndDrain(t *testing.T) {
 	code, m1, _ := submit("stencil-default", "none")
 	if code != http.StatusAccepted {
 		t.Fatalf("first submit: %d %v", code, m1)
+	}
+	k1 := m1["key"].(string)
+	waitStatus(t, svc, k1, StatusRunning)
+	// The test joins as a started run: it takes the slot at job 1's next
+	// quantum (or once job 1 is done) and holds it.
+	if !svc.sched.acquire(true) {
+		t.Fatal("scheduler refused the test's slot")
 	}
 	code, m2, _ := submit("fft-simlarge", "none")
 	if code != http.StatusAccepted {
@@ -269,26 +290,158 @@ func TestBackpressureAndDrain(t *testing.T) {
 		t.Fatal("429'd submission left a job behind")
 	}
 
-	// Drain: the running job finishes, the queued one is canceled.
+	// Drain: the queued job is canceled at once, the started one
+	// finishes once the test hands the slot back.
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	if err := svc.Drain(ctx); err != nil {
+	drained := make(chan error, 1)
+	go func() { drained <- svc.Drain(ctx) }()
+	k2 := m2["key"].(string)
+	waitStatus(t, svc, k2, StatusCanceled)
+	svc.sched.release()
+	if err := <-drained; err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
-	k1 := m1["key"].(string)
-	view1, ok := svc.Status(k1)
-	if !ok || view1.Status != StatusDone {
+	if view1, ok := svc.Status(k1); !ok || view1.Status != StatusDone {
 		t.Fatalf("running job after drain: %+v (ok=%v), want done", view1, ok)
 	}
-	k2 := m2["key"].(string)
-	view2, ok := svc.Status(k2)
-	if !ok || view2.Status != StatusCanceled {
-		t.Fatalf("queued job after drain: %+v (ok=%v), want canceled", view2, ok)
+	if vars := svc.Counters(); vars.JobsQueued != 0 || vars.JobsRunning != 0 || vars.JobsCanceled != 1 {
+		t.Fatalf("counters after drain: queued %d running %d canceled %d, want 0 0 1",
+			vars.JobsQueued, vars.JobsRunning, vars.JobsCanceled)
 	}
 
 	// Draining services refuse new work.
 	if _, err := svc.Submit(mustSpec(t, svc, "radix-simlarge", "none")); err != ErrDraining {
 		t.Fatalf("submit while draining: %v, want ErrDraining", err)
+	}
+}
+
+// TestFreshSubmitAnswers202 submits many distinct tiny jobs at once to
+// an idle multi-slot service: each must be answered 202 with the view
+// it was accepted in, even when a runner starts it before the handler
+// writes the response.
+func TestFreshSubmitAnswers202(t *testing.T) {
+	cfg := testConfig()
+	cfg.Workers = 4
+	cfg.QueueDepth = 64
+	_, ts := newTestService(t, cfg)
+
+	const n = 48
+	codes := make(chan int, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			body := fmt.Sprintf(`{"workload":"stencil-default","prefetcher":"none","config":{"MaxInstructions":%d,"WarmupInstructions":100}}`, 2000+i)
+			resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp.Body.Close()
+			codes <- resp.StatusCode
+		}(i)
+	}
+	wg.Wait()
+	close(codes)
+	got := 0
+	for code := range codes {
+		got++
+		if code != http.StatusAccepted {
+			t.Errorf("fresh submission answered %d, want 202", code)
+		}
+	}
+	if got != n {
+		t.Fatalf("%d of %d submissions answered", got, n)
+	}
+}
+
+// TestDrainRacesOpenAndSubmit interleaves stream opens and job
+// submissions with Drain: every run the service accepted must be
+// terminal once Drain returns — drained, never stranded.
+func TestDrainRacesOpenAndSubmit(t *testing.T) {
+	cfg := testConfig()
+	cfg.QueueDepth = 64
+	cfg.MaxStreams = -1
+	cfg.TenantStreams = -1
+	cfg.StreamBufferEvents = 64
+	tiny := `{"workload":"stencil-default","prefetcher":"none","config":{"MaxInstructions":%d,"WarmupInstructions":100}}`
+	for round := 0; round < 10; round++ {
+		svc, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var (
+			mu       sync.Mutex
+			jobs     []*Job
+			streams  []*Stream
+			accepted = make(chan struct{}, 1)
+			wg       sync.WaitGroup
+		)
+		start := make(chan struct{})
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				<-start
+				for i := 0; i < 50; i++ {
+					spec, err := ParseSpec([]byte(fmt.Sprintf(tiny, 2000+1000*g+i)), svc.cfg.BaseSim)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					_, jobErr := svc.Submit(spec)
+					if jobErr == nil {
+						j, _ := svc.Job(spec.Key(svc.cfg.CodeVersion))
+						mu.Lock()
+						jobs = append(jobs, j)
+						mu.Unlock()
+						select {
+						case accepted <- struct{}{}:
+						default:
+						}
+					}
+					view, streamErr := svc.OpenStream("tenant", JobSpec{Workload: "stencil-default", Prefetcher: "none", Config: svc.cfg.BaseSim})
+					if streamErr == nil {
+						st, _ := svc.Stream(view.ID)
+						mu.Lock()
+						streams = append(streams, st)
+						mu.Unlock()
+					}
+					if jobErr == ErrDraining && streamErr == ErrDraining {
+						return
+					}
+				}
+			}(g)
+		}
+		close(start)
+		select { // drain while the submitters are mid-flight
+		case <-accepted:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("round %d: no submission accepted", round)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		err = svc.Drain(ctx)
+		cancel()
+		if err != nil {
+			t.Fatalf("round %d: Drain: %v", round, err)
+		}
+		wg.Wait()
+		for _, j := range jobs {
+			select {
+			case <-j.Done():
+			default:
+				t.Fatalf("round %d: accepted job %.12s is %s after Drain", round, j.Key, j.View().Status)
+			}
+		}
+		for _, st := range streams {
+			select {
+			case <-st.Done():
+			default:
+				t.Fatalf("round %d: accepted stream %s is %s after Drain", round, st.ID, st.View().State)
+			}
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"hash"
 	"sort"
@@ -393,15 +392,13 @@ func (p streamProbe) OnSample(s *sim.Sample) {
 }
 
 // streamGen adapts the stream's event ring to trace.Generator: the
-// generator the long-lived sim.RunContext pulls from. Between quanta it
-// releases and re-acquires its scheduler slot, so concurrently active
-// streams round-robin across the stream worker pool. While the ring is
-// empty it holds no slot at all — an idle stream costs nothing.
+// generator the long-lived sim.RunContext pulls from, wrapped in the
+// scheduler's slotGen like every simulation. While the ring is empty it
+// hands its slot back — an idle stream costs nothing.
 type streamGen struct {
-	st      *Stream
-	sched   *ticketSched
-	quantum int
-	buf     [streamBatch]trace.Event
+	st    *Stream
+	slots *slotGen
+	buf   [streamBatch]trace.Event
 }
 
 // Name returns the declared workload name: the simulation result (and
@@ -425,28 +422,22 @@ func (g *streamGen) waitReadable() bool {
 // GenerateBatches implements trace.Generator.
 func (g *streamGen) GenerateBatches(sink trace.BatchSink) {
 	for {
-		if !g.waitReadable() {
-			return
-		}
-		if !g.sched.acquire() {
-			return // scheduler stopped: hard shutdown
-		}
-		for i := 0; i < g.quantum; i++ {
-			n := g.st.take(g.buf[:])
-			if n == 0 {
-				break
-			}
-			if !sink.ConsumeBatch(g.buf[:n]) {
-				// The simulator's instruction budget is exhausted;
-				// whatever else arrives is irrelevant to the result.
-				g.st.mu.Lock()
-				g.st.budgetDone = true
-				g.st.mu.Unlock()
-				g.sched.release()
+		n := g.st.take(g.buf[:])
+		if n == 0 {
+			g.slots.release()
+			if !g.waitReadable() {
 				return
 			}
+			continue
 		}
-		g.sched.release()
+		if !sink.ConsumeBatch(g.buf[:n]) {
+			// The simulator's instruction budget is exhausted;
+			// whatever else arrives is irrelevant to the result.
+			g.st.mu.Lock()
+			g.st.budgetDone = true
+			g.st.mu.Unlock()
+			return
+		}
 	}
 }
 
@@ -454,14 +445,15 @@ func (g *streamGen) GenerateBatches(sink trace.BatchSink) {
 // its runner, and returns its initial view. Admission rejections come
 // back as *ingestReject (quota/rate → 429) for the server layer to map.
 func (s *Service) OpenStream(tenantName string, spec JobSpec) (StreamView, error) {
-	if s.draining.Load() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.draining {
 		return StreamView{}, ErrDraining
 	}
 	if tenantName == "" {
 		return StreamView{}, fmt.Errorf("missing tenant name")
 	}
 	now := s.cfg.Clock()
-	s.streamsMu.Lock()
 	open := 0
 	for _, st := range s.streams {
 		st.mu.Lock()
@@ -471,14 +463,12 @@ func (s *Service) OpenStream(tenantName string, spec JobSpec) (StreamView, error
 		st.mu.Unlock()
 	}
 	if s.cfg.MaxStreams > 0 && open >= s.cfg.MaxStreams {
-		s.streamsMu.Unlock()
 		s.counters.streamsRejected.Add(1)
 		return StreamView{}, &ingestReject{code: 429, retryAfter: s.cfg.RetryAfter,
 			msg: fmt.Sprintf("daemon at its %d-stream capacity", s.cfg.MaxStreams)}
 	}
 	ten := s.tenants.get(tenantName, now)
 	if !ten.admitOpen(s.cfg.TenantStreams) {
-		s.streamsMu.Unlock()
 		s.counters.streamsRejected.Add(1)
 		return StreamView{}, &ingestReject{code: 429, retryAfter: s.cfg.RetryAfter,
 			msg: fmt.Sprintf("tenant %q at its %d-stream quota", tenantName, s.cfg.TenantStreams)}
@@ -487,26 +477,24 @@ func (s *Service) OpenStream(tenantName string, spec JobSpec) (StreamView, error
 	id := fmt.Sprintf("st-%08d", s.streamSeq)
 	st := newStream(id, spec, tenantName, ten, s.cfg.StreamBufferEvents, now)
 	s.streams[id] = st
-	s.streamsMu.Unlock()
-
 	s.counters.streamsOpened.Add(1)
-	s.streamWG.Add(1)
+	s.wg.Add(1)
 	go s.runStream(st)
 	return st.View(), nil
 }
 
 // Stream returns the stream table entry for id.
 func (s *Service) Stream(id string) (*Stream, bool) {
-	s.streamsMu.Lock()
-	defer s.streamsMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	st, ok := s.streams[id]
 	return st, ok
 }
 
 // openStreamCount counts non-terminal streams (the streams_open gauge).
 func (s *Service) openStreamCount() int {
-	s.streamsMu.Lock()
-	defer s.streamsMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	n := 0
 	for _, st := range s.streams {
 		st.mu.Lock()
@@ -520,10 +508,10 @@ func (s *Service) openStreamCount() int {
 
 // runStream owns one stream's simulation end to end: it drives a
 // long-lived sim.RunContext from the event ring, and on a clean end of
-// input assembles the exact run record a closed job would produce and
-// stores it in the content-addressed result cache.
+// input stores the exact run record a closed job would produce in the
+// content-addressed result cache.
 func (s *Service) runStream(st *Stream) {
-	defer s.streamWG.Done()
+	defer s.wg.Done()
 	defer close(st.done)
 	defer st.ten.releaseStream()
 
@@ -533,15 +521,15 @@ func (s *Service) runStream(st *Stream) {
 		s.finishStream(st, "", err.Error())
 		return
 	}
-	interval := s.cfg.SampleInterval
-	capacity := int(st.Spec.Config.MaxInstructions/interval) + 2
-	ts := sim.NewTimeSeries(capacity)
+	ts := s.newSeries(st.Spec.Config)
 	start := s.cfg.Clock()
-	gen := &streamGen{st: st, sched: s.streamSched, quantum: s.cfg.StreamQuantum}
-	res, err := sim.RunContext(context.Background(), st.Spec.Config, gen, f.New(),
+	slots := &slotGen{sched: s.sched}
+	slots.gen = &streamGen{st: st, slots: slots}
+	res, err := sim.RunContext(context.Background(), st.Spec.Config, slots, f.New(),
 		sim.WithProbe(streamProbe{ts: ts, st: st}),
-		sim.WithSampleInterval(interval),
+		sim.WithSampleInterval(s.cfg.SampleInterval),
 		sim.WithProgress(st.progress.Store))
+	slots.release()
 
 	st.mu.Lock()
 	aborted := st.aborted
@@ -584,21 +572,11 @@ func (s *Service) runStream(st *Stream) {
 		}()
 	}
 	key := spec.Key(s.cfg.CodeVersion)
-
-	rec := harness.NewRunRecord(st.Spec.Config, res, interval, points, s.cfg.Clock().Sub(start))
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		s.finishStream(st, "", fmt.Sprintf("encoding result: %v", err))
-		return
-	}
-	data = append(data, '\n')
-	meta := CacheMeta{Workload: st.Spec.Workload, Prefetcher: st.Spec.Prefetcher}
-	// First write wins: if the closed-job path (or an earlier stream)
-	// already cached this key, the existing bytes stay authoritative and
-	// this stream's result is served from them — which is exactly the
-	// byte-identity the streaming smoke asserts.
-	if _, err := s.cache.PutOnce(key, meta, data); err != nil {
-		s.finishStream(st, "", fmt.Sprintf("caching result: %v", err))
+	// If the closed job (or an earlier stream) already cached this key,
+	// this stream's result is served from those bytes — the byte
+	// identity the streaming smoke asserts.
+	if err := s.storeRecord(key, st.Spec, res, points, start); err != nil {
+		s.finishStream(st, "", err.Error())
 		return
 	}
 	s.finishStream(st, key, "")
@@ -641,16 +619,7 @@ func (s *Service) reapIdleStreams(now time.Time) {
 	if s.cfg.StreamIdleTimeout <= 0 {
 		return
 	}
-	s.streamsMu.Lock()
-	var idle []*Stream
-	for _, st := range s.streams {
-		idle = append(idle, st)
-	}
-	s.streamsMu.Unlock()
-	// Deterministic handling order (map iteration is randomized); IDs
-	// are zero-padded sequence numbers, so this is creation order.
-	sort.SliceStable(idle, func(i, j int) bool { return idle[i].ID < idle[j].ID })
-	for _, st := range idle {
+	for _, st := range s.streamsByID() {
 		st.mu.Lock()
 		expired := st.state == StreamOpen && now.Sub(st.lastRecv) > s.cfg.StreamIdleTimeout
 		terminated := st.dec.Terminated()
@@ -688,18 +657,24 @@ func (s *Service) reaper() {
 	}
 }
 
-// drainStreams applies finalize-or-cancel to every live stream at
-// drain: cleanly-terminated streams finalize into normal cached
-// results, everything else cancels. Returns once every runner exited
-// or ctx expired.
-func (s *Service) drainStreams(ctx context.Context) error {
-	s.streamsMu.Lock()
-	var live []*Stream
+// streamsByID lists every stream in creation order: a deterministic
+// handling order (map iteration is randomized), since IDs are
+// zero-padded sequence numbers.
+func (s *Service) streamsByID() []*Stream {
+	s.mu.Lock()
+	out := make([]*Stream, 0, len(s.streams))
 	for _, st := range s.streams {
-		live = append(live, st)
+		out = append(out, st)
 	}
-	s.streamsMu.Unlock()
-	sort.SliceStable(live, func(i, j int) bool { return live[i].ID < live[j].ID })
+	s.mu.Unlock()
+	sort.SliceStable(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
+}
+
+// settleStreams applies finalize-or-cancel to every live stream at
+// drain: cleanly-terminated streams finalize into normal cached
+// results, everything else cancels.
+func settleStreams(live []*Stream) {
 	for _, st := range live {
 		st.mu.Lock()
 		open := st.state == StreamOpen
@@ -713,17 +688,5 @@ func (s *Service) drainStreams(ctx context.Context) error {
 		} else {
 			st.abort("server draining")
 		}
-	}
-	done := make(chan struct{})
-	go func() {
-		s.streamWG.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		s.streamSched.stop() // unstick anything waiting on a slot
-		return ctx.Err()
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"sync"
@@ -119,63 +120,107 @@ func TestTenantIsolation(t *testing.T) {
 	}
 }
 
-func TestTicketSchedFIFO(t *testing.T) {
-	ts := newTicketSched(1)
-	if !ts.acquire() {
-		t.Fatal("free slot refused")
-	}
-	// Enqueue three waiters one at a time so their queue order is fixed.
-	order := make(chan int, 3)
-	for i := 1; i <= 3; i++ {
-		i := i
-		before := ts.waiting()
-		go func() {
-			if ts.acquire() {
-				order <- i
-				ts.release()
-			}
-		}()
-		deadline := time.Now().Add(5 * time.Second)
-		for ts.waiting() != before+1 {
-			if time.Now().After(deadline) {
-				t.Fatal("waiter never queued")
-			}
-			time.Sleep(time.Millisecond)
+// queueWaiter starts a goroutine blocked in ts.acquire(started) and
+// waits until it is queued, so successive calls fix the queue order.
+// The goroutine sends its id on got when granted (then releases), or
+// -id when refused.
+func queueWaiter(t *testing.T, ts *ticketSched, id int, started bool, got chan<- int) {
+	t.Helper()
+	before := ts.waiting()
+	go func() {
+		if ts.acquire(started) {
+			got <- id
+			ts.release()
+		} else {
+			got <- -id
 		}
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for ts.waiting() != before+1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("waiter %d never queued", id)
+		}
+		time.Sleep(time.Millisecond)
 	}
-	ts.release()
-	for want := 1; want <= 3; want++ {
+}
+
+// expectOrder reads len(want) waiter reports from got, in order.
+func expectOrder(t *testing.T, got <-chan int, want ...int) {
+	t.Helper()
+	for _, w := range want {
 		select {
-		case got := <-order:
-			if got != want {
-				t.Fatalf("wakeup order %d, want %d (FIFO)", got, want)
+		case g := <-got:
+			if g != w {
+				t.Fatalf("waiter report %d, want %d", g, w)
 			}
 		case <-time.After(5 * time.Second):
-			t.Fatal("waiter never woke")
+			t.Fatalf("waiter %d never reported", w)
 		}
 	}
 }
 
-func TestTicketSchedStop(t *testing.T) {
+// TestTicketSchedFIFO checks slots are granted FIFO within each class,
+// with every started run ahead of every first acquire, and that yield
+// passes the slot only to a started run.
+func TestTicketSchedFIFO(t *testing.T) {
 	ts := newTicketSched(1)
-	if !ts.acquire() {
+	if !ts.acquire(false) {
 		t.Fatal("free slot refused")
 	}
-	got := make(chan bool, 1)
-	go func() { got <- ts.acquire() }()
-	deadline := time.Now().Add(5 * time.Second)
-	for ts.waiting() != 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("waiter never queued")
-		}
-		time.Sleep(time.Millisecond)
+	got := make(chan int, 4)
+	queueWaiter(t, ts, 1, false, got)
+	queueWaiter(t, ts, 2, true, got)
+	queueWaiter(t, ts, 3, false, got)
+	queueWaiter(t, ts, 4, true, got)
+	ts.release()
+	expectOrder(t, got, 2, 4, 1, 3)
+
+	// With only first acquires waiting, a yield keeps the slot; with a
+	// started run waiting, it hands over and queues behind it.
+	if !ts.acquire(true) {
+		t.Fatal("free slot refused")
 	}
-	ts.stop()
-	if <-got {
-		t.Fatal("queued acquire succeeded after stop")
+	queueWaiter(t, ts, 5, false, got)
+	ts.yield()
+	if n := ts.waiting(); n != 1 {
+		t.Fatalf("yield with no started waiter: %d waiting, want the first acquire still queued", n)
 	}
-	if ts.acquire() {
-		t.Fatal("acquire succeeded after stop")
+	queueWaiter(t, ts, 6, true, got)
+	yielded := make(chan struct{})
+	go func() {
+		ts.yield()
+		close(yielded)
+	}()
+	expectOrder(t, got, 6) // 6 releases on report: the slot comes back to the yielder
+	select {
+	case <-yielded:
+	case <-time.After(5 * time.Second):
+		t.Fatal("yielder never got its slot back")
+	}
+	ts.release()
+	expectOrder(t, got, 5)
+}
+
+// TestTicketSchedStop checks drain stops first grants — queued and
+// future first acquires are refused — while started runs keep their
+// turns.
+func TestTicketSchedStop(t *testing.T) {
+	ts := newTicketSched(1)
+	if !ts.acquire(true) {
+		t.Fatal("free slot refused")
+	}
+	got := make(chan int, 2)
+	queueWaiter(t, ts, 1, false, got)
+	queueWaiter(t, ts, 2, true, got)
+	ts.drain()
+	expectOrder(t, got, -1)
+	if ts.acquire(false) {
+		t.Fatal("first acquire granted after drain")
+	}
+	ts.release()
+	expectOrder(t, got, 2)
+	if !ts.acquire(true) {
+		t.Fatal("started acquire refused after drain")
 	}
 }
 
@@ -742,5 +787,83 @@ func TestFinishedStreamsReleaseRing(t *testing.T) {
 	settled("canceled", cut, StreamCanceled)
 	if code, _ := postChunk(t, ts.URL, cut, late); code != http.StatusConflict {
 		t.Errorf("canceled: late chunk got %d, want 409", code)
+	}
+}
+
+// TestOneSlotInterleavesJobAndStream runs a closed job and a stream on
+// a one-slot service. While the job holds the slot the stream, its
+// trace fully buffered, waits in the scheduler instead of simulating
+// beside it; once the job simulates, the two alternate quantum by
+// quantum, so the short stream finishes while the long job is still
+// mid-run.
+func TestOneSlotInterleavesJobAndStream(t *testing.T) {
+	const wl = "stencil-default"
+	hold := make(chan struct{})
+	var once sync.Once
+	unhold := func() { once.Do(func() { close(hold) }) }
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		<-hold
+		http.NotFound(w, r)
+	}))
+	t.Cleanup(peer.Close)
+	cfg := testConfig()
+	cfg.Workers = 1
+	cfg.Peers = []string{peer.URL}
+	cfg.PeerTimeout = time.Minute
+	cfg.StreamBufferEvents = 1 << 20
+	svc, ts := newTestService(t, cfg)
+	t.Cleanup(unhold)
+
+	// The job's peer probe runs on its first slot, so the fake sibling
+	// holds the only slot until the test answers it.
+	long := mustSpec(t, svc, wl, "none")
+	long.Config.MaxInstructions = 10 * cfg.BaseSim.MaxInstructions
+	view, err := svc.Submit(long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitStatus(t, svc, view.Key, StatusRunning)
+	j, _ := svc.Job(view.Key)
+
+	client := apiv1.NewClient(ts.URL)
+	sv, err := client.OpenStream(apiv1.OpenStreamRequest{Tenant: "acme", Workload: wl, Prefetcher: "none"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedChunks(t, client, sv.ID, encodeWorkloadTrace(t, wl, cfg.BaseSim.MaxInstructions))
+	if _, err := client.CloseStream(sv.ID); err != nil {
+		t.Fatal(err)
+	}
+	st, _ := svc.Stream(sv.ID)
+	deadline := time.Now().Add(30 * time.Second)
+	for svc.sched.waiting() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("the stream never queued for the job's slot")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if p := st.progress.Load(); p != 0 {
+		t.Fatalf("stream simulated %d instructions while the job held the only slot", p)
+	}
+
+	unhold()
+	<-st.Done()
+	if v := st.View(); v.State != StreamDone {
+		t.Fatalf("stream: %s %s, want done", v.State, v.Error)
+	}
+	jv := j.View()
+	if jv.Status != StatusRunning || jv.Progress.Instructions == 0 {
+		t.Fatalf("job when the stream finished: %s at %d instructions, want running mid-way", jv.Status, jv.Progress.Instructions)
+	}
+
+	<-j.Done()
+	if jv := j.View(); jv.Status != StatusDone {
+		t.Fatalf("job: %s %s, want done", jv.Status, jv.Error)
+	}
+	svc.sched.mu.Lock()
+	free, waiting := svc.sched.free, len(svc.sched.started)+len(svc.sched.fresh)
+	svc.sched.mu.Unlock()
+	if free != 1 || waiting != 0 {
+		t.Fatalf("scheduler after every run ended: %d free, %d waiting; want 1, 0", free, waiting)
 	}
 }
