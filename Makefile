@@ -68,8 +68,8 @@ streaming-smoke:
 
 # End-to-end corpus smoke: pack two kernels into CBWC corpora (twice,
 # requiring identical bytes), convert a CBWT capture and require the
-# same bytes again, then replay the golden matrix from the corpus on
-# both the mmap and ReaderAt paths against golden/seed.json.
+# same bytes again, then replay the golden matrix from the corpus
+# against golden/seed.json.
 corpus-smoke:
 	./scripts/corpus_smoke.sh
 

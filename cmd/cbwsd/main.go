@@ -9,7 +9,7 @@
 //	cbwsd [-addr 127.0.0.1:8344] [-cache-dir DIR] [-workers N] [-queue N]
 //	      [-n instructions] [-warmup instructions] [-config system.json]
 //	      [-job-timeout D] [-drain-timeout D] [-addr-file PATH]
-//	      [-corpus-dir DIR] [-corpus-mmap=false]
+//	      [-corpus-dir DIR]
 //	      [-peers URL[,URL...]] [-advertise URL]
 //	      [-max-streams N] [-tenant-streams N]
 //	      [-tenant-rate BYTES/S] [-tenant-burst BYTES]
@@ -77,7 +77,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	drainTimeout := fs.Duration("drain-timeout", time.Minute, "bound on finishing running jobs at shutdown")
 	interval := fs.Uint64("sample-interval", 0, "probe/progress period in instructions (0: default)")
 	corpusDir := fs.String("corpus-dir", "", "replay workloads from packed .cbwc corpora in this directory (others use live generators)")
-	corpusMmap := fs.Bool("corpus-mmap", true, "mmap corpus files (false: positioned-read fallback)")
 	peers := fs.String("peers", "", "comma-separated sibling daemon URLs to peer-fetch results from (own URL is filtered out)")
 	advertise := fs.String("advertise", "", "this daemon's URL as peers see it (default: http://<bound address>)")
 	peerTimeout := fs.Duration("peer-timeout", 2*time.Second, "per-sibling budget for peer-fetch probes")
@@ -113,7 +112,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	var corpusSrc *harness.CorpusSource
 	if *corpusDir != "" {
-		src, err := harness.OpenCorpusDir(*corpusDir, *corpusMmap)
+		src, err := harness.OpenCorpusDir(*corpusDir)
 		if err != nil {
 			fmt.Fprintf(stderr, "cbwsd: %v\n", err)
 			return cli.ExitFail

@@ -65,7 +65,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	tags := fs.String("tags", "", "build tags to load packages with (e.g. cbwscheck)")
 	list := fs.Bool("list", false, "list the analyzers and exit")
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array instead of text")
-	fix := fs.Bool("fix", false, "apply suggested fixes (reserved: no analyzer emits fixes yet)")
 	names := fs.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
 	writeCompat := fs.Bool("write-compat", false, "regenerate the wirecompat manifest for one package and exit")
 	compatBump := fs.String("compat-bump", "", "CompatVersion note for a breaking -write-compat rewrite")
@@ -100,8 +99,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			analyzers = append(analyzers, a)
 		}
 	}
-	_ = fix // reserved for future analyzers with suggested fixes
-
 	pkgs, err := analysis.Load(".", *tags, fs.Args()...)
 	if err != nil {
 		fmt.Fprintf(stderr, "cbwslint: %v\n", err)

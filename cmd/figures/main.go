@@ -51,7 +51,6 @@ func main() {
 	obsDir := flag.String("obs-dir", "", "write per-cell run records (JSON) and time series (CSV) into this directory")
 	interval := flag.Uint64("sample-interval", 0, "probe sampling period in instructions (0: default; used with -obs-dir)")
 	corpusDir := flag.String("corpus-dir", "", "replay workloads from packed .cbwc corpora in this directory (others use live generators)")
-	corpusMmap := flag.Bool("corpus-mmap", true, "mmap corpus files (false: positioned-read fallback)")
 	debugAddr := flag.String("debug-addr", "", "serve pprof/expvar diagnostics on this address (e.g. :6060)")
 	flag.Parse()
 
@@ -80,14 +79,14 @@ func main() {
 	opts.ObsDir = *obsDir
 	opts.SampleInterval = *interval
 	if *corpusDir != "" {
-		src, err := harness.OpenCorpusDir(*corpusDir, *corpusMmap)
+		src, err := harness.OpenCorpusDir(*corpusDir)
 		if err != nil {
 			cli.Errorf("figures", "%v", err)
 		}
 		defer src.Close()
 		for _, name := range src.Names() {
-			if got := src.Instructions(name); got < *n {
-				cli.Errorf("figures", "corpus for %q holds %d instructions, run needs %d", name, got, *n)
+			if err := src.CheckCovers(name, *n); err != nil {
+				cli.Errorf("figures", "%v", err)
 			}
 		}
 		fmt.Fprintf(os.Stderr, "figures: replaying %d workload(s) from %s\n", len(src.Names()), *corpusDir)

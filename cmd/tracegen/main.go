@@ -7,7 +7,7 @@
 //	tracegen -workload histo-large -n 1000000 -o histo.cbwt
 //	tracegen -workload histo-large -stats
 //	tracegen pack -workload histo-large -n 1000000 -o histo.cbwc
-//	tracegen pack -i histo.cbwt -o histo.cbwc [-compress] [-block-events N]
+//	tracegen pack -i histo.cbwt -o histo.cbwc [-block-events N]
 //	tracegen info histo.cbwc
 //
 // The first form (no subcommand) is the original stream capture. "pack"
@@ -111,7 +111,6 @@ func runPack(args []string) {
 	n := fs.Uint64("n", 1_000_000, "instructions to capture (with -workload)")
 	out := fs.String("o", "", "output file (default <name>.cbwc)")
 	blockEvents := fs.Int("block-events", 0, "events per block (0: default granule)")
-	compress := fs.Bool("compress", false, "DEFLATE-compress block payloads (smaller file, slower replay)")
 	fs.Parse(args)
 
 	if fs.NArg() > 0 {
@@ -122,7 +121,7 @@ func runPack(args []string) {
 		fs.Usage()
 		cli.Usagef("tracegen", "pack needs exactly one of -workload or -i")
 	}
-	opts := corpus.Options{BlockEvents: *blockEvents, Compress: *compress}
+	opts := corpus.Options{BlockEvents: *blockEvents}
 
 	var (
 		gen  trace.Generator
@@ -193,21 +192,16 @@ func runInfo(args []string) {
 		cli.Errorf("tracegen", "%v", err)
 	}
 	defer c.Close()
-	hash, err := c.Hash()
-	if err != nil {
-		cli.Errorf("tracegen", "%v", err)
-	}
 	fmt.Printf("name         %s\n", c.Name())
 	fmt.Printf("events       %d\n", c.Events())
 	fmt.Printf("instructions %d\n", c.Instructions())
 	fmt.Printf("blocks       %d (granule %d events)\n", c.Blocks(), c.BlockEvents())
-	fmt.Printf("compressed   %v\n", c.Compressed())
 	fmt.Printf("size         %d bytes (%.2f B/event)\n", c.Size(), float64(c.Size())/float64(max64(c.Events(), 1)))
 	cols := c.ColumnBytes()
 	for i, label := range [...]string{"kinds", "pc", "addr", "n", "block", "taken"} {
 		fmt.Printf("col %-8s %d bytes\n", label, cols[i])
 	}
-	fmt.Printf("sha256       %s\n", hash)
+	fmt.Printf("sha256       %s\n", c.Hash())
 }
 
 func max64(a, b uint64) uint64 {

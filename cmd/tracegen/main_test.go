@@ -70,34 +70,3 @@ func TestPackConvertByteIdentity(t *testing.T) {
 		runInfo([]string{direct})
 	})
 }
-
-// TestPackCompressedSmaller checks the -compress flag produces a valid,
-// smaller corpus for the same window.
-func TestPackCompressedSmaller(t *testing.T) {
-	dir := t.TempDir()
-	plain := filepath.Join(dir, "plain.cbwc")
-	packed := filepath.Join(dir, "packed.cbwc")
-	silenceStdout(t, func() {
-		runPack([]string{"-workload", "stencil-default", "-n", "50000", "-o", plain})
-		runPack([]string{"-workload", "stencil-default", "-n", "50000", "-compress", "-o", packed})
-	})
-	sp, err := os.Stat(plain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc, err := os.Stat(packed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sc.Size() >= sp.Size() {
-		t.Fatalf("compressed corpus (%d) not smaller than plain (%d)", sc.Size(), sp.Size())
-	}
-	c, err := corpus.Open(packed, corpus.OpenOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if !c.Compressed() {
-		t.Fatal("corpus not marked compressed")
-	}
-}

@@ -23,7 +23,6 @@ import (
 // concurrent use: every Override hands out a fresh Replayer over the
 // shared read-only Corpus.
 type CorpusSource struct {
-	dir     string
 	corpora map[string]*corpus.Corpus
 	hashes  map[string]string
 
@@ -32,17 +31,15 @@ type CorpusSource struct {
 }
 
 // OpenCorpusDir opens every *.cbwc file in dir, keyed by the workload
-// name in its header. With mmap false the io.ReaderAt fallback path is
-// forced (replay output is identical). Two corpora claiming the same
-// workload name are rejected — the source must be unambiguous about
-// which bytes back a name, because the content hash feeds cache keys.
-func OpenCorpusDir(dir string, mmap bool) (*CorpusSource, error) {
+// name in its header. Two corpora claiming the same workload name are
+// rejected — the source must be unambiguous about which bytes back a
+// name, because the content hash feeds cache keys.
+func OpenCorpusDir(dir string) (*CorpusSource, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("harness: corpus dir: %w", err)
 	}
 	s := &CorpusSource{
-		dir:     dir,
 		corpora: make(map[string]*corpus.Corpus),
 		hashes:  make(map[string]string),
 	}
@@ -51,7 +48,7 @@ func OpenCorpusDir(dir string, mmap bool) (*CorpusSource, error) {
 			continue
 		}
 		path := filepath.Join(dir, ent.Name())
-		c, err := corpus.Open(path, corpus.OpenOptions{DisableMmap: !mmap})
+		c, err := corpus.Open(path, corpus.OpenOptions{})
 		if err != nil {
 			s.Close()
 			return nil, fmt.Errorf("harness: corpus %s: %w", path, err)
@@ -62,14 +59,8 @@ func OpenCorpusDir(dir string, mmap bool) (*CorpusSource, error) {
 			s.Close()
 			return nil, fmt.Errorf("harness: corpus dir %s: two corpora claim workload %q", dir, name)
 		}
-		hash, err := c.Hash()
-		if err != nil {
-			c.Close()
-			s.Close()
-			return nil, fmt.Errorf("harness: corpus %s: %w", path, err)
-		}
 		s.corpora[name] = c
-		s.hashes[name] = hash
+		s.hashes[name] = c.Hash()
 	}
 	if len(s.corpora) == 0 {
 		s.Close()
@@ -77,9 +68,6 @@ func OpenCorpusDir(dir string, mmap bool) (*CorpusSource, error) {
 	}
 	return s, nil
 }
-
-// Dir returns the directory the source was opened from.
-func (s *CorpusSource) Dir() string { return s.dir }
 
 // Names returns the workload names with a packed corpus, sorted.
 func (s *CorpusSource) Names() []string {
@@ -91,12 +79,6 @@ func (s *CorpusSource) Names() []string {
 	return out
 }
 
-// Has reports whether a corpus backs the named workload.
-func (s *CorpusSource) Has(name string) bool {
-	_, ok := s.corpora[name]
-	return ok
-}
-
 // Hash returns the content address (hex SHA-256 of the file bytes) of
 // the corpus backing name.
 func (s *CorpusSource) Hash(name string) (string, bool) {
@@ -104,14 +86,15 @@ func (s *CorpusSource) Hash(name string) (string, bool) {
 	return h, ok
 }
 
-// Instructions returns the dynamic instruction count recorded in the
-// corpus backing name (0 when absent), so callers can check a corpus
-// covers their simulation window before trusting replay.
-func (s *CorpusSource) Instructions(name string) uint64 {
-	if c, ok := s.corpora[name]; ok {
-		return c.Instructions()
+// CheckCovers reports an error when the corpus backing name holds
+// fewer than need dynamic instructions: its replay would end before a
+// need-instruction run does, and the short run would pass for a full
+// one. A name without a corpus passes.
+func (s *CorpusSource) CheckCovers(name string, need uint64) error {
+	if c, ok := s.corpora[name]; ok && c.Instructions() < need {
+		return fmt.Errorf("corpus for %q holds %d instructions, run needs %d", name, c.Instructions(), need)
 	}
-	return 0
+	return nil
 }
 
 // Override returns spec with Make rebound to corpus replay when a

@@ -29,7 +29,7 @@ func TestOpenCorpusDir(t *testing.T) {
 	packWorkload(t, dir, "stencil-default", 200_000)
 	packWorkload(t, dir, "429.mcf-ref", 200_000)
 
-	src, err := OpenCorpusDir(dir, true)
+	src, err := OpenCorpusDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,26 +40,26 @@ func TestOpenCorpusDir(t *testing.T) {
 	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
 		t.Fatalf("Names() = %v, want %v", got, want)
 	}
-	if !src.Has("stencil-default") || src.Has("radix-simlarge") {
-		t.Fatal("Has misreports corpus membership")
-	}
 	h, ok := src.Hash("stencil-default")
 	if !ok || len(h) != 64 {
 		t.Fatalf("Hash() = %q, %v", h, ok)
 	}
-	if n := src.Instructions("stencil-default"); n < 200_000 {
-		t.Fatalf("Instructions() = %d, want >= 200000", n)
+	if err := src.CheckCovers("stencil-default", 200_000); err != nil {
+		t.Fatalf("CheckCovers within the corpus: %v", err)
 	}
-	if src.Instructions("radix-simlarge") != 0 {
-		t.Fatal("Instructions for an absent workload should be 0")
+	if err := src.CheckCovers("stencil-default", 10_000_000); err == nil {
+		t.Fatal("CheckCovers passed a run longer than the corpus")
+	}
+	if err := src.CheckCovers("radix-simlarge", 10_000_000); err != nil {
+		t.Fatalf("CheckCovers for a workload without a corpus: %v", err)
 	}
 }
 
 func TestOpenCorpusDirErrors(t *testing.T) {
-	if _, err := OpenCorpusDir(t.TempDir(), true); err == nil {
+	if _, err := OpenCorpusDir(t.TempDir()); err == nil {
 		t.Fatal("empty dir accepted")
 	}
-	if _, err := OpenCorpusDir(filepath.Join(t.TempDir(), "missing"), true); err == nil {
+	if _, err := OpenCorpusDir(filepath.Join(t.TempDir(), "missing")); err == nil {
 		t.Fatal("missing dir accepted")
 	}
 	// Two files claiming the same workload name must be rejected.
@@ -70,16 +70,16 @@ func TestOpenCorpusDirErrors(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := OpenCorpusDir(dir, true); err == nil || !strings.Contains(err.Error(), "two corpora") {
+	if _, err := OpenCorpusDir(dir); err == nil || !strings.Contains(err.Error(), "two corpora") {
 		t.Fatalf("duplicate names: got %v", err)
 	}
 }
 
 // TestCorpusReplayMatchesLiveSimulation is the integration pin: a
 // matrix cell simulated from corpus replay must produce exactly the
-// metrics of the same cell simulated from the live generator, on both
-// the mmap and the ReaderAt corpus paths. This is what lets corpus-fed
-// runs share golden manifests and cbwsd cache entries with live runs.
+// metrics of the same cell simulated from the live generator. This is
+// what lets corpus-fed runs share golden manifests and cbwsd cache
+// entries with live runs.
 func TestCorpusReplayMatchesLiveSimulation(t *testing.T) {
 	opts := tinyOptions()
 	spec, _ := workload.ByName("stencil-default")
@@ -92,22 +92,20 @@ func TestCorpusReplayMatchesLiveSimulation(t *testing.T) {
 
 	dir := t.TempDir()
 	packWorkload(t, dir, "stencil-default", opts.Sim.MaxInstructions)
-	for _, mmap := range []bool{true, false} {
-		src, err := OpenCorpusDir(dir, mmap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		copts := opts
-		copts.Corpus = src
-		res, err := NewMatrix(copts).Get(spec, f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Metrics != live.Metrics {
-			t.Errorf("mmap=%v: corpus replay metrics diverge from live simulation:\n corpus: %+v\n live:   %+v",
-				mmap, res.Metrics, live.Metrics)
-		}
-		src.Close()
+	src, err := OpenCorpusDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	copts := opts
+	copts.Corpus = src
+	res, err := NewMatrix(copts).Get(spec, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Metrics != live.Metrics {
+		t.Errorf("corpus replay metrics diverge from live simulation:\n corpus: %+v\n live:   %+v",
+			res.Metrics, live.Metrics)
 	}
 }
 
@@ -116,7 +114,7 @@ func TestCorpusReplayMatchesLiveSimulation(t *testing.T) {
 func TestCorpusOverrideLeavesOthersAlone(t *testing.T) {
 	dir := t.TempDir()
 	packWorkload(t, dir, "stencil-default", 50_000)
-	src, err := OpenCorpusDir(dir, true)
+	src, err := OpenCorpusDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

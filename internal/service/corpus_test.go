@@ -13,9 +13,9 @@ import (
 	"cbws/internal/workload"
 )
 
-// corpusDirFor packs the named workloads (at the test base instruction
-// budget) into a fresh directory and opens it as a source.
-func corpusDirFor(t *testing.T, names ...string) *harness.CorpusSource {
+// corpusDirFor packs the first max instructions of the named workloads
+// into a fresh directory and opens it as a source.
+func corpusDirFor(t *testing.T, max uint64, names ...string) *harness.CorpusSource {
 	t.Helper()
 	dir := t.TempDir()
 	for _, name := range names {
@@ -24,11 +24,11 @@ func corpusDirFor(t *testing.T, names ...string) *harness.CorpusSource {
 			t.Fatalf("workload %q missing", name)
 		}
 		path := filepath.Join(dir, strings.ReplaceAll(name, "/", "_")+".cbwc")
-		if _, err := corpus.Pack(path, spec.Make(), testConfig().BaseSim.MaxInstructions, corpus.Options{}); err != nil {
+		if _, err := corpus.Pack(path, spec.Make(), max, corpus.Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	src, err := harness.OpenCorpusDir(dir, true)
+	src, err := harness.OpenCorpusDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func corpusDirFor(t *testing.T, names ...string) *harness.CorpusSource {
 // of the same cell, and hash-pinned submissions are honored or rejected
 // with 409.
 func TestCorpusBackedJob(t *testing.T) {
-	src := corpusDirFor(t, "stencil-default")
+	src := corpusDirFor(t, testConfig().BaseSim.MaxInstructions, "stencil-default")
 	cfg := testConfig()
 	cfg.Corpus = src
 	svc, ts := newTestService(t, cfg)
@@ -135,7 +135,7 @@ func TestCorpusResultMatchesLiveService(t *testing.T) {
 	cfgLive := testConfig()
 	svcLive, tsLive := newTestService(t, cfgLive)
 
-	src := corpusDirFor(t, "stencil-default")
+	src := corpusDirFor(t, testConfig().BaseSim.MaxInstructions, "stencil-default")
 	cfgCorp := testConfig()
 	cfgCorp.Corpus = src
 	svcCorp, tsCorp := newTestService(t, cfgCorp)
@@ -167,5 +167,44 @@ func TestCorpusResultMatchesLiveService(t *testing.T) {
 	if stripDur(rawLive) != stripDur(rawCorp) {
 		t.Fatalf("corpus-backed record diverges from live record:\n--- live ---\n%s\n--- corpus ---\n%s",
 			rawLive, rawCorp)
+	}
+}
+
+// TestCorpusBudgetPastEnd checks a corpus-backed job cannot run past
+// the end of its corpus: a budget beyond the corpus's instructions is a
+// 409 that leaves no job and caches nothing, while a budget the corpus
+// covers still runs.
+func TestCorpusBudgetPastEnd(t *testing.T) {
+	const corpusInstr = 400_000
+	src := corpusDirFor(t, corpusInstr, "stencil-default")
+	cfg := testConfig()
+	cfg.Corpus = src
+	svc, ts := newTestService(t, cfg)
+
+	over := JobSpec{Workload: "stencil-default", Prefetcher: "cbws", Config: cfg.BaseSim}
+	over.Config.MaxInstructions = corpusInstr + 1
+	over.WorkloadHash, _ = src.Hash("stencil-default")
+	code, m, _ := postJob(t, ts.URL, fmt.Sprintf(
+		`{"workload":"stencil-default","prefetcher":"cbws","config":{"MaxInstructions":%d}}`, corpusInstr+1))
+	if code != http.StatusConflict {
+		t.Fatalf("budget past the corpus end: %d %v", code, m)
+	}
+	if _, ok := svc.Job(over.Key(svc.CodeVersion())); ok {
+		t.Fatal("rejected job left an entry in the job table")
+	}
+	if n := svc.Cache().Len(); n != 0 {
+		t.Fatalf("rejected job cached %d results", n)
+	}
+
+	code, m, _ = postJob(t, ts.URL, fmt.Sprintf(
+		`{"workload":"stencil-default","prefetcher":"cbws","config":{"MaxInstructions":%d}}`, corpusInstr))
+	if code != http.StatusAccepted {
+		t.Fatalf("budget equal to the corpus: %d %v", code, m)
+	}
+	if final := waitDone(t, ts.URL, m["key"].(string)); final["status"] != string(StatusDone) {
+		t.Fatalf("job within the corpus: %v", final)
+	}
+	if n := svc.Cache().Len(); n != 1 {
+		t.Fatalf("cache holds %d results, want 1", n)
 	}
 }

@@ -247,12 +247,16 @@ func (s *Service) Submit(spec JobSpec) (JobView, error) {
 // daemon's corpus source before keying. A corpus-backed workload gets
 // its corpus content address stamped into the spec (so the job key —
 // and therefore the cache entry — is bound to the exact trace bytes);
-// a client that pins a hash the daemon cannot honor is rejected rather
-// than silently served a result computed from different bytes.
+// a client that pins a hash the daemon cannot honor, or asks for more
+// instructions than the corpus holds, is rejected rather than silently
+// served a result computed from different or fewer events.
 func (s *Service) resolveWorkloadHash(spec *JobSpec) error {
 	var have string
 	if s.cfg.Corpus != nil {
 		have, _ = s.cfg.Corpus.Hash(spec.Workload)
+		if err := s.cfg.Corpus.CheckCovers(spec.Workload, spec.Config.MaxInstructions); err != nil {
+			return fmt.Errorf("%w: %v", ErrCorpusMismatch, err)
+		}
 	}
 	switch {
 	case spec.WorkloadHash == "":
@@ -470,6 +474,7 @@ var (
 	ErrQueueFull = fmt.Errorf("job queue is full")
 	ErrDraining  = fmt.Errorf("server is draining")
 	// ErrCorpusMismatch rejects a submission that pins a workload_hash
-	// the daemon's corpus source cannot honor (HTTP 409).
+	// the daemon's corpus source cannot honor, or whose instruction
+	// budget runs past the end of its corpus (HTTP 409).
 	ErrCorpusMismatch = fmt.Errorf("workload corpus mismatch")
 )

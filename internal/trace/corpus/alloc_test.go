@@ -15,41 +15,27 @@ func (c *countSink) ConsumeBatch(batch []trace.Event) bool {
 }
 
 // TestReplayZeroAllocs pins the zero-allocation contract of the replay
-// hot path: after NewReplayer, replaying an uncompressed in-memory
-// corpus (the mmap steady state) must not allocate at all, and the
-// ReaderAt fallback must stay at zero too (its scratch buffer is
-// preallocated).
+// hot path: after NewReplayer, replaying a corpus must not allocate at
+// all.
 func TestReplayZeroAllocs(t *testing.T) {
 	events := randomEvents(4*DefaultBlockEvents, 42)
-	data := packEvents(t, "alloc", events, Options{})
-
-	run := func(name string, c *Corpus) {
-		r := c.NewReplayer()
-		var s countSink
-		if err := r.Replay(&s); err != nil { // warm any lazy state
-			t.Fatalf("%s: %v", name, err)
-		}
-		allocs := testing.AllocsPerRun(10, func() {
-			if err := r.Replay(&s); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs != 0 {
-			t.Errorf("%s: replay allocates %.1f allocs/op, want 0", name, allocs)
-		}
-	}
-
-	c, err := OpenBytes(data)
+	c, err := OpenBytes(packEvents(t, "alloc", events, Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	run("mmap-equivalent", c)
-
-	cf, err := OpenReaderAt(byteReaderAtFull{data}, int64(len(data)))
-	if err != nil {
+	r := c.NewReplayer()
+	var s countSink
+	if err := r.Replay(&s); err != nil { // warm any lazy state
 		t.Fatal(err)
 	}
-	run("readerat-fallback", cf)
+	allocs := testing.AllocsPerRun(10, func() {
+		if err := r.Replay(&s); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("replay allocates %.1f allocs/op, want 0", allocs)
+	}
 }
 
 // TestDecodeBlockZeroAllocs pins the innermost decode loop.
@@ -72,20 +58,3 @@ func TestDecodeBlockZeroAllocs(t *testing.T) {
 		t.Errorf("decodeBlock allocates %.1f allocs/op, want 0", allocs)
 	}
 }
-
-// byteReaderAtFull adapts a slice to io.ReaderAt without the bytes
-// package, so the fallback path under test sees a plain ReaderAt.
-type byteReaderAtFull struct{ data []byte }
-
-func (b byteReaderAtFull) ReadAt(p []byte, off int64) (int, error) {
-	if off < 0 || off >= int64(len(b.data)) {
-		return 0, errShortRead
-	}
-	n := copy(p, b.data[off:])
-	if n < len(p) {
-		return n, errShortRead
-	}
-	return n, nil
-}
-
-var errShortRead = trace.ErrBadTrace // any sentinel; never hit in these tests

@@ -5,11 +5,11 @@
 //
 // Where the CBWT stream (internal/trace) interleaves every field of
 // every event, CBWC stores a trace as fixed-size blocks of per-field
-// columnar arrays. Replay mmaps the file where the platform allows it
-// (an io.ReaderAt fallback covers the rest) and decodes each block
-// straight into a reusable []trace.Event batch, so the steady state is
-// a pointer walk over page-cache memory — no bufio, no per-event reads,
-// no allocation.
+// columnar arrays. Every corpus replays from one byte slice: Open maps
+// the file where the platform allows it and reads it into memory
+// otherwise, and each block decodes straight out of that slice into a
+// reusable []trace.Event batch, so the steady state is a pointer walk
+// over page-cache memory — no bufio, no per-event reads, no allocation.
 //
 // # On-disk layout (CBWC version 1)
 //
@@ -19,13 +19,13 @@
 //	header:
 //	  magic       [4]byte  "CBWC"
 //	  version     u8       1
-//	  flags       u8       bit 0: block payloads are DEFLATE-compressed
+//	  flags       u8       reserved, zero (any set bit is rejected)
 //	  reserved    [2]byte  zero
 //	  blockEvents u32      events per full block (last block may be short)
 //	  nameLen     uvarint  + name bytes (the trace/workload name)
 //
 //	blocks: each block's payload is the concatenation of six columns,
-//	  in this order, optionally DEFLATE-compressed as one unit:
+//	  in this order:
 //	    kinds: 1 byte per event (trace.Kind)
 //	    pc:    zigzag-varint PC delta per Load/Store/Branch event,
 //	           against the previous such event (block-local, seeded
@@ -41,8 +41,8 @@
 //
 //	index: one fixed-width 60-byte entry per block:
 //	  offset    u64      file offset of the block payload
-//	  storedLen u32      payload bytes on disk (compressed size)
-//	  rawLen    u32      payload bytes after decompression
+//	  storedLen u32      payload bytes on disk; equals rawLen
+//	  rawLen    u32      payload bytes; the column lengths sum to it
 //	  events    u32      events in the block
 //	  colLen    [6]u32   per-column byte lengths; they sum to rawLen
 //	  basePC    u64      PC delta baseline entering the block
@@ -86,13 +86,10 @@ const (
 	trailerLen = 5*8 + len(magicEnd)
 	indexEntry = 8 + 4 + 4 + 4 + 6*4 + 8 + 8 // 60 bytes
 
-	// flagCompressed marks DEFLATE-compressed block payloads.
-	flagCompressed = 1 << 0
-
 	// DefaultBlockEvents is the default events-per-block. 4096 events
 	// keep the decode batch (~192KB of trace.Event) streaming through
 	// L2 while amortizing the per-block index and virtual-call overhead
-	// to noise; it is also the random-access and compression granule.
+	// to noise; it is also the random-access granule.
 	DefaultBlockEvents = 4096
 
 	// MaxBlockEvents bounds the per-block event count a reader will

@@ -2,8 +2,10 @@ package corpus
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -82,6 +84,8 @@ func normalize(events []trace.Event) []trace.Event {
 	return out
 }
 
+// TestRoundTripAllPaths replays each block size from memory
+// (OpenBytes) and from a file (Open).
 func TestRoundTripAllPaths(t *testing.T) {
 	events := randomEvents(3*DefaultBlockEvents+17, 1)
 	for _, tc := range []struct {
@@ -90,14 +94,11 @@ func TestRoundTripAllPaths(t *testing.T) {
 	}{
 		{"default", Options{}},
 		{"small-blocks", Options{BlockEvents: 64}},
-		{"compressed", Options{Compress: true}},
-		{"compressed-small", Options{Compress: true, BlockEvents: 128}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			data := packEvents(t, "rt", events, tc.opts)
 			want := normalize(events)
 
-			// In-memory (the mmap code path's parser/decoder).
 			c, err := OpenBytes(data)
 			if err != nil {
 				t.Fatal(err)
@@ -112,13 +113,17 @@ func TestRoundTripAllPaths(t *testing.T) {
 				t.Fatal("in-memory replay diverged from the packed events")
 			}
 
-			// ReaderAt fallback.
-			cf, err := OpenReaderAt(bytes.NewReader(data), int64(len(data)))
+			path := filepath.Join(t.TempDir(), "rt.cbwc")
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			cf, err := Open(path, OpenOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer cf.Close()
 			if got := collect(t, cf); !eventsEqual(got, want) {
-				t.Fatal("ReaderAt replay diverged from the packed events")
+				t.Fatal("file replay diverged from the packed events")
 			}
 		})
 	}
@@ -136,6 +141,9 @@ func eventsEqual(a, b []trace.Event) bool {
 	return true
 }
 
+// TestOpenFileMmapAndFallback calls both byte sources Open picks
+// between — the mapping and the read into memory — and requires the
+// same replay and content address from each.
 func TestOpenFileMmapAndFallback(t *testing.T) {
 	events := randomEvents(5000, 2)
 	data := packEvents(t, "file", events, Options{BlockEvents: 512})
@@ -144,27 +152,49 @@ func TestOpenFileMmapAndFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := normalize(events)
-	for _, disable := range []bool{false, true} {
-		c, err := Open(path, OpenOptions{DisableMmap: disable})
-		if err != nil {
-			t.Fatalf("Open(DisableMmap=%v): %v", disable, err)
+	wantHash := fmt.Sprintf("%x", sha256.Sum256(data))
+	for _, src := range []struct {
+		name string
+		load func(string) ([]byte, func() error, error)
+	}{
+		{"mmap", mmapFile},
+		{"read", readFile},
+	} {
+		b, release, err := src.load(path)
+		if errors.Is(err, errMmapUnavailable) {
+			t.Logf("%s: unavailable on this platform", src.name)
+			continue
 		}
-		if disable && c.Mmapped() {
-			t.Error("DisableMmap did not take")
+		if err != nil {
+			t.Fatalf("%s: %v", src.name, err)
+		}
+		c, err := OpenBytes(b)
+		if err != nil {
+			t.Fatalf("%s: %v", src.name, err)
 		}
 		if got := collect(t, c); !eventsEqual(got, want) {
-			t.Errorf("Open(DisableMmap=%v) replay diverged", disable)
+			t.Errorf("%s: replay diverged", src.name)
 		}
-		h, err := c.Hash()
-		if err != nil {
-			t.Fatal(err)
+		if h := c.Hash(); h != wantHash {
+			t.Errorf("%s: Hash = %s, want %s", src.name, h, wantHash)
 		}
-		if len(h) != 64 {
-			t.Errorf("Hash = %q, want 64 hex chars", h)
+		if err := release(); err != nil {
+			t.Errorf("%s: release: %v", src.name, err)
 		}
-		if err := c.Close(); err != nil {
-			t.Errorf("Close: %v", err)
-		}
+	}
+
+	c, err := Open(path, OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := collect(t, c); !eventsEqual(got, want) {
+		t.Error("Open replay diverged")
+	}
+	if err := c.Close(); err != nil {
+		t.Errorf("Close: %v", err)
+	}
+	if _, err := Open(filepath.Join(t.TempDir(), "missing.cbwc"), OpenOptions{}); err == nil {
+		t.Error("Open of a missing file succeeded")
 	}
 }
 
@@ -177,11 +207,6 @@ func TestPackDeterministicHash(t *testing.T) {
 	b := packEvents(t, "det", events, Options{})
 	if !bytes.Equal(a, b) {
 		t.Fatal("packing the same events twice produced different bytes")
-	}
-	ca := packEvents(t, "det", events, Options{Compress: true})
-	cb := packEvents(t, "det", events, Options{Compress: true})
-	if !bytes.Equal(ca, cb) {
-		t.Fatal("compressed packing is nondeterministic")
 	}
 }
 
@@ -201,11 +226,7 @@ func TestPackFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	h, err := c.Hash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h != res.Hash {
+	if h := c.Hash(); h != res.Hash {
 		t.Errorf("reopened hash %s != pack hash %s", h, res.Hash)
 	}
 	if c.Instructions() != res.Instructions {
@@ -354,14 +375,22 @@ func TestOpenRejectsCorrupt(t *testing.T) {
 		"bad-magic":   mutate(func(b []byte) { b[0] = 'X' }),
 		"bad-version": mutate(func(b []byte) { b[4] = 9 }),
 		"bad-flags":   mutate(func(b []byte) { b[5] = 0x80 }),
-		"reserved":    mutate(func(b []byte) { b[6] = 1 }),
-		"bad-granule": mutate(func(b []byte) { binary.LittleEndian.PutUint32(b[8:], 0) }),
-		"bad-end":     mutate(func(b []byte) { b[len(b)-1] ^= 0xFF }),
+		// Flag bit 0 marked the DEFLATE payloads of the removed
+		// compressed variant.
+		"compressed-flag": mutate(func(b []byte) { b[5] = 0x01 }),
+		"reserved":        mutate(func(b []byte) { b[6] = 1 }),
+		"bad-granule":     mutate(func(b []byte) { binary.LittleEndian.PutUint32(b[8:], 0) }),
+		"bad-end":         mutate(func(b []byte) { b[len(b)-1] ^= 0xFF }),
 		"bad-index-off": mutate(func(b []byte) {
 			binary.LittleEndian.PutUint64(b[len(b)-trailerLen:], 1)
 		}),
 		"bad-event-count": mutate(func(b []byte) {
 			binary.LittleEndian.PutUint64(b[len(b)-trailerLen+24:], 7)
+		}),
+		"stored-ne-raw": mutate(func(b []byte) {
+			indexOff := binary.LittleEndian.Uint64(b[len(b)-trailerLen:])
+			stored := b[indexOff+8:]
+			binary.LittleEndian.PutUint32(stored, binary.LittleEndian.Uint32(stored)-1)
 		}),
 	}
 	for name, b := range cases {
@@ -444,14 +473,5 @@ func TestColumnarCompactness(t *testing.T) {
 	}
 	if perEvent := float64(len(data)) / 10000; perEvent > 4.5 {
 		t.Errorf("strided corpus is %.2f bytes/event, want <= 4.5", perEvent)
-	}
-}
-
-func TestCompressedSmaller(t *testing.T) {
-	events := randomEvents(20000, 9)
-	plain := packEvents(t, "c", events, Options{})
-	comp := packEvents(t, "c", events, Options{Compress: true})
-	if len(comp) >= len(plain) {
-		t.Errorf("compressed corpus (%d bytes) not smaller than plain (%d bytes)", len(comp), len(plain))
 	}
 }

@@ -81,8 +81,8 @@ func sameEvent(a, b trace.Event) bool {
 // Any byte string the CBWT stream decoder accepts defines an event
 // stream; packing that stream into a CBWC corpus and replaying it must
 // reproduce the stream bit-identically (modulo the Instr N=0→1
-// normalization both codecs share), under both the plain and the
-// compressed/small-block configurations — and packing twice must
+// normalization both codecs share), under both the default and a
+// small-block configuration — and packing twice must
 // produce byte-identical corpora, pinning the content-address
 // determinism the cbwsd cache keys rely on.
 func FuzzCorpusRoundTrip(f *testing.F) {
@@ -106,7 +106,7 @@ func FuzzCorpusRoundTrip(f *testing.F) {
 		}
 		for _, opts := range []corpus.Options{
 			{},
-			{BlockEvents: 64, Compress: true},
+			{BlockEvents: 64},
 		} {
 			packed := packBytes(t, first.Name(), first.Events, opts)
 			again := packBytes(t, first.Name(), first.Events, opts)
@@ -143,7 +143,8 @@ func FuzzCorpusParse(f *testing.F) {
 	if err := r.DecodeBatches(tr); err != nil {
 		f.Fatal(err)
 	}
-	for _, opts := range []corpus.Options{{}, {BlockEvents: 128, Compress: true}} {
+	var plain []byte
+	for _, opts := range []corpus.Options{{}, {BlockEvents: 128}} {
 		var buf bytes.Buffer
 		w, werr := corpus.NewWriter(&buf, tr.Name(), opts)
 		if werr != nil {
@@ -154,6 +155,9 @@ func FuzzCorpusParse(f *testing.F) {
 			f.Fatal(werr)
 		}
 		seed := buf.Bytes()
+		if plain == nil {
+			plain = seed
+		}
 		f.Add(seed)
 		// A few deterministic corruptions so the fuzzer starts inside
 		// interesting validation branches, not just at the magic check.
@@ -166,6 +170,11 @@ func FuzzCorpusParse(f *testing.F) {
 	}
 	f.Add([]byte("CBWC"))
 	f.Add([]byte{})
+	// Flag bit 0 set: the header of a corpus written by the removed
+	// DEFLATE variant, which must now be ErrBadCorpus.
+	flagged := bytes.Clone(plain)
+	flagged[5] |= 1
+	f.Add(flagged)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := corpus.OpenBytes(data)

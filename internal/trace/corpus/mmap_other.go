@@ -2,16 +2,8 @@
 
 package corpus
 
-import (
-	"errors"
-	"os"
-)
-
-// errMmapUnavailable makes Open fall through to the io.ReaderAt path.
-var errMmapUnavailable = errors.New("corpus: mmap unavailable")
-
 // mmapFile always fails on platforms without a memory-mapping
-// implementation; Open falls back to positioned reads.
-func mmapFile(_ *os.File, _ int64) ([]byte, func() error, error) {
+// implementation; Open reads the file into memory instead.
+func mmapFile(string) ([]byte, func() error, error) {
 	return nil, nil, errMmapUnavailable
 }

@@ -3,17 +3,24 @@
 package corpus
 
 import (
-	"errors"
 	"os"
 	"syscall"
 )
 
-// errMmapUnavailable makes Open fall through to the io.ReaderAt path.
-var errMmapUnavailable = errors.New("corpus: mmap unavailable")
-
 // mmapFile maps the whole file read-only and returns the mapping plus
-// its release function. Callers fall back to positioned reads on error.
-func mmapFile(f *os.File, size int64) ([]byte, func() error, error) {
+// its release function. The mapping outlives the file descriptor,
+// which is closed before returning.
+func mmapFile(path string) ([]byte, func() error, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return nil, nil, err
+	}
+	size := st.Size()
 	if size <= 0 || int64(int(size)) != size {
 		return nil, nil, errMmapUnavailable
 	}

@@ -1,12 +1,11 @@
 package corpus
 
 import (
-	"compress/flate"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
-	"io"
 	"math/bits"
 	"os"
 
@@ -14,163 +13,107 @@ import (
 	"cbws/internal/trace"
 )
 
-// OpenOptions configures Open.
-type OpenOptions struct {
-	// DisableMmap forces the io.ReaderAt fallback path even on
-	// platforms with mmap support. Replay output is identical either
-	// way; the fallback copies each block through a reused buffer
-	// instead of decoding straight out of the page cache.
-	DisableMmap bool
-}
+// OpenOptions configures Open. It has no fields: the platform, not the
+// caller, decides how the file's bytes are obtained, and replay is the
+// same either way.
+type OpenOptions struct{}
 
 // Corpus is an opened CBWC file. It is immutable and safe for
 // concurrent use; per-goroutine decode state lives in Replayers.
 type Corpus struct {
 	name        string
-	compressed  bool
 	blockEvents int
 	eventCount  uint64
 	instrCount  uint64
 	index       []blockEntry
 
-	data    []byte       // whole-file view (mmap or caller-provided bytes)
-	unmap   func() error // releases data when it is a mapping
-	ra      io.ReaderAt  // fallback block source when data == nil
-	f       *os.File     // owned handle backing ra (closed by Close)
-	size    int64
-	mmapped bool
-
-	maxStored uint32 // scratch sizing for fallback/compressed reads
-	maxRaw    uint32
+	data  []byte       // the whole file: mapped, read in, or caller-provided
+	unmap func() error // releases data (nil for OpenBytes corpora)
 }
 
-// Open opens a corpus file, mapping it into memory where the platform
-// supports it and falling back to positioned reads otherwise.
-func Open(path string, opts OpenOptions) (*Corpus, error) {
-	f, err := os.Open(path)
+// Open opens a corpus file. Where the platform supports it the file is
+// mapped read-only; elsewhere, or when the mapping fails, it is read
+// into memory. Either way the bytes go through OpenBytes.
+func Open(path string, _ OpenOptions) (*Corpus, error) {
+	data, unmap, err := mmapFile(path)
+	if err != nil {
+		data, unmap, err = readFile(path)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("corpus: %w", err)
 	}
-	st, err := f.Stat()
+	c, err := OpenBytes(data)
 	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("corpus: %w", err)
-	}
-	if !opts.DisableMmap {
-		if data, unmap, err := mmapFile(f, st.Size()); err == nil {
-			c, cerr := OpenBytes(data)
-			if cerr != nil {
-				unmap()
-				f.Close()
-				return nil, cerr
-			}
-			c.unmap = unmap
-			c.f = f
-			c.mmapped = true
-			return c, nil
-		}
-	}
-	c, err := openReaderAt(f, st.Size())
-	if err != nil {
-		f.Close()
+		unmap()
 		return nil, err
 	}
-	c.f = f
+	c.unmap = unmap
 	return c, nil
+}
+
+// errMmapUnavailable reports a file mmapFile cannot map (empty, too
+// large for the address space, or no mapping on this platform).
+var errMmapUnavailable = errors.New("corpus: mmap unavailable")
+
+// readFile is the byte source where mapping is unavailable: the whole
+// file read into memory, with nothing to release.
+func readFile(path string) ([]byte, func() error, error) {
+	data, err := os.ReadFile(path)
+	return data, func() error { return nil }, err
 }
 
 // OpenBytes parses a corpus already resident in memory. The Corpus
 // aliases data; the caller must keep it valid until Close.
 func OpenBytes(data []byte) (*Corpus, error) {
-	c := &Corpus{data: data, size: int64(len(data))}
-	if err := c.parse(func(buf []byte, off int64) error {
-		if off < 0 || off+int64(len(buf)) > int64(len(data)) {
-			return fmt.Errorf("%w: truncated", ErrBadCorpus)
-		}
-		copy(buf, data[off:])
-		return nil
-	}); err != nil {
+	c := &Corpus{data: data}
+	if err := c.parse(); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
-// OpenReaderAt parses a corpus served by positioned reads (the
-// explicit fallback constructor; Open uses it when mmap is unavailable
-// or disabled).
-func OpenReaderAt(ra io.ReaderAt, size int64) (*Corpus, error) {
-	return openReaderAt(ra, size)
-}
-
-func openReaderAt(ra io.ReaderAt, size int64) (*Corpus, error) {
-	c := &Corpus{ra: ra, size: size}
-	if err := c.parse(func(buf []byte, off int64) error {
-		if _, err := ra.ReadAt(buf, off); err != nil {
-			return fmt.Errorf("%w: %v", ErrBadCorpus, err)
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// parse validates the header, trailer, and block index via the given
-// positioned-read function.
-func (c *Corpus) parse(readAt func(buf []byte, off int64) error) error {
+// parse validates the header, trailer, and block index of c.data.
+func (c *Corpus) parse() error {
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("%w: %s", ErrBadCorpus, fmt.Sprintf(format, args...))
 	}
+	data := c.data
 	// Fixed header prefix: magic(4) + version(1) + flags(1) +
 	// reserved(2) + blockEvents(4) = 12 bytes, then at least one
 	// nameLen byte.
 	const headerMin = 12 + 1
-	if c.size < int64(headerMin+trailerLen) {
-		return bad("file too small (%d bytes)", c.size)
+	if len(data) < headerMin+trailerLen {
+		return bad("file too small (%d bytes)", len(data))
 	}
 
 	// Header: magic, version, flags, block granule, name.
-	hdr := make([]byte, headerMin)
-	if err := readAt(hdr, 0); err != nil {
-		return err
+	if string(data[:4]) != magic {
+		return bad("bad magic %q", data[:4])
 	}
-	if string(hdr[:4]) != magic {
-		return bad("bad magic %q", hdr[:4])
+	if data[4] != version {
+		return bad("unsupported version %d", data[4])
 	}
-	if hdr[4] != version {
-		return bad("unsupported version %d", hdr[4])
+	if data[5] != 0 {
+		return bad("flags %#x set in the reserved flags byte (DEFLATE-compressed corpora are no longer read; repack them)", data[5])
 	}
-	flags := hdr[5]
-	if flags&^byte(flagCompressed) != 0 {
-		return bad("unknown flags %#x", flags)
-	}
-	c.compressed = flags&flagCompressed != 0
-	if hdr[6] != 0 || hdr[7] != 0 {
+	if data[6] != 0 || data[7] != 0 {
 		return bad("nonzero reserved bytes")
 	}
-	be := binary.LittleEndian.Uint32(hdr[8:])
+	be := binary.LittleEndian.Uint32(data[8:])
 	if be < 1 || be > MaxBlockEvents {
 		return bad("block events %d out of range [1, %d]", be, MaxBlockEvents)
 	}
 	c.blockEvents = int(be)
-	// The name length is a uvarint; read enough bytes for the worst
-	// case, bounded by the file size.
-	nameArea := make([]byte, min64(int64(binary.MaxVarintLen64+maxNameLen), c.size-12))
-	if err := readAt(nameArea, 12); err != nil {
-		return err
-	}
-	nameLen, n := binary.Uvarint(nameArea)
-	if n <= 0 || nameLen > maxNameLen || int64(n)+int64(nameLen) > int64(len(nameArea)) {
+	nameLen, n := binary.Uvarint(data[12:])
+	if n <= 0 || nameLen > maxNameLen || uint64(n)+nameLen > uint64(len(data)-12) {
 		return bad("bad name length")
 	}
-	c.name = string(nameArea[n : n+int(nameLen)])
-	headerEnd := int64(12 + n + int(nameLen))
+	c.name = string(data[12+n : 12+n+int(nameLen)])
+	headerEnd := uint64(12 + n + int(nameLen))
 
 	// Trailer.
-	tr := make([]byte, trailerLen)
-	if err := readAt(tr, c.size-int64(trailerLen)); err != nil {
-		return err
-	}
+	end := uint64(len(data) - trailerLen) // where the index must stop
+	tr := data[end:]
 	if string(tr[40:]) != magicEnd {
 		return bad("bad end magic %q", tr[40:])
 	}
@@ -179,21 +122,18 @@ func (c *Corpus) parse(readAt func(buf []byte, off int64) error) error {
 	blockCount := binary.LittleEndian.Uint64(tr[16:])
 	c.eventCount = binary.LittleEndian.Uint64(tr[24:])
 	c.instrCount = binary.LittleEndian.Uint64(tr[32:])
-	if indexLen != blockCount*indexEntry {
+	if indexLen%indexEntry != 0 || indexLen/indexEntry != blockCount {
 		return bad("index length %d does not cover %d blocks", indexLen, blockCount)
 	}
-	if int64(indexOff) < headerEnd || indexOff+indexLen != uint64(c.size-int64(trailerLen)) {
+	if indexOff < headerEnd || indexOff > end || indexLen != end-indexOff {
 		return bad("index does not abut the trailer")
 	}
 
 	// Index: contiguous, in-order blocks exactly filling
 	// [headerEnd, indexOff).
-	idx := make([]byte, indexLen)
-	if err := readAt(idx, int64(indexOff)); err != nil {
-		return err
-	}
+	idx := data[indexOff:end]
 	c.index = make([]blockEntry, blockCount)
-	next := uint64(headerEnd)
+	next := headerEnd
 	var events uint64
 	for i := range c.index {
 		e := &c.index[i]
@@ -218,26 +158,16 @@ func (c *Corpus) parse(readAt func(buf []byte, off int64) error) error {
 			return bad("block %d kind column has %d bytes for %d events", i, e.colLen[colKinds], e.events)
 		}
 		// Generous per-event ceiling (kind + four 10-byte varints +
-		// taken bit): bounds the decode scratch a hostile index can
-		// demand.
+		// taken bit): no event mix fills a longer block, so reject it
+		// here rather than at replay.
 		if uint64(e.rawLen) > uint64(e.events)*48 {
 			return bad("block %d raw length %d implausible for %d events", i, e.rawLen, e.events)
 		}
-		if c.compressed {
-			if e.storedLen == 0 {
-				return bad("block %d empty", i)
-			}
-		} else if e.storedLen != e.rawLen {
-			return bad("block %d stored length %d != raw length %d in an uncompressed corpus", i, e.storedLen, e.rawLen)
+		if e.storedLen != e.rawLen {
+			return bad("block %d stored length %d != raw length %d", i, e.storedLen, e.rawLen)
 		}
 		next += uint64(e.storedLen)
 		events += uint64(e.events)
-		if e.storedLen > c.maxStored {
-			c.maxStored = e.storedLen
-		}
-		if e.rawLen > c.maxRaw {
-			c.maxRaw = e.rawLen
-		}
 	}
 	if next != indexOff {
 		return bad("blocks end at %d, index starts at %d", next, indexOff)
@@ -246,13 +176,6 @@ func (c *Corpus) parse(readAt func(buf []byte, off int64) error) error {
 		return bad("index holds %d events, trailer claims %d", events, c.eventCount)
 	}
 	return nil
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Name returns the trace name recorded in the corpus header.
@@ -270,18 +193,11 @@ func (c *Corpus) Blocks() int { return len(c.index) }
 // BlockEvents returns the events-per-block granule.
 func (c *Corpus) BlockEvents() int { return c.blockEvents }
 
-// Compressed reports whether block payloads are DEFLATE-compressed.
-func (c *Corpus) Compressed() bool { return c.compressed }
-
 // Size returns the file size in bytes.
-func (c *Corpus) Size() int64 { return c.size }
+func (c *Corpus) Size() int64 { return int64(len(c.data)) }
 
-// Mmapped reports whether the corpus is served from a memory mapping
-// (false on the io.ReaderAt fallback path).
-func (c *Corpus) Mmapped() bool { return c.mmapped }
-
-// ColumnBytes returns the total on-disk (uncompressed) bytes of each
-// column, in format order: kinds, pc, addr, n, block, taken.
+// ColumnBytes returns the total on-disk bytes of each column, in
+// format order: kinds, pc, addr, n, block, taken.
 func (c *Corpus) ColumnBytes() [6]uint64 {
 	var out [6]uint64
 	for i := range c.index {
@@ -294,60 +210,37 @@ func (c *Corpus) ColumnBytes() [6]uint64 {
 
 // Hash computes the content address: the hex SHA-256 over the exact
 // file bytes.
-func (c *Corpus) Hash() (string, error) {
-	h := sha256.New()
-	if c.data != nil {
-		h.Write(c.data)
-	} else {
-		if _, err := io.Copy(h, io.NewSectionReader(c.ra, 0, c.size)); err != nil {
-			return "", fmt.Errorf("corpus: hashing: %w", err)
-		}
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
+func (c *Corpus) Hash() string {
+	sum := sha256.Sum256(c.data)
+	return hex.EncodeToString(sum[:])
 }
 
-// Close releases the mapping and the underlying file.
+// Close releases the file's bytes. A Corpus from OpenBytes has nothing
+// to release.
 func (c *Corpus) Close() error {
-	var err error
-	if c.unmap != nil {
-		err = c.unmap()
-		c.unmap = nil
-		c.data = nil
+	if c.unmap == nil {
+		return nil
 	}
-	if c.f != nil {
-		if cerr := c.f.Close(); err == nil {
-			err = cerr
-		}
-		c.f = nil
-	}
+	err := c.unmap()
+	c.unmap, c.data = nil, nil
 	return err
 }
 
 // Replayer replays a corpus as a trace.Generator. Each Replayer owns
-// its decode buffers, so independent simulations can replay one shared
+// its decode buffer, so independent simulations can replay one shared
 // Corpus concurrently; a single Replayer is not safe for concurrent use
 // but is reusable — every GenerateBatches/Replay call starts from the
 // first event.
 type Replayer struct {
-	c       *Corpus
-	buf     []trace.Event
-	scratch []byte        // decompressed/read block payload when needed
-	stored  []byte        // compressed payload staging for the fallback path
-	fr      io.ReadCloser // flate reader, Reset-reused across blocks
+	c   *Corpus
+	buf []trace.Event
 }
 
-// NewReplayer returns a replayer with freshly allocated decode buffers.
-// All buffers are sized up front from the index, so replay itself
-// allocates nothing.
+// NewReplayer returns a replayer with a freshly allocated decode
+// buffer, sized to the block granule, so replay itself allocates
+// nothing.
 func (c *Corpus) NewReplayer() *Replayer {
-	r := &Replayer{c: c, buf: make([]trace.Event, c.blockEvents)}
-	if c.data == nil || c.compressed {
-		r.scratch = make([]byte, c.maxRaw)
-	}
-	if c.compressed && c.data == nil {
-		r.stored = make([]byte, c.maxStored)
-	}
-	return r
+	return &Replayer{c: c, buf: make([]trace.Event, c.blockEvents)}
 }
 
 // Name implements trace.Generator.
@@ -367,11 +260,7 @@ func (r *Replayer) Replay(sink trace.BatchSink) error {
 	c := r.c
 	for i := range c.index {
 		e := &c.index[i]
-		data, err := r.blockPayload(e)
-		if err != nil {
-			return fmt.Errorf("%w: block %d: %v", ErrBadCorpus, i, err)
-		}
-		if !r.decodeBlock(e, data) {
+		if !r.decodeBlock(e, c.data[e.offset:e.offset+uint64(e.rawLen)]) {
 			return fmt.Errorf("%w: block %d: corrupt columns", ErrBadCorpus, i)
 		}
 		if !sink.ConsumeBatch(r.buf[:e.events]) {
@@ -379,68 +268,6 @@ func (r *Replayer) Replay(sink trace.BatchSink) error {
 		}
 	}
 	return nil
-}
-
-// blockPayload returns the raw (decompressed) payload bytes of one
-// block: a zero-copy subslice of the mapping when possible, the reused
-// scratch buffer otherwise.
-func (r *Replayer) blockPayload(e *blockEntry) ([]byte, error) {
-	c := r.c
-	if c.data != nil && !c.compressed {
-		return c.data[e.offset : e.offset+uint64(e.storedLen)], nil
-	}
-	if c.data != nil { // mmapped but compressed
-		return r.inflate(c.data[e.offset:e.offset+uint64(e.storedLen)], e.rawLen)
-	}
-	if !c.compressed { // fallback reads, plain payload
-		out := r.scratch[:e.storedLen]
-		if _, err := c.ra.ReadAt(out, int64(e.offset)); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	stored := r.stored[:e.storedLen]
-	if _, err := c.ra.ReadAt(stored, int64(e.offset)); err != nil {
-		return nil, err
-	}
-	return r.inflate(stored, e.rawLen)
-}
-
-// inflate decompresses one block payload into the reused scratch
-// buffer.
-func (r *Replayer) inflate(stored []byte, rawLen uint32) ([]byte, error) {
-	br := byteReaderAt{data: stored}
-	if r.fr == nil {
-		r.fr = flate.NewReader(&br)
-	} else if err := r.fr.(flate.Resetter).Reset(&br, nil); err != nil {
-		return nil, err
-	}
-	out := r.scratch[:rawLen]
-	if _, err := io.ReadFull(r.fr, out); err != nil {
-		return nil, err
-	}
-	// The payload must end exactly at rawLen.
-	var one [1]byte
-	if n, err := r.fr.Read(one[:]); n != 0 || err != io.EOF {
-		return nil, fmt.Errorf("block longer than its raw length")
-	}
-	return out, nil
-}
-
-// byteReaderAt is a minimal io.Reader over a byte slice, avoiding a
-// bytes.Reader allocation per block.
-type byteReaderAt struct {
-	data []byte
-	pos  int
-}
-
-func (b *byteReaderAt) Read(p []byte) (int, error) {
-	if b.pos >= len(b.data) {
-		return 0, io.EOF
-	}
-	n := copy(p, b.data[b.pos:])
-	b.pos += n
-	return n, nil
 }
 
 // decodeBlock decodes one block payload into r.buf, returning false on

@@ -1,7 +1,6 @@
 package corpus
 
 import (
-	"compress/flate"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -18,11 +17,6 @@ import (
 type Options struct {
 	// BlockEvents is the events-per-block granule (0: DefaultBlockEvents).
 	BlockEvents int
-	// Compress DEFLATE-compresses each block payload. Compressed
-	// corpora trade replay throughput (and the zero-allocation
-	// steady state) for disk footprint; leave it off for benchmark
-	// and golden-gate corpora.
-	Compress bool
 }
 
 // withDefaults fills the zero fields and validates the rest.
@@ -41,11 +35,10 @@ func (o Options) withDefaults() (Options, error) {
 // trace.DriveBatches. Encoding errors are sticky and
 // reported by Close.
 type Writer struct {
-	w     io.Writer
-	sum   hash.Hash // sha256 over every byte written
-	opts  Options
-	name  string
-	flags byte
+	w    io.Writer
+	sum  hash.Hash // sha256 over every byte written
+	opts Options
+	name string
 
 	// Current block state.
 	events   int // events in the current block
@@ -61,18 +54,8 @@ type Writer struct {
 	index      []blockEntry
 	eventCount uint64
 	instrCount uint64
-	comp       *flate.Writer
-	compBuf    countingWriter
 	closed     bool
 	err        error
-}
-
-// countingWriter buffers compressed block bytes for length accounting.
-type countingWriter struct{ buf []byte }
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	c.buf = append(c.buf, p...)
-	return len(p), nil
 }
 
 // NewWriter writes the corpus header for the given trace name and
@@ -87,13 +70,9 @@ func NewWriter(w io.Writer, name string, opts Options) (*Writer, error) {
 	}
 	cw := &Writer{sum: sha256.New(), opts: opts, name: name}
 	cw.w = io.MultiWriter(w, cw.sum)
-	if opts.Compress {
-		cw.flags |= flagCompressed
-		cw.comp, _ = flate.NewWriter(&cw.compBuf, flate.DefaultCompression)
-	}
 	var hdr []byte
 	hdr = append(hdr, magic...)
-	hdr = append(hdr, version, cw.flags, 0, 0)
+	hdr = append(hdr, version, 0, 0, 0) // flags and reserved bytes are zero
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(opts.BlockEvents))
 	hdr = binary.AppendUvarint(hdr, uint64(len(name)))
 	hdr = append(hdr, name...)
@@ -195,29 +174,10 @@ func (w *Writer) flushBlock() {
 		raw += len(col)
 	}
 	entry.rawLen = uint32(raw)
-	if w.opts.Compress {
-		w.compBuf.buf = w.compBuf.buf[:0]
-		w.comp.Reset(&w.compBuf)
-		for _, col := range w.cols {
-			if _, err := w.comp.Write(col); err != nil {
-				w.err = err
-				return
-			}
-		}
-		if err := w.comp.Close(); err != nil {
-			w.err = err
+	entry.storedLen = entry.rawLen
+	for _, col := range w.cols {
+		if w.write(col) != nil {
 			return
-		}
-		entry.storedLen = uint32(len(w.compBuf.buf))
-		if w.write(w.compBuf.buf) != nil {
-			return
-		}
-	} else {
-		entry.storedLen = entry.rawLen
-		for _, col := range w.cols {
-			if w.write(col) != nil {
-				return
-			}
 		}
 	}
 	w.index = append(w.index, entry)

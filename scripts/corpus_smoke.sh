@@ -10,9 +10,7 @@
 #   3. run the full figures golden matrix with -corpus-dir so the two
 #      packed kernels replay from the corpus while the rest generate
 #      live, and require the manifest to match golden/seed.json byte
-#      for byte — corpus replay must be invisible to results;
-#   4. repeat with -corpus-mmap=false to drive the positioned-read
-#      fallback path through the same golden gate.
+#      for byte — corpus replay must be invisible to results.
 #
 # Run from the repository root: ./scripts/corpus_smoke.sh
 set -euo pipefail
@@ -49,20 +47,12 @@ cmp "$tmp/corpus/stencil-default.cbwc" "$tmp/converted.cbwc" || {
     exit 1
 }
 
-echo "corpus-smoke: golden matrix with corpus replay (mmap)"
+echo "corpus-smoke: golden matrix with corpus replay"
 "$tmp/figures" -n "$N" -warmup "$WARM" -corpus-dir "$tmp/corpus" \
-    -golden "$tmp/golden-mmap.json"
-cmp "$tmp/golden-mmap.json" golden/seed.json || {
-    echo "corpus-smoke: mmap corpus replay diverged from golden/seed.json" >&2
+    -golden "$tmp/golden-corpus.json"
+cmp "$tmp/golden-corpus.json" golden/seed.json || {
+    echo "corpus-smoke: corpus replay diverged from golden/seed.json" >&2
     exit 1
 }
 
-echo "corpus-smoke: golden matrix with corpus replay (ReaderAt fallback)"
-"$tmp/figures" -n "$N" -warmup "$WARM" -corpus-dir "$tmp/corpus" -corpus-mmap=false \
-    -golden "$tmp/golden-readerat.json"
-cmp "$tmp/golden-readerat.json" golden/seed.json || {
-    echo "corpus-smoke: ReaderAt corpus replay diverged from golden/seed.json" >&2
-    exit 1
-}
-
-echo "corpus-smoke: PASS (pack deterministic, convert byte-identical, golden matched on both replay paths)"
+echo "corpus-smoke: PASS (pack deterministic, convert byte-identical, golden matched under corpus replay)"
