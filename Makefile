@@ -79,6 +79,11 @@ FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test ./internal/check/ -run '^$$' -fuzz '^FuzzCacheVsRef$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/check/ -run '^$$' -fuzz '^FuzzCBWSVsRef$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/check/ -run '^$$' -fuzz '^FuzzPythiaVsRef$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/check/ -run '^$$' -fuzz '^FuzzGazeVsRef$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/check/ -run '^$$' -fuzz '^FuzzStrideVsRef$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/check/ -run '^$$' -fuzz '^FuzzGHBVsRef$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/check/ -run '^$$' -fuzz '^FuzzSMSVsRef$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzTraceRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzStreamChunkFraming$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace/corpus/ -run '^$$' -fuzz '^FuzzCorpusRoundTrip$$' -fuzztime $(FUZZTIME)
@@ -142,6 +147,7 @@ lint: fmt-check vet lint-custom
 # must stay within the baseline's time ratio with exact allocs/op.
 # To re-baseline: make bench-gate BENCHGATE_FLAGS='-write BENCH_baseline.json'
 BENCHGATE_FLAGS ?= -baseline BENCH_baseline.json
+BENCH_GATED = BenchmarkPipelineEventsPerSec$$|BenchmarkCBWSOnAccess$$|BenchmarkCorpusReplayEventsPerSec$$|BenchmarkPythiaOnAccess$$|BenchmarkGazeOnAccess$$|BenchmarkStrideOnAccess$$|BenchmarkGHBOnAccess$$|BenchmarkSMSOnAccess$$|BenchmarkHierarchyAccessInto$$
 # The end-to-end benchmark (bench/) is its own module, so the root
 # `go test ./...` never compiles it; vet and test it against the
 # current tree's APIs.
@@ -149,8 +155,7 @@ bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 bench-gate:
-	$(GO) test -run '^$$' -bench 'BenchmarkPipelineEventsPerSec$$|BenchmarkCBWSOnAccess$$|BenchmarkCorpusReplayEventsPerSec$$|BenchmarkPythiaOnAccess$$|BenchmarkGazeOnAccess$$' \
-		-count 3 . | tee /tmp/cbws-bench.out
+	$(GO) test -run '^$$' -bench '$(BENCH_GATED)' -count 3 . | tee /tmp/cbws-bench.out
 	$(GO) run ./cmd/benchgate $(BENCHGATE_FLAGS) -input /tmp/cbws-bench.out
 
 check: build vet fmt-check test race obs-smoke

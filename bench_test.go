@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"cbws"
+	"cbws/internal/cache"
 	"cbws/internal/core"
 	"cbws/internal/harness"
 	"cbws/internal/mem"
@@ -466,6 +467,101 @@ func BenchmarkGazeOnAccess(b *testing.B) {
 		if i%17 == 0 {
 			g.OnCacheEvict(base)
 		}
+	}
+}
+
+// BenchmarkStrideOnAccess measures the stride table's steady-state hot
+// path (PC index lookup, confidence update, degree-deep issue) on
+// interleaved strided miss streams of 32 PCs; allocs/op is pinned at 0
+// by benchgate.
+func BenchmarkStrideOnAccess(b *testing.B) {
+	p := prefetch.NewStride(prefetch.StrideConfig{})
+	drop := func(l mem.LineAddr) {}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % 32
+		l := mem.LineAddr(1<<20 + k<<14 + (i/32)*(k%5+1))
+		p.OnAccess(prefetch.Access{PC: 0x400000 + uint64(k)*0x40, Addr: l.Byte(), Line: l}, drop)
+	}
+}
+
+// BenchmarkGHBOnAccess measures the GHB's steady-state hot path (ring
+// push, index update, linked history walk, delta correlation) in both
+// index modes on eight interleaved miss streams with periodic delta
+// patterns; allocs/op is pinned at 0 by benchgate.
+func BenchmarkGHBOnAccess(b *testing.B) {
+	deltas := []int64{1, 3, -2, 5}
+	for _, mode := range []struct {
+		name string
+		mode prefetch.GHBIndexMode
+	}{{"pc-dc", prefetch.PCDC}, {"g-dc", prefetch.GlobalDC}} {
+		b.Run(mode.name, func(b *testing.B) {
+			p := prefetch.NewGHB(prefetch.GHBConfig{Mode: mode.mode})
+			drop := func(l mem.LineAddr) {}
+			var lines [8]mem.LineAddr
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k := i % 8
+				lines[k] = lines[k].Add(deltas[(i/8+k)%len(deltas)])
+				l := mem.LineAddr(1<<20 + k<<16).Add(int64(lines[k]))
+				p.OnAccess(prefetch.Access{PC: 0x400000 + uint64(k)*0x40, Addr: l.Byte(), Line: l}, drop)
+			}
+		})
+	}
+}
+
+// BenchmarkSMSOnAccess measures SMS's steady-state hot path (AGT and
+// filter region scans, PHT lookup and footprint issue, generation ends
+// on eviction) on a stream that walks a recurring footprint over fresh
+// 2KB regions; allocs/op is pinned at 0 by benchgate.
+func BenchmarkSMSOnAccess(b *testing.B) {
+	p := prefetch.NewSMS(prefetch.SMSConfig{})
+	drop := func(l mem.LineAddr) {}
+	offs := []int{0, 3, 4, 9, 17, 30}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		gen := i / len(offs)
+		region := mem.LineAddr(1<<20 + gen%4096*32)
+		l := region.Add(int64(offs[i%len(offs)]))
+		p.OnAccess(prefetch.Access{PC: 0x400000 + uint64(gen%3)*0x40, Addr: l.Byte(), Line: l}, drop)
+		if i%len(offs) == len(offs)-1 && gen%2 == 0 {
+			p.OnCacheEvict(region) // end every other generation by eviction
+		}
+	}
+}
+
+// BenchmarkHierarchyAccessInto measures one demand access through the
+// two-level hierarchy, replaying the recorded load/store stream of a
+// pointer-chasing workload (429.mcf), which misses the L1 and L2 far
+// more often than the loop kernels; allocs/op is pinned at 0 by
+// benchgate.
+func BenchmarkHierarchyAccessInto(b *testing.B) {
+	spec, ok := workload.ByName("429.mcf-ref")
+	if !ok {
+		b.Fatal("429.mcf-ref not registered")
+	}
+	tr := trace.Capture(trace.Limit{Gen: spec.Make(), Max: 1_000_000})
+	var stream []trace.Event
+	for _, e := range tr.Events {
+		if e.Kind == trace.Load || e.Kind == trace.Store {
+			stream = append(stream, e)
+		}
+	}
+	h, err := cache.NewHierarchy(cache.DefaultHierarchyConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var info cache.AccessInfo
+	now := uint64(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e := &stream[i%len(stream)]
+		h.AccessInto(&info, e.PC, e.Addr, e.Kind == trace.Store, now)
+		now += 3
 	}
 }
 

@@ -1,0 +1,257 @@
+package main
+
+import (
+	"bytes"
+	"fmt"
+	"io"
+	"math/rand"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"sort"
+	"strings"
+
+	"cbws/internal/cli"
+)
+
+// abConfig holds the options of the paired A/B mode (-ab).
+type abConfig struct {
+	bench   string   // -test.bench regex
+	overlay []string // repo-relative files copied from the working tree into the base checkout
+}
+
+const (
+	// abBase is the branch whose merge-base with HEAD is the baseline.
+	abBase = "main"
+	// abLimit fails the gate when a ratio interval's lower bound
+	// exceeds it: a slowdown beyond 10% at the interval's confidence.
+	abLimit = 1.10
+	// abConf is the bootstrap interval's coverage.
+	abConf = 0.95
+	// abRounds is the number of alternating rounds per side.
+	abRounds = 10
+	// abBenchtime is each benchmark's -test.benchtime in each round.
+	abBenchtime = "200ms"
+)
+
+// abResult is one benchmark's paired comparison. Ratios are
+// head/base ns/op, so above 1 means the working tree is slower.
+type abResult struct {
+	Name                 string
+	BaseNs, HeadNs       float64 // medians over rounds
+	Ratio                float64 // median per-round ratio
+	Lo, Hi               float64 // bootstrap interval of the median ratio
+	BaseAlloc, HeadAlloc int64
+}
+
+// regressed reports whether the working tree is slower than limit×base
+// with the interval's confidence: the whole interval lies above limit.
+func (r abResult) regressed(limit float64) bool { return r.Lo > limit }
+
+// median returns the median of xs (the mean of the middle pair for an
+// even count). xs is not modified.
+func median(xs []float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	n := len(s)
+	if n%2 == 1 {
+		return s[n/2]
+	}
+	return (s[n/2-1] + s[n/2]) / 2
+}
+
+// bootstrapMedianCI returns the percentile-bootstrap interval of the
+// median of xs at coverage conf: it resamples xs with replacement,
+// takes each resample's median, and returns the (1-conf)/2 and
+// (1+conf)/2 quantiles of those medians.
+func bootstrapMedianCI(xs []float64, conf float64, resamples int, rng *rand.Rand) (lo, hi float64) {
+	meds := make([]float64, resamples)
+	buf := make([]float64, len(xs))
+	for r := range meds {
+		for i := range buf {
+			buf[i] = xs[rng.Intn(len(xs))]
+		}
+		meds[r] = median(buf)
+	}
+	sort.Float64s(meds)
+	q := func(p float64) float64 { return meds[int(p*float64(resamples-1)+0.5)] }
+	return q((1 - conf) / 2), q((1 + conf) / 2)
+}
+
+// pairRounds turns per-round measurements of both sides into one
+// result per benchmark measured in every round on both sides, sorted
+// by name. Round i of base is paired with round i of head. Names
+// missing from some round are returned in skipped.
+func pairRounds(base, head []map[string]Measurement, conf float64) (res []abResult, skipped []string) {
+	names := map[string]bool{}
+	for _, rounds := range [][]map[string]Measurement{base, head} {
+		for _, r := range rounds {
+			for name := range r {
+				names[name] = true
+			}
+		}
+	}
+	sorted := make([]string, 0, len(names))
+	for name := range names {
+		sorted = append(sorted, name)
+	}
+	sort.Strings(sorted)
+	rng := rand.New(rand.NewSource(1))
+	for _, name := range sorted {
+		var bs, hs, ratios []float64
+		complete := len(base) == len(head) && len(base) > 0
+		for i := 0; complete && i < len(base); i++ {
+			b, okB := base[i][name]
+			h, okH := head[i][name]
+			if !okB || !okH || b.NsPerOp <= 0 {
+				complete = false
+				break
+			}
+			bs, hs = append(bs, b.NsPerOp), append(hs, h.NsPerOp)
+			ratios = append(ratios, h.NsPerOp/b.NsPerOp)
+		}
+		if !complete {
+			skipped = append(skipped, name)
+			continue
+		}
+		r := abResult{Name: name, BaseNs: median(bs), HeadNs: median(hs), Ratio: median(ratios),
+			BaseAlloc: base[0][name].AllocsPerOp, HeadAlloc: head[0][name].AllocsPerOp}
+		r.Lo, r.Hi = bootstrapMedianCI(ratios, conf, 2000, rng)
+		res = append(res, r)
+	}
+	return res, skipped
+}
+
+// abSide is one build under comparison.
+type abSide struct {
+	name string
+	dir  string // checkout root: the binary's build and run directory
+	bin  string
+}
+
+// runAB builds the root package's test binary of the merge-base and of
+// the working tree, alternates single-count benchmark runs between them for
+// abRounds rounds (swapping which side goes first each round), and
+// gates on the per-round ratios. It refuses to run when the merge-base
+// is HEAD and the working tree is clean: both sides would be the same
+// code, and the gate would pass vacuously.
+func runAB(cfg abConfig, stdout, stderr io.Writer) int {
+	fail := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "benchgate: "+format+"\n", args...)
+		return cli.ExitFail
+	}
+	root, err := gitOut("", "rev-parse", "--show-toplevel")
+	if err != nil {
+		return fail("%v", err)
+	}
+	rev, err := gitOut(root, "merge-base", "HEAD", abBase)
+	if err != nil {
+		return fail("%v", err)
+	}
+	head, err := gitOut(root, "rev-parse", "HEAD")
+	if err != nil {
+		return fail("%v", err)
+	}
+	dirty, err := gitOut(root, "status", "--porcelain", "--untracked-files=no")
+	if err != nil {
+		return fail("%v", err)
+	}
+	if rev == head && dirty == "" {
+		return fail("nothing to compare: the merge-base with %s is HEAD (%s) and the working tree is clean", abBase, head)
+	}
+	tmp, err := os.MkdirTemp("", "benchgate-ab-")
+	if err != nil {
+		return fail("%v", err)
+	}
+	defer os.RemoveAll(tmp)
+	wt := filepath.Join(tmp, "base")
+	if _, err := gitOut(root, "worktree", "add", "--detach", wt, rev); err != nil {
+		return fail("%v", err)
+	}
+	defer func() {
+		if _, err := gitOut(root, "worktree", "remove", "--force", wt); err != nil {
+			fmt.Fprintf(stderr, "benchgate: %v\n", err)
+		}
+	}()
+	for _, f := range cfg.overlay {
+		b, err := os.ReadFile(filepath.Join(root, f))
+		if err != nil {
+			return fail("overlay: %v", err)
+		}
+		if err := os.WriteFile(filepath.Join(wt, f), b, 0o644); err != nil {
+			return fail("overlay: %v", err)
+		}
+	}
+	short := rev[:min(len(rev), 12)]
+	sides := []abSide{
+		{name: "base " + short, dir: wt, bin: filepath.Join(tmp, "base.test")},
+		{name: "working tree", dir: root, bin: filepath.Join(tmp, "head.test")},
+	}
+	for _, s := range sides {
+		build := exec.Command("go", "test", "-c", "-o", s.bin, ".")
+		build.Dir = s.dir
+		if out, err := build.CombinedOutput(); err != nil {
+			return fail("building %s: %v\n%s", s.name, err, out)
+		}
+	}
+
+	results := make([][]map[string]Measurement, 2)
+	for r := 0; r < abRounds; r++ {
+		order := []int{0, 1}
+		if r%2 == 1 {
+			order = []int{1, 0}
+		}
+		for _, i := range order {
+			s := sides[i]
+			cmd := exec.Command(s.bin, "-test.run", "^$", "-test.bench", cfg.bench,
+				"-test.count", "1", "-test.benchtime", abBenchtime, "-test.benchmem")
+			cmd.Dir = s.dir
+			var out bytes.Buffer
+			cmd.Stdout, cmd.Stderr = &out, &out
+			if err := cmd.Run(); err != nil {
+				return fail("round %d, %s: %v\n%s", r+1, s.name, err, out.String())
+			}
+			got, err := parseBench(&out)
+			if err != nil {
+				return fail("round %d, %s: %v", r+1, s.name, err)
+			}
+			results[i] = append(results[i], got)
+		}
+		fmt.Fprintf(stderr, "benchgate: round %d/%d done\n", r+1, abRounds)
+	}
+
+	res, skipped := pairRounds(results[0], results[1], abConf)
+	for _, name := range skipped {
+		fmt.Fprintf(stderr, "benchgate: %s: not measured in every round on both sides (skipped)\n", name)
+	}
+	if len(res) == 0 {
+		return fail("no benchmark measured on both sides")
+	}
+	fmt.Fprintf(stdout, "A/B over %d rounds: base %s vs working tree; ratio = working/base ns/op, %.0f%% bootstrap interval\n",
+		abRounds, short, 100*abConf)
+	fmt.Fprintf(stdout, "%-40s %12s %12s %8s %18s %s\n", "benchmark", "base ns/op", "head ns/op", "ratio", "interval", "allocs/op")
+	code := cli.ExitOK
+	for _, r := range res {
+		verdict := ""
+		if r.regressed(abLimit) {
+			verdict = fmt.Sprintf("  REGRESSION: lower bound above %.2f", abLimit)
+			code = cli.ExitFail
+		}
+		fmt.Fprintf(stdout, "%-40s %12.1f %12.1f %8.3f   [%6.3f, %6.3f] %d -> %d%s\n",
+			r.Name, r.BaseNs, r.HeadNs, r.Ratio, r.Lo, r.Hi, r.BaseAlloc, r.HeadAlloc, verdict)
+	}
+	return code
+}
+
+// gitOut runs git in dir and returns its trimmed standard output.
+func gitOut(dir string, args ...string) (string, error) {
+	cmd := exec.Command("git", args...)
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return "", fmt.Errorf("git %s: %v: %s", strings.Join(args, " "), err, strings.TrimSpace(stderr.String()))
+	}
+	return strings.TrimSpace(string(out)), nil
+}

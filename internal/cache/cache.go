@@ -96,6 +96,7 @@ type Cache struct {
 	setMask  uint64
 	lruTick  uint64
 	mshr     []uint64 // fillAt cycles of outstanding fills
+	mshrMin  uint64   // min(mshr), or ^0 when empty: nothing retires before it
 	evictCB  func(l mem.LineAddr, dirty bool)
 	Stats    Stats
 	lastTime uint64
@@ -117,6 +118,7 @@ func New(cfg Config) (*Cache, error) {
 		ways:    cfg.Ways,
 		setMask: uint64(cfg.Sets() - 1),
 		mshr:    make([]uint64, 0, cfg.MSHRs),
+		mshrMin: ^uint64(0),
 	}, nil
 }
 
@@ -180,8 +182,18 @@ func (c *Cache) Contains(l mem.LineAddr, now uint64) bool {
 // earlier one, and deferring the reap would change availability
 // decisions.
 //
+// A call at a cycle before the earliest outstanding fill skips the
+// scan: that reap could retire nothing, so skipping it is the eager
+// reap's exact result, not a deferral.
+//
 //cbws:hotpath
 func (c *Cache) mshrFree(now uint64) (bool, uint64) {
+	if now < c.mshrMin {
+		if len(c.mshr) < c.cfg.MSHRs {
+			return true, now
+		}
+		return false, c.mshrMin
+	}
 	out := c.mshr[:0]
 	earliest := ^uint64(0)
 	for _, t := range c.mshr {
@@ -193,6 +205,7 @@ func (c *Cache) mshrFree(now uint64) (bool, uint64) {
 		}
 	}
 	c.mshr = out
+	c.mshrMin = earliest
 	if len(c.mshr) < c.cfg.MSHRs {
 		return true, now
 	}
@@ -299,12 +312,18 @@ func (c *Cache) checkSet(base int) {
 	}
 }
 
-// checkMSHR verifies the MSHR occupancy bound. Called only under
-// check.Enabled.
+// checkMSHR verifies the MSHR occupancy bound and that mshrMin is the
+// earliest outstanding fill. Called only under check.Enabled.
 func (c *Cache) checkMSHR() {
 	check.Assertf(len(c.mshr) <= c.cfg.MSHRs,
 		"cache %s: %d outstanding fills exceed %d MSHRs",
 		c.cfg.Name, len(c.mshr), c.cfg.MSHRs)
+	earliest := ^uint64(0)
+	for _, t := range c.mshr {
+		earliest = min(earliest, t)
+	}
+	check.Assertf(c.mshrMin == earliest,
+		"cache %s: MSHR minimum %d, earliest outstanding fill %d", c.cfg.Name, c.mshrMin, earliest)
 }
 
 // Check runs every structural invariant over the whole cache: SoA
@@ -409,6 +428,7 @@ func (c *Cache) Fill(l mem.LineAddr, now uint64, latency uint64, isPrefetch bool
 	}
 	fillAt = now + latency
 	c.mshr = append(c.mshr, fillAt)
+	c.mshrMin = min(c.mshrMin, fillAt)
 	i := c.victim(l, now)
 	c.evict(i)
 	w := &c.lines[i]

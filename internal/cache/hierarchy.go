@@ -71,10 +71,15 @@ type Hierarchy struct {
 
 	// identified remembers lines the prefetcher targeted but the
 	// hierarchy refused to issue (MSHR pressure), so a later demand
-	// miss on them is classified non-timely rather than missing.
-	identified     map[mem.LineAddr]struct{}
-	identifiedFIFO []mem.LineAddr
-	identifiedCap  int
+	// miss on them is classified non-timely rather than missing. The
+	// set holds the remembered lines and the ring records insertions in
+	// order. An insertion that overwrites the oldest ring entry drops
+	// that entry's line from the set, even when a demand miss consumed
+	// the line since and it was remembered again after that.
+	identified     mem.Index
+	identifiedRing []mem.LineAddr
+	identifiedPos  int // next ring slot, the oldest once the ring is full
+	identifiedFull bool
 
 	Timeliness     Timeliness
 	BytesFromMem   uint64 // all bytes transferred from memory (demand + prefetch)
@@ -122,11 +127,11 @@ func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
 		return nil, err
 	}
 	h := &Hierarchy{
-		cfg:           cfg,
-		L1:            l1,
-		L2:            l2,
-		identified:    make(map[mem.LineAddr]struct{}),
-		identifiedCap: 4096,
+		cfg:            cfg,
+		L1:             l1,
+		L2:             l2,
+		identified:     mem.NewIndex(identifiedCap),
+		identifiedRing: make([]mem.LineAddr, identifiedCap),
 	}
 	if cfg.MemoryChannels > 0 {
 		h.channels = make([]uint64, cfg.MemoryChannels)
@@ -158,25 +163,29 @@ func (h *Hierarchy) Config() HierarchyConfig { return h.cfg }
 // generation-end trigger).
 func (h *Hierarchy) OnL1Evict(fn func(mem.LineAddr)) { h.l1Evict = fn }
 
+// identifiedCap bounds the identified-line memory (ring entries).
+const identifiedCap = 4096
+
+//cbws:hotpath
 func (h *Hierarchy) rememberIdentified(l mem.LineAddr) {
-	if _, ok := h.identified[l]; ok {
+	if _, ok := h.identified.Get(uint64(l)); ok {
 		return
 	}
-	if len(h.identifiedFIFO) >= h.identifiedCap {
-		old := h.identifiedFIFO[0]
-		h.identifiedFIFO = h.identifiedFIFO[1:]
-		delete(h.identified, old)
+	slot := &h.identifiedRing[h.identifiedPos]
+	if h.identifiedFull {
+		h.identified.Delete(uint64(*slot))
 	}
-	h.identified[l] = struct{}{}
-	h.identifiedFIFO = append(h.identifiedFIFO, l)
+	*slot = l
+	h.identified.Put(uint64(l), 0)
+	if h.identifiedPos++; h.identifiedPos == len(h.identifiedRing) {
+		h.identifiedPos = 0
+		h.identifiedFull = true
+	}
 }
 
+//cbws:hotpath
 func (h *Hierarchy) wasIdentified(l mem.LineAddr) bool {
-	if _, ok := h.identified[l]; ok {
-		delete(h.identified, l)
-		return true
-	}
-	return false
+	return h.identified.Delete(uint64(l))
 }
 
 // memTransferStart allocates a memory channel for a transfer requested

@@ -27,9 +27,13 @@ const (
 )
 
 // LineOf returns the cache-line address containing a.
+//
+//cbws:hotpath
 func LineOf(a Addr) LineAddr { return LineAddr(a >> LineShift) }
 
 // Byte returns the byte address of the first byte of line l.
+//
+//cbws:hotpath
 func (l LineAddr) Byte() Addr { return Addr(l) << LineShift }
 
 // Add returns the line address offset by delta lines. Negative deltas are

@@ -52,23 +52,35 @@ func DefaultGHBConfig(mode GHBIndexMode) GHBConfig {
 }
 
 // ghbEntry is one slot of the circular global history buffer. prevSeq
-// links to the previous entry with the same index key; the link is valid
-// only while that entry has not been overwritten.
+// and prevSlot link to the previous entry with the same index key; the
+// link is valid only while that entry has not been overwritten, that
+// is while buf[prevSlot].seq == prevSeq.
 type ghbEntry struct {
-	line    mem.LineAddr
-	seq     uint64
-	prevSeq uint64
-	hasPrev bool
+	line     mem.LineAddr
+	seq      uint64
+	key      uint64 // index key, so an overwrite can retire its index entry
+	prevSeq  uint64
+	prevSlot int
+	hasPrev  bool
 }
 
 // GHB is the global history buffer prefetcher of Nesbit & Smith, in
 // either global (G/DC) or PC-localized (PC/DC) delta-correlation mode.
+//
+// The buffer is a ring advanced by a wrapping slot counter, and every
+// link carries its target's slot, so neither push nor the history walk
+// divides. The index table maps each key to the slot of its newest
+// entry, and only while that entry is live: a push that overwrites a
+// key's head deletes the key. check.RefGHB is the map-based reference
+// it is pinned to.
 type GHB struct {
 	NoBlocks
 	cfg      GHBConfig
 	buf      []ghbEntry
-	seq      uint64 // next sequence number; entry seq s lives at s % len(buf)
-	index    map[uint64]uint64
+	seq      uint64 // sequence number of the next push
+	next     int    // slot of the next push
+	index    mem.Index
+	walk     int // most entries one history walk visits
 	scratch  []mem.LineAddr
 	dscratch []int64
 }
@@ -92,11 +104,18 @@ func NewGHB(cfg GHBConfig) *GHB {
 	if cfg.PCBits == 0 {
 		cfg.PCBits = def.PCBits
 	}
+	// The history walk is capped well below the buffer size: delta
+	// correlation only needs enough history to find a recent
+	// recurrence, and a bounded walk matches the constant-time
+	// hardware lookup.
+	walk := min(8*(cfg.HistoryLength+cfg.Degree), cfg.BufferEntries)
 	return &GHB{
-		cfg:     cfg,
-		buf:     make([]ghbEntry, cfg.BufferEntries),
-		index:   make(map[uint64]uint64),
-		scratch: make([]mem.LineAddr, 0, 32),
+		cfg:      cfg,
+		buf:      make([]ghbEntry, cfg.BufferEntries),
+		index:    mem.NewIndex(cfg.BufferEntries),
+		walk:     walk,
+		scratch:  make([]mem.LineAddr, 0, walk),
+		dscratch: make([]int64, walk),
 	}
 }
 
@@ -105,11 +124,13 @@ func (g *GHB) Name() string { return g.cfg.Mode.String() }
 
 // Reset implements Prefetcher.
 func (g *GHB) Reset() {
-	g.buf = make([]ghbEntry, g.cfg.BufferEntries)
-	g.index = make(map[uint64]uint64)
+	clear(g.buf)
+	g.index.Clear()
 	g.seq = 0
+	g.next = 0
 }
 
+//cbws:hotpath
 func (g *GHB) key(pc uint64) uint64 {
 	if g.cfg.Mode == PCDC {
 		return pc
@@ -117,53 +138,52 @@ func (g *GHB) key(pc uint64) uint64 {
 	return 0
 }
 
-// live reports whether the entry with sequence number s is still in the
-// buffer, and returns it.
-func (g *GHB) live(s uint64) (*ghbEntry, bool) {
-	e := &g.buf[s%uint64(len(g.buf))]
-	return e, e.seq == s && (g.seq-s) <= uint64(len(g.buf))
-}
-
 // push inserts a miss address into the buffer and links it to the
-// previous entry with the same key.
-func (g *GHB) push(key uint64, line mem.LineAddr) uint64 {
-	s := g.seq
+// previous live entry with the same key. It returns the new slot.
+//
+//cbws:hotpath
+func (g *GHB) push(key uint64, line mem.LineAddr) int {
+	slot := g.next
+	g.next++
+	if g.next == len(g.buf) {
+		g.next = 0
+	}
+	e := &g.buf[slot]
+	if g.seq >= uint64(len(g.buf)) {
+		// Overwriting the oldest entry: if it is still its key's
+		// head, the key has no live entry left.
+		if head, ok := g.index.Get(e.key); ok && head == slot {
+			g.index.Delete(e.key)
+		}
+	}
+	*e = ghbEntry{line: line, seq: g.seq, key: key}
 	g.seq++
-	e := &g.buf[s%uint64(len(g.buf))]
-	*e = ghbEntry{line: line, seq: s}
-	if prev, ok := g.index[key]; ok {
-		if _, alive := g.live(prev); alive {
-			e.prevSeq = prev
-			e.hasPrev = true
-		}
+	if prev, ok := g.index.Get(key); ok {
+		e.prevSeq = g.buf[prev].seq
+		e.prevSlot = prev
+		e.hasPrev = true
 	}
-	g.index[key] = s
-	// Bound the index table at the buffer size (a 256-entry index
-	// table in hardware); evict arbitrarily when it overflows.
-	if len(g.index) > len(g.buf) {
-		for k, v := range g.index {
-			if _, alive := g.live(v); !alive {
-				delete(g.index, k)
-			}
-		}
-	}
-	return s
+	g.index.Put(key, slot)
+	return slot
 }
 
-// stream collects the most recent addresses of the key stream ending at
-// sequence s, newest first, up to max entries.
-func (g *GHB) stream(s uint64, max int) []mem.LineAddr {
+// stream collects the most recent addresses of the key stream ending
+// at slot, newest first, up to max entries.
+//
+//cbws:hotpath
+func (g *GHB) stream(slot int, max int) []mem.LineAddr {
 	out := g.scratch[:0]
-	for len(out) < max {
-		e, alive := g.live(s)
-		if !alive {
-			break
-		}
+	e := &g.buf[slot]
+	for {
 		out = append(out, e.line)
-		if !e.hasPrev {
+		if len(out) == max || !e.hasPrev {
 			break
 		}
-		s = e.prevSeq
+		prev := &g.buf[e.prevSlot]
+		if prev.seq != e.prevSeq {
+			break // overwritten since the link was made
+		}
+		e = prev
 	}
 	g.scratch = out
 	return out
@@ -173,6 +193,8 @@ func (g *GHB) stream(s uint64, max int) []mem.LineAddr {
 // access, gather the key stream, form the two most recent deltas as the
 // correlation key, locate the same delta pair earlier in the stream, and
 // prefetch the addresses implied by the deltas that followed it.
+//
+//cbws:hotpath
 func (g *GHB) OnAccess(a Access, issue IssueFunc) {
 	// The paper's GHB records cache misses and prefetches only when a
 	// miss occurs — the conservative static policy whose every-5th-
@@ -181,26 +203,16 @@ func (g *GHB) OnAccess(a Access, issue IssueFunc) {
 	if !g.cfg.TrainOnHits && !a.Miss() {
 		return
 	}
-	key := g.key(a.PC)
-	s := g.push(key, a.Line)
+	slot := g.push(g.key(a.PC), a.Line)
 
-	// addrs[0] is the current address; addrs[i] are progressively older.
-	// The walk is capped well below the buffer size: delta correlation
-	// only needs enough history to find a recent recurrence, and a
-	// bounded walk matches the constant-time hardware lookup.
-	walk := 8 * (g.cfg.HistoryLength + g.cfg.Degree)
-	if walk > g.cfg.BufferEntries {
-		walk = g.cfg.BufferEntries
-	}
-	addrs := g.stream(s, walk)
+	// addrs[0] is the current address; addrs[i] are progressively
+	// older, up to the walk bound.
+	addrs := g.stream(slot, g.walk)
 	if len(addrs) < g.cfg.HistoryLength+1 {
 		return
 	}
 	// deltas[i] = addrs[i] - addrs[i+1]: deltas newest-first.
 	n := len(addrs) - 1
-	if cap(g.dscratch) < n {
-		g.dscratch = make([]int64, n)
-	}
 	deltas := g.dscratch[:n]
 	for i := 0; i < n; i++ {
 		deltas[i] = addrs[i].Delta(addrs[i+1])
@@ -239,9 +251,13 @@ func (g *GHB) OnAccess(a Access, issue IssueFunc) {
 	// — for a constant stride (period 1) this degenerates to classic
 	// degree-deep stride prefetching, as in Nesbit & Smith.
 	addr := addrs[0]
+	j := match - 1
 	for k := 0; k < g.cfg.Degree; k++ {
-		addr = addr.Add(deltas[match-1-k%match])
+		addr = addr.Add(deltas[j])
 		issue(addr)
+		if j--; j < 0 {
+			j = match - 1
+		}
 	}
 }
 

@@ -278,9 +278,10 @@ func clampDelta(d int64) int32 {
 //cbws:hotpath
 func (p *Pythia) feature1(pc uint64) uint32 {
 	h := (uint32(pc) ^ uint32(pc>>32)) * 0x9E3779B1
-	n := len(p.deltaHist)
-	for i := 0; i < n; i++ {
-		d := p.deltaHist[(p.histPos+i)%n]
+	for _, d := range p.deltaHist[p.histPos:] {
+		h = (h<<7 | h>>25) ^ (uint32(d) * 0x85EBCA6B)
+	}
+	for _, d := range p.deltaHist[:p.histPos] {
 		h = (h<<7 | h>>25) ^ (uint32(d) * 0x85EBCA6B)
 	}
 	return h & p.f1Mask
@@ -339,7 +340,9 @@ func (p *Pythia) clampQ(q int32) int32 {
 //cbws:hotpath
 func (p *Pythia) evictOldest() {
 	e := &p.eq[p.eqHead]
-	p.eqHead = (p.eqHead + 1) % len(p.eq)
+	if p.eqHead++; p.eqHead == len(p.eq) {
+		p.eqHead = 0
+	}
 	p.eqLen--
 
 	r := e.reward
@@ -388,8 +391,11 @@ func (p *Pythia) OnAccess(a prefetch.Access, issue prefetch.IssueFunc) {
 	// no-prefetch decision on the same page as a lost opportunity.
 	miss := a.Miss()
 	claimed := false
-	for i := 0; i < p.eqLen; i++ {
-		e := &p.eq[(p.eqHead+i)%len(p.eq)]
+	for i, j := 0, p.eqHead; i < p.eqLen; i++ {
+		e := &p.eq[j]
+		if j++; j == len(p.eq) {
+			j = 0
+		}
 		if e.issued {
 			if !claimed && !e.rewarded && e.line == line {
 				claimed = true
@@ -422,7 +428,9 @@ func (p *Pythia) OnAccess(a prefetch.Access, issue prefetch.IssueFunc) {
 		d = clampDelta(line.Delta(p.lastLine))
 	}
 	p.deltaHist[p.histPos] = d
-	p.histPos = (p.histPos + 1) % len(p.deltaHist)
+	if p.histPos++; p.histPos == len(p.deltaHist) {
+		p.histPos = 0
+	}
 	p.lastLine = line
 	p.haveLast = true
 
@@ -452,7 +460,11 @@ func (p *Pythia) OnAccess(a prefetch.Access, issue prefetch.IssueFunc) {
 	if p.eqLen == len(p.eq) {
 		p.evictOldest()
 	}
-	slot := &p.eq[(p.eqHead+p.eqLen)%len(p.eq)]
+	tail := p.eqHead + p.eqLen
+	if tail >= len(p.eq) {
+		tail -= len(p.eq)
+	}
+	slot := &p.eq[tail]
 	slot.line = line
 	if issued {
 		slot.line = cand
@@ -481,8 +493,11 @@ func (p *Pythia) OnAccess(a prefetch.Access, issue prefetch.IssueFunc) {
 func (p *Pythia) checkQueue() {
 	check.Assertf(p.eqLen >= 0 && p.eqLen <= len(p.eq),
 		"pythia: EQ occupancy %d out of range [0,%d]", p.eqLen, len(p.eq))
-	for i := 0; i < p.eqLen; i++ {
-		e := &p.eq[(p.eqHead+i)%len(p.eq)]
+	for i, j := 0, p.eqHead; i < p.eqLen; i++ {
+		e := &p.eq[j]
+		if j++; j == len(p.eq) {
+			j = 0
+		}
 		check.Assertf(int(e.action) < p.numActions, "pythia: EQ action %d out of range", e.action)
 		check.Assertf(int(e.h1) < p.cfg.Feature1Entries && int(e.h2) < p.cfg.Feature2Entries,
 			"pythia: EQ rows (%d,%d) out of range", e.h1, e.h2)

@@ -1,6 +1,9 @@
 package prefetch
 
 import (
+	"fmt"
+	"math/bits"
+
 	"cbws/internal/mem"
 )
 
@@ -33,21 +36,28 @@ func DefaultSMSConfig() SMSConfig {
 	}
 }
 
+// invalidRegion marks an empty AGT or filter entry in the compact
+// region arrays. Regions are byte addresses shifted right by at least
+// the line-size bits, so no real region reaches it.
+const invalidRegion = ^uint64(0)
+
+// smsGeneration is one active generation table (AGT) entry.
 type smsGeneration struct {
-	region  mem.Region
 	trigger uint64 // PC ⊕ offset signature of the first access
 	pattern uint64 // bitmap of line offsets touched this generation
 	lru     uint64
 }
 
+// smsFilterEntry is one filter table entry: a region touched once.
 type smsFilterEntry struct {
-	region    mem.Region
 	trigger   uint64
 	firstLine int
 	lru       uint64
 }
 
+// smsPHTEntry is one pattern history table entry.
 type smsPHTEntry struct {
+	sig     uint64
 	pattern uint64
 	lru     uint64
 }
@@ -56,18 +66,36 @@ type smsPHTEntry struct {
 // of cache lines touched within a spatial region during a "generation"
 // and, when a new generation begins with the same trigger signature
 // (PC + region offset), prefetches the learned footprint.
+//
+// The three tables are fixed arrays sized by the configuration. The
+// AGT and filter find a region by scanning a compact region array
+// (invalidRegion when empty), the structure-of-arrays layout of
+// Cache.tags; the PHT finds a signature through a fixed index. Every
+// table update takes a fresh stamp from one counter, so LRU order is
+// total and a victim never depends on slot order. check.RefSMS is the
+// map-based reference it is pinned to.
 type SMS struct {
 	NoBlocks
-	cfg    SMSConfig
-	rc     mem.RegionConfig
-	agt    map[mem.Region]*smsGeneration
-	filter map[mem.Region]*smsFilterEntry
-	pht    map[uint64]*smsPHTEntry
-	tick   uint64
+	cfg         SMSConfig
+	regionShift uint   // log2(RegionBytes)
+	offsetMask  uint64 // line offset within a region
+	lineMask    uint64 // pattern bits that name a line of the region
+
+	agtRegion  []uint64 // compact region per AGT entry
+	agt        []smsGeneration
+	agtLen     int
+	filtRegion []uint64 // compact region per filter entry
+	filter     []smsFilterEntry
+	filtLen    int
+	pht        []smsPHTEntry // pht[:phtLen] are in use
+	phtLen     int
+	phtIndex   mem.Index // signature → pht slot
+
+	clock uint64 // LRU stamp source
 }
 
 // NewSMS builds an SMS prefetcher; zero-value fields of cfg fall back to
-// defaults.
+// defaults. RegionBytes must be a power of two no smaller than a line.
 func NewSMS(cfg SMSConfig) *SMS {
 	def := DefaultSMSConfig()
 	if cfg.AGTEntries == 0 {
@@ -94,7 +122,26 @@ func NewSMS(cfg SMSConfig) *SMS {
 	if cfg.PatternBits == 0 {
 		cfg.PatternBits = def.PatternBits
 	}
-	s := &SMS{cfg: cfg, rc: mem.RegionConfig{SizeBytes: cfg.RegionBytes}}
+	if !mem.IsPow2(cfg.RegionBytes) || cfg.RegionBytes < mem.LineSize {
+		panic(fmt.Sprintf("prefetch: SMS region size %d is not a power of two of at least one line", cfg.RegionBytes))
+	}
+	lines := cfg.RegionBytes / mem.LineSize
+	lineMask := ^uint64(0)
+	if lines < 64 {
+		lineMask = 1<<lines - 1
+	}
+	s := &SMS{
+		cfg:         cfg,
+		regionShift: mem.Log2(cfg.RegionBytes),
+		offsetMask:  lines - 1,
+		lineMask:    lineMask,
+		agtRegion:   make([]uint64, cfg.AGTEntries),
+		agt:         make([]smsGeneration, cfg.AGTEntries),
+		filtRegion:  make([]uint64, cfg.FilterEntries),
+		filter:      make([]smsFilterEntry, cfg.FilterEntries),
+		pht:         make([]smsPHTEntry, cfg.PHTEntries),
+		phtIndex:    mem.NewIndex(cfg.PHTEntries),
+	}
 	s.Reset()
 	return s
 }
@@ -104,124 +151,184 @@ func (s *SMS) Name() string { return "sms" }
 
 // Reset implements Prefetcher.
 func (s *SMS) Reset() {
-	s.agt = make(map[mem.Region]*smsGeneration, s.cfg.AGTEntries)
-	s.filter = make(map[mem.Region]*smsFilterEntry, s.cfg.FilterEntries)
-	s.pht = make(map[uint64]*smsPHTEntry, s.cfg.PHTEntries)
-	s.tick = 0
+	for i := range s.agtRegion {
+		s.agtRegion[i] = invalidRegion
+	}
+	for i := range s.filtRegion {
+		s.filtRegion[i] = invalidRegion
+	}
+	s.agtLen, s.filtLen, s.phtLen = 0, 0, 0
+	s.phtIndex.Clear()
+	s.clock = 0
 }
 
+// stamp returns the next LRU stamp. One strictly increasing counter
+// stamps every table update, including the several generation ends
+// one access's evictions can cause, so no two entries tie.
+//
+//cbws:hotpath
+func (s *SMS) stamp() uint64 {
+	s.clock++
+	return s.clock
+}
+
+//cbws:hotpath
 func (s *SMS) signature(pc uint64, offset int) uint64 {
 	return pc<<uint(s.cfg.OffsetBits) | uint64(offset)
 }
 
-// endGeneration commits a finished generation's footprint to the PHT.
-func (s *SMS) endGeneration(g *smsGeneration) {
-	if e, ok := s.pht[g.trigger]; ok {
-		e.pattern = g.pattern
-		e.lru = s.tick
+// findRegion returns the entry of a compact region array holding r,
+// or -1.
+//
+//cbws:hotpath
+func findRegion(regions []uint64, r uint64) int {
+	for i := range regions {
+		if regions[i] == r {
+			return i
+		}
+	}
+	return -1
+}
+
+// endGeneration commits a finished generation's footprint to the PHT,
+// replacing the LRU entry when the table is full.
+//
+//cbws:hotpath
+func (s *SMS) endGeneration(trigger, pattern uint64) {
+	st := s.stamp()
+	if i, ok := s.phtIndex.Get(trigger); ok {
+		s.pht[i].pattern = pattern
+		s.pht[i].lru = st
 		return
 	}
-	if len(s.pht) >= s.cfg.PHTEntries {
-		var victim uint64
-		best := ^uint64(0)
-		for k, e := range s.pht {
-			if e.lru < best {
-				best = e.lru
-				victim = k
+	slot := s.phtLen
+	if s.phtLen < len(s.pht) {
+		s.phtLen++
+	} else {
+		slot = 0
+		for i := 1; i < len(s.pht); i++ {
+			if s.pht[i].lru < s.pht[slot].lru {
+				slot = i
 			}
 		}
-		delete(s.pht, victim)
+		s.phtIndex.Delete(s.pht[slot].sig)
 	}
-	s.pht[g.trigger] = &smsPHTEntry{pattern: g.pattern, lru: s.tick}
+	s.pht[slot] = smsPHTEntry{sig: trigger, pattern: pattern, lru: st}
+	s.phtIndex.Put(trigger, slot)
+}
+
+// endAGT ends the generation in AGT entry i and frees the entry.
+//
+//cbws:hotpath
+func (s *SMS) endAGT(i int) {
+	s.endGeneration(s.agt[i].trigger, s.agt[i].pattern)
+	s.agtRegion[i] = invalidRegion
+	s.agtLen--
 }
 
 // evictOldestAGT ends and removes the LRU generation.
+//
+//cbws:hotpath
 func (s *SMS) evictOldestAGT() {
-	var victim mem.Region
-	var vg *smsGeneration
-	best := ^uint64(0)
-	for r, g := range s.agt {
-		if g.lru < best {
-			best = g.lru
-			victim = r
-			vg = g
+	victim := -1
+	for i, r := range s.agtRegion {
+		if r != invalidRegion && (victim < 0 || s.agt[i].lru < s.agt[victim].lru) {
+			victim = i
 		}
 	}
-	if vg != nil {
-		s.endGeneration(vg)
-		delete(s.agt, victim)
+	if victim >= 0 {
+		s.endAGT(victim)
 	}
+}
+
+// dropFilter frees filter entry i.
+//
+//cbws:hotpath
+func (s *SMS) dropFilter(i int) {
+	s.filtRegion[i] = invalidRegion
+	s.filtLen--
 }
 
 // OnAccess trains on every L1 demand access, as in the original SMS
 // design, and prefetches a region's learned footprint when a new
 // generation begins.
+//
+//cbws:hotpath
 func (s *SMS) OnAccess(a Access, issue IssueFunc) {
-	s.tick++
-	region := s.rc.RegionOf(a.Addr)
-	offset := s.rc.OffsetOf(a.Addr)
+	region := uint64(a.Addr) >> s.regionShift
+	offset := int(uint64(a.Addr) >> mem.LineShift & s.offsetMask)
 
-	if g, ok := s.agt[region]; ok {
-		g.pattern |= 1 << uint(offset)
-		g.lru = s.tick
+	if i := findRegion(s.agtRegion, region); i >= 0 {
+		s.agt[i].pattern |= 1 << uint(offset)
+		s.agt[i].lru = s.stamp()
 		return
 	}
-	if f, ok := s.filter[region]; ok {
+	if i := findRegion(s.filtRegion, region); i >= 0 {
+		f := &s.filter[i]
 		if f.firstLine == offset {
-			f.lru = s.tick
+			f.lru = s.stamp()
 			return // still a single-line region
 		}
 		// Second distinct line: promote to an active generation.
-		delete(s.filter, region)
-		if len(s.agt) >= s.cfg.AGTEntries {
+		trigger, first := f.trigger, f.firstLine
+		s.dropFilter(i)
+		if s.agtLen >= len(s.agt) {
 			s.evictOldestAGT()
 		}
-		s.agt[region] = &smsGeneration{
-			region:  region,
-			trigger: f.trigger,
-			pattern: (1 << uint(f.firstLine)) | (1 << uint(offset)),
-			lru:     s.tick,
+		j := findRegion(s.agtRegion, invalidRegion)
+		s.agtRegion[j] = region
+		s.agt[j] = smsGeneration{
+			trigger: trigger,
+			pattern: (1 << uint(first)) | (1 << uint(offset)),
+			lru:     s.stamp(),
 		}
+		s.agtLen++
 		return
 	}
 
 	// First access of a new generation: predict from the PHT and
 	// allocate a filter entry.
 	sig := s.signature(a.PC, offset)
-	if e, ok := s.pht[sig]; ok {
-		e.lru = s.tick
-		pattern := e.pattern
-		for off := 0; off < s.rc.LinesPerRegion() && off < 64; off++ {
-			if pattern&(1<<uint(off)) != 0 && off != offset {
-				issue(s.rc.LineAt(region, off))
-			}
+	if i, ok := s.phtIndex.Get(sig); ok {
+		s.pht[i].lru = s.stamp()
+		// Copy the pattern first: issuing can evict L1 lines, and the
+		// re-entrant OnCacheEvict may end generations that replace
+		// this very PHT entry.
+		fp := s.pht[i].pattern & s.lineMask &^ (1 << uint(offset))
+		for ; fp != 0; fp &= fp - 1 {
+			off := uint64(bits.TrailingZeros64(fp))
+			issue(mem.LineOf(mem.Addr(region<<s.regionShift + off<<mem.LineShift)))
 		}
 	}
-	if len(s.filter) >= s.cfg.FilterEntries {
-		var victim mem.Region
-		best := ^uint64(0)
-		for r, f := range s.filter {
-			if f.lru < best {
-				best = f.lru
-				victim = r
+	if s.filtLen >= len(s.filter) {
+		victim := -1
+		for i, r := range s.filtRegion {
+			if r != invalidRegion && (victim < 0 || s.filter[i].lru < s.filter[victim].lru) {
+				victim = i
 			}
 		}
-		delete(s.filter, victim)
+		s.dropFilter(victim)
 	}
-	s.filter[region] = &smsFilterEntry{region: region, trigger: sig, firstLine: offset, lru: s.tick}
+	j := findRegion(s.filtRegion, invalidRegion)
+	s.filtRegion[j] = region
+	s.filter[j] = smsFilterEntry{trigger: sig, firstLine: offset, lru: s.stamp()}
+	s.filtLen++
 }
 
 // OnCacheEvict ends the generation of the region containing the evicted
 // line, committing its footprint to the pattern history table — the
 // original SMS trigger for generation completion.
+//
+//cbws:hotpath
 func (s *SMS) OnCacheEvict(l mem.LineAddr) {
-	region := s.rc.RegionOf(l.Byte())
-	if g, ok := s.agt[region]; ok {
-		s.endGeneration(g)
-		delete(s.agt, region)
+	region := uint64(l.Byte()) >> s.regionShift
+	if i := findRegion(s.agtRegion, region); i >= 0 {
+		s.endAGT(i)
 		return
 	}
-	delete(s.filter, region)
+	if i := findRegion(s.filtRegion, region); i >= 0 {
+		s.dropFilter(i)
+	}
 }
 
 var _ EvictionObserver = (*SMS)(nil)

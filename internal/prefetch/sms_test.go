@@ -91,11 +91,11 @@ func TestSMSRepeatedLineStaysInFilter(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		p.OnAccess(smsAccess(0x40, mem.Addr(0x10000)+7), c.issue)
 	}
-	if len(p.agt) != 0 {
+	if p.agtLen != 0 {
 		t.Error("repeated same-line accesses promoted to AGT")
 	}
-	if len(p.filter) != 1 {
-		t.Errorf("filter has %d entries", len(p.filter))
+	if p.filtLen != 1 {
+		t.Errorf("filter has %d entries", p.filtLen)
 	}
 }
 
@@ -182,4 +182,13 @@ func TestSMSReset(t *testing.T) {
 	if len(c.lines) != 0 {
 		t.Errorf("reset did not clear the PHT: %v", c.lines)
 	}
+}
+
+func TestSMSRejectsNonPowerOfTwoRegion(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("NewSMS accepted a 3000-byte region")
+		}
+	}()
+	NewSMS(SMSConfig{RegionBytes: 3000})
 }

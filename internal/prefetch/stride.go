@@ -43,11 +43,16 @@ type strideEntry struct {
 	trained  bool // has recorded at least one access
 }
 
-// Stride is a PC-indexed reference prediction table prefetcher.
+// Stride is a PC-indexed reference prediction table prefetcher. The
+// table is a fixed array of TableEntries entries found through a
+// fixed PC index; a full table replaces its least recently used entry
+// in place. check.RefStride is the map-based reference it is pinned to.
 type Stride struct {
 	NoBlocks
 	cfg     StrideConfig
-	entries map[uint64]*strideEntry
+	entries []strideEntry // entries[:n] are in use
+	n       int
+	index   mem.Index // PC → entries slot
 	tick    uint64
 }
 
@@ -67,7 +72,11 @@ func NewStride(cfg StrideConfig) *Stride {
 	if cfg.StrideBits == 0 {
 		cfg.StrideBits = def.StrideBits
 	}
-	return &Stride{cfg: cfg, entries: make(map[uint64]*strideEntry, cfg.TableEntries)}
+	return &Stride{
+		cfg:     cfg,
+		entries: make([]strideEntry, cfg.TableEntries),
+		index:   mem.NewIndex(cfg.TableEntries),
+	}
 }
 
 // Name implements Prefetcher.
@@ -75,33 +84,43 @@ func (s *Stride) Name() string { return "stride" }
 
 // Reset implements Prefetcher.
 func (s *Stride) Reset() {
-	s.entries = make(map[uint64]*strideEntry, s.cfg.TableEntries)
+	s.n = 0
+	s.index.Clear()
 	s.tick = 0
 }
 
+// lookup returns pc's entry, allocating a fresh one — in place of the
+// LRU entry when the table is full — on a miss. Stamps are unique per
+// access, so the LRU victim is unique.
+//
+//cbws:hotpath
 func (s *Stride) lookup(pc uint64) *strideEntry {
-	if e, ok := s.entries[pc]; ok {
-		return e
+	if i, ok := s.index.Get(pc); ok {
+		return &s.entries[i]
 	}
-	if len(s.entries) >= s.cfg.TableEntries {
+	slot := s.n
+	if s.n < len(s.entries) {
+		s.n++
+	} else {
 		// Evict the LRU entry of the fully-associative table.
-		var victim uint64
-		best := ^uint64(0)
-		for k, e := range s.entries {
-			if e.lru < best {
-				best = e.lru
-				victim = k
+		slot = 0
+		for i := 1; i < len(s.entries); i++ {
+			if s.entries[i].lru < s.entries[slot].lru {
+				slot = i
 			}
 		}
-		delete(s.entries, victim)
+		s.index.Delete(s.entries[slot].pc)
 	}
-	e := &strideEntry{pc: pc}
-	s.entries[pc] = e
+	s.index.Put(pc, slot)
+	e := &s.entries[slot]
+	*e = strideEntry{pc: pc}
 	return e
 }
 
 // OnAccess trains the table on every demand access and prefetches
 // Degree lines ahead of steady strided streams.
+//
+//cbws:hotpath
 func (s *Stride) OnAccess(a Access, issue IssueFunc) {
 	s.tick++
 	e := s.lookup(a.PC)
