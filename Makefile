@@ -75,6 +75,8 @@ corpus-smoke:
 
 # Each differential fuzz target gets a short coverage-guided run on top
 # of its seed corpus (CI uses 30s per target; override with FUZZTIME).
+# FuzzCorpusRoundTrip's minimization is capped at 5s per new input:
+# left unbounded, it spends nearly the whole run minimizing the first.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test ./internal/check/ -run '^$$' -fuzz '^FuzzCacheVsRef$$' -fuzztime $(FUZZTIME)
@@ -86,7 +88,7 @@ fuzz-smoke:
 	$(GO) test ./internal/check/ -run '^$$' -fuzz '^FuzzSMSVsRef$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzTraceRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzStreamChunkFraming$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/trace/corpus/ -run '^$$' -fuzz '^FuzzCorpusRoundTrip$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/trace/corpus/ -run '^$$' -fuzz '^FuzzCorpusRoundTrip$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
 	$(GO) test ./internal/trace/corpus/ -run '^$$' -fuzz '^FuzzCorpusParse$$' -fuzztime $(FUZZTIME)
 
 # Golden determinism gate: rebuild the full-matrix manifest with serial
@@ -147,7 +149,7 @@ lint: fmt-check vet lint-custom
 # must stay within the baseline's time ratio with exact allocs/op.
 # To re-baseline: make bench-gate BENCHGATE_FLAGS='-write BENCH_baseline.json'
 BENCHGATE_FLAGS ?= -baseline BENCH_baseline.json
-BENCH_GATED = BenchmarkPipelineEventsPerSec$$|BenchmarkCBWSOnAccess$$|BenchmarkCorpusReplayEventsPerSec$$|BenchmarkPythiaOnAccess$$|BenchmarkGazeOnAccess$$|BenchmarkStrideOnAccess$$|BenchmarkGHBOnAccess$$|BenchmarkSMSOnAccess$$|BenchmarkHierarchyAccessInto$$
+BENCH_GATED = BenchmarkPipelineEventsPerSec$$|BenchmarkCBWSOnAccess$$|BenchmarkCorpusReplayEventsPerSec$$|BenchmarkPythiaOnAccess$$|BenchmarkGazeOnAccess$$|BenchmarkStrideOnAccess$$|BenchmarkGHBOnAccess$$|BenchmarkSMSOnAccess$$|BenchmarkHierarchyAccessInto$$|BenchmarkGoldenCell$$
 # The end-to-end benchmark (bench/) is its own module, so the root
 # `go test ./...` never compiles it; vet and test it against the
 # current tree's APIs.

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"cbws"
@@ -439,8 +440,9 @@ func BenchmarkCBWSOnAccess(b *testing.B) {
 }
 
 // BenchmarkPythiaOnAccess measures the Pythia-style agent's steady-
-// state hot path (reward scan + feature hash + argmax + queue insert)
-// on a strided miss stream; allocs/op is pinned at 0 by benchgate.
+// state hot path (reward-scan filter probe, and the scan when a filter
+// bucket is live, + feature hash + argmax + queue insert) on a strided
+// miss stream; allocs/op is pinned at 0 by benchgate.
 func BenchmarkPythiaOnAccess(b *testing.B) {
 	p := learned.NewPythia(learned.PythiaConfig{})
 	drop := func(l mem.LineAddr) {}
@@ -453,9 +455,9 @@ func BenchmarkPythiaOnAccess(b *testing.B) {
 }
 
 // BenchmarkGazeOnAccess measures the Gaze-style prefetcher's steady-
-// state hot path (active-table CAM scan + footprint/order update, with
-// periodic generation turnover) on a region-local stream; allocs/op is
-// pinned at 0 by benchgate.
+// state hot path (active-table index lookup + footprint/order update,
+// with periodic generation turnover) on a region-local stream;
+// allocs/op is pinned at 0 by benchgate.
 func BenchmarkGazeOnAccess(b *testing.B) {
 	g := learned.NewGaze(learned.GazeConfig{})
 	drop := func(l mem.LineAddr) {}
@@ -487,7 +489,8 @@ func BenchmarkStrideOnAccess(b *testing.B) {
 }
 
 // BenchmarkGHBOnAccess measures the GHB's steady-state hot path (ring
-// push, index update, linked history walk, delta correlation) in both
+// push, index update, and the linked history walk that tests each
+// delta window as it completes and stops at the first match) in both
 // index modes on eight interleaved miss streams with periodic delta
 // patterns; allocs/op is pinned at 0 by benchgate.
 func BenchmarkGHBOnAccess(b *testing.B) {
@@ -513,7 +516,7 @@ func BenchmarkGHBOnAccess(b *testing.B) {
 }
 
 // BenchmarkSMSOnAccess measures SMS's steady-state hot path (AGT and
-// filter region scans, PHT lookup and footprint issue, generation ends
+// filter index lookups, PHT lookup and footprint issue, generation ends
 // on eviction) on a stream that walks a recurring footprint over fresh
 // 2KB regions; allocs/op is pinned at 0 by benchgate.
 func BenchmarkSMSOnAccess(b *testing.B) {
@@ -562,6 +565,59 @@ func BenchmarkHierarchyAccessInto(b *testing.B) {
 		e := &stream[i%len(stream)]
 		h.AccessInto(&info, e.PC, e.Addr, e.Kind == trace.Store, now)
 		now += 3
+	}
+}
+
+// goldenCellWorkload is the workload of BenchmarkGoldenCell: a
+// stencil sweep, the paper's motivating loop kernel, whose misses
+// exercise every scheme's training and issue paths.
+const goldenCellWorkload = "stencil-default"
+
+// BenchmarkGoldenCell simulates one golden-manifest cell per
+// golden-roster scheme: goldenCellWorkload at the configuration
+// golden/seed.json pins (400k instructions, 100k warmup), through the
+// workload generator, engine, cache hierarchy and prefetcher, as one
+// cell of a golden fill runs. The last run's metrics hash must match
+// the manifest's, so the benchmark times the pinned behaviour and
+// nothing else. allocs/op is pinned exactly by benchgate.
+func BenchmarkGoldenCell(b *testing.B) {
+	seed, err := harness.ReadGolden(filepath.Join("golden", "seed.json"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec, ok := workload.ByName(goldenCellWorkload)
+	if !ok {
+		b.Fatalf("%s not registered", goldenCellWorkload)
+	}
+	cfg := harness.DefaultOptions().Sim
+	cfg.MaxInstructions = seed.Instructions
+	cfg.WarmupInstructions = seed.Warmup
+	for _, f := range harness.GoldenPrefetchers() {
+		want := ""
+		for _, c := range seed.Cells {
+			if c.Workload == spec.Name && c.Prefetcher == f.Name {
+				want = c.Hash
+			}
+		}
+		if want == "" {
+			b.Fatalf("golden/seed.json has no %s/%s cell", spec.Name, f.Name)
+		}
+		b.Run(strings.ReplaceAll(f.Name, "/", "-"), func(b *testing.B) {
+			b.ReportAllocs()
+			var res sim.Result
+			for i := 0; i < b.N; i++ {
+				var err error
+				if res, err = sim.Run(cfg, spec.Make(), f.New()); err != nil {
+					b.Fatal(err)
+				}
+			}
+			// Hashing allocates through encoding/json's pools, so it
+			// stays out of the timed, alloc-counted region.
+			b.StopTimer()
+			if got := harness.CellHash(res); got != want {
+				b.Fatalf("%s/%s: cell hash %s, golden %s", spec.Name, f.Name, got, want)
+			}
+		})
 	}
 }
 

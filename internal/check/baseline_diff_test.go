@@ -2,6 +2,7 @@ package check_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cbws/internal/check"
@@ -63,11 +64,14 @@ func (s *baselineSide) evict(l mem.LineAddr) {
 
 // driveBaselinePair feeds events to a production model and its
 // reference and requires the same issued lines and eviction callbacks,
-// in the same order, after every event.
+// in the same order, after every event. A production model with a
+// Check method (SMS's index-versus-region-array agreement) must also
+// pass it after every event.
 func driveBaselinePair(t testingT, got, want baselineModel, events []baselineEvent) {
 	t.Helper()
 	var recent [8]mem.LineAddr
 	g, w := newBaselineSide(got, &recent), newBaselineSide(want, &recent)
+	checker, _ := got.(interface{ Check() error })
 	for i, ev := range events {
 		if ev.evict {
 			g.evict(ev.a.Line)
@@ -88,6 +92,11 @@ func driveBaselinePair(t testingT, got, want baselineModel, events []baselineEve
 			}
 		}
 		g.log, w.log = g.log[:0], w.log[:0]
+		if checker != nil {
+			if err := checker.Check(); err != nil {
+				t.Fatalf("event %d (%+v): %v", i, ev, err)
+			}
+		}
 	}
 }
 
@@ -212,8 +221,10 @@ func TestStrideVsRef(t *testing.T) {
 
 // ghbConfigs returns matched production/reference GHB parameter sets
 // for one mode: the Table II buffer, a 5-entry buffer (not a power of
-// two, so the ring wraps at an odd slot), and a 7-entry buffer that
-// trains on hits with a deeper degree than its match distance.
+// two, so the ring wraps at an odd slot and links break mid-walk), a
+// 7-entry buffer that trains on hits with a deeper degree than its
+// match distance, and history lengths 1 and 5 (one-delta and
+// four-delta correlation keys), also on the 5-entry buffer.
 func ghbConfigs(mode prefetch.GHBIndexMode) []struct {
 	name string
 	real prefetch.GHBConfig
@@ -235,6 +246,10 @@ func ghbConfigs(mode prefetch.GHBIndexMode) []struct {
 		mk("default", 256, 3, 3, false),
 		mk("tiny5", 5, 3, 3, false),
 		mk("hits7", 7, 2, 4, true),
+		mk("hist1", 256, 1, 3, false),
+		mk("hist5", 256, 5, 3, false),
+		mk("tiny5-hist1", 5, 1, 2, false),
+		mk("tiny5-hist5", 5, 5, 2, true),
 	}
 }
 
@@ -256,10 +271,65 @@ func TestGHBVsRef(t *testing.T) {
 	}
 }
 
+// TestGHBLastWindowMatch builds a miss stream whose correlation key
+// recurs only in the last window a history walk can reach, so the
+// early-exit walk must run to its bound to find it, and the same
+// stream one entry longer, whose recurrence lies just past the bound
+// and must not be found. The production GHB and the reference must
+// agree on every access, and the final access must prefetch exactly
+// when the recurrence is within reach.
+func TestGHBLastWindowMatch(t *testing.T) {
+	const hist, degree = 3, 3
+	walk := 8 * (hist + degree) // the walk bound of a 256-entry buffer
+	for _, mode := range []prefetch.GHBIndexMode{prefetch.PCDC, prefetch.GlobalDC} {
+		for _, extra := range []int{0, 1} {
+			// deltas[i] is the i-th newest delta of the final walk. The
+			// key (5, 7) recurs at window walk-3+extra, the last window
+			// of the walk when extra is 0; every other delta is unique.
+			n := walk - 1 + extra
+			deltas := make([]int64, n)
+			for i := range deltas {
+				deltas[i] = int64(100 + i)
+			}
+			deltas[0], deltas[1] = 5, 7
+			deltas[n-2], deltas[n-1] = 5, 7
+			line := mem.LineAddr(1 << 20)
+			events := []baselineEvent{{a: prefetch.Access{PC: 0x400100, Line: line, Addr: line.Byte()}}}
+			for i := n - 1; i >= 0; i-- {
+				line = line.Add(deltas[i])
+				events = append(events, baselineEvent{a: prefetch.Access{PC: 0x400100, Line: line, Addr: line.Byte()}})
+			}
+			cfg := prefetch.GHBConfig{Mode: mode, BufferEntries: 256, HistoryLength: hist, Degree: degree}
+			ref := check.RefGHBConfig{PCDC: mode == prefetch.PCDC, BufferEntries: 256, HistoryLength: hist, Degree: degree}
+			driveBaselinePair(t, prefetch.NewGHB(cfg), check.NewRefGHB(ref), events)
+
+			g := prefetch.NewGHB(cfg)
+			var issued []mem.LineAddr
+			for i, ev := range events {
+				if i == len(events)-1 {
+					issued = issued[:0]
+				}
+				g.OnAccess(ev.a, func(l mem.LineAddr) { issued = append(issued, l) })
+			}
+			// A match at window n-2 replays deltas n-3 down to 0.
+			var want []mem.LineAddr
+			if extra == 0 {
+				want = []mem.LineAddr{line.Add(deltas[n-3]), line.Add(deltas[n-3] + deltas[n-4]),
+					line.Add(deltas[n-3] + deltas[n-4] + deltas[n-5])}
+			}
+			if !slices.Equal(issued, want) {
+				t.Errorf("%v, recurrence %d entries past the bound: final access issued %v, want %v",
+					mode, extra, issued, want)
+			}
+		}
+	}
+}
+
 // smsConfigs returns matched production/reference SMS parameter sets:
 // Table II, 4-entry AGT and filter with an 8-entry PHT (constant
-// eviction in all three tables), the same over 512-byte regions, and
-// 8KB regions whose 128 lines overflow the 64-bit pattern.
+// eviction in all three tables), the same over 512-byte and 256-byte
+// regions (the latter four lines, so generations end and replay
+// often), and 8KB regions whose 128 lines overflow the 64-bit pattern.
 func smsConfigs() []struct {
 	name string
 	real prefetch.SMSConfig
@@ -281,6 +351,7 @@ func smsConfigs() []struct {
 		mk("default", 32, 32, 512, 2048),
 		mk("tiny", 4, 4, 8, 2048),
 		mk("tiny-512B", 4, 4, 8, 512),
+		mk("tiny-256B", 4, 4, 8, 256),
 		mk("wide-8KB", 8, 8, 16, 8192),
 	}
 }

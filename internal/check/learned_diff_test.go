@@ -2,6 +2,7 @@ package check_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cbws/internal/check"
@@ -154,6 +155,82 @@ func TestPythiaVsReference(t *testing.T) {
 	}
 }
 
+// collidingKeys returns n keys at or above from whose mem.Hash values
+// share their top 16 bits, so they fall in one bucket of any table of
+// up to 2^16 buckets bucketed by those bits.
+func collidingKeys(from uint64, n int) []uint64 {
+	var count [1 << 16]uint8
+	target := -1
+	for x := from; target < 0; x++ {
+		b := mem.Hash(x) >> 48
+		if count[b]++; int(count[b]) == n {
+			target = int(b)
+		}
+	}
+	keys := make([]uint64, 0, n)
+	for x := from; len(keys) < n; x++ {
+		if int(mem.Hash(x)>>48) == target {
+			keys = append(keys, x)
+		}
+	}
+	return keys
+}
+
+// TestPythiaFilterCollisions drives the 4-deep-queue Pythia through
+// lines and pages chosen to share one reward-scan filter bucket: the
+// prefetch targets of the stream collide, so a demand access often
+// finds its bucket nonzero for another line's pending prefetch, and
+// misses on colliding pages share one no-prefetch count. With the
+// invariant checks on, every access also recounts the filter against
+// the queue; the reference must see the same prefetches and rewards.
+func TestPythiaFilterCollisions(t *testing.T) {
+	prev := check.Enabled
+	check.Enabled = true
+	defer func() { check.Enabled = prev }()
+
+	cfg := pythiaConfigs()[1] // "tiny": EQSize 4, actions {0, 1, -1, 2}
+	if cfg.real.EQSize != 4 {
+		t.Fatalf("tiny config has EQSize %d", cfg.real.EQSize)
+	}
+	lines := collidingKeys(1<<20, 8)
+	pages := collidingKeys(1<<14, 4)
+	for seed := int64(0); seed < 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p, ref := learned.NewPythia(cfg.real), check.NewRefPythia(cfg.ref)
+		var gotIssued, wantIssued []mem.LineAddr
+		for i := 0; i < 50_000; i++ {
+			var line mem.LineAddr
+			switch rng.Intn(3) {
+			case 0: // a colliding line: claims or false filter hits
+				line = mem.LineAddr(lines[rng.Intn(len(lines))])
+			case 1: // a trigger whose prefetch targets a colliding line
+				line = mem.LineAddr(lines[rng.Intn(len(lines))]).Add(int64(rng.Intn(4) - 2))
+			default: // a line of a colliding page
+				line = mem.LineAddr(pages[rng.Intn(len(pages))]<<6 | uint64(rng.Intn(64)))
+			}
+			a := prefetch.Access{PC: 0x400000 + uint64(rng.Intn(2))*0x40, Line: line, Addr: line.Byte()}
+			switch rng.Intn(4) {
+			case 0:
+				a.HitL1 = true
+			case 1:
+				a.PfHit = true
+			}
+			p.OnAccess(a, func(l mem.LineAddr) { gotIssued = append(gotIssued, l) })
+			ref.OnAccess(a, func(l mem.LineAddr) { wantIssued = append(wantIssued, l) })
+			if !slices.Equal(gotIssued, wantIssued) {
+				t.Fatalf("seed %d event %d: issued %v, ref %v", seed, i, gotIssued, wantIssued)
+			}
+			gotIssued, wantIssued = gotIssued[:0], wantIssued[:0]
+		}
+		if got := learnedPythiaStats(p.Stats); got != ref.Stats {
+			t.Fatalf("seed %d: stats diverged:\n real %+v\n  ref %+v", seed, got, ref.Stats)
+		}
+		if ref.Stats.AccurateTimely+ref.Stats.AccurateLate == 0 || ref.Stats.NoPrefBad == 0 {
+			t.Fatalf("seed %d: stream never rewarded a prefetch or punished a no-prefetch: %+v", seed, ref.Stats)
+		}
+	}
+}
+
 // gazeConfigs returns matched production/reference parameter sets.
 func gazeConfigs() []struct {
 	name string
@@ -256,8 +333,8 @@ func driveGazePair(t testingT, g *learned.Gaze, ref *check.RefGaze, rng *rand.Ra
 }
 
 // TestGazeVsReference drives over a million events through the
-// production Gaze-style prefetcher (fixed bitmap tables, linear-scan
-// CAM) and the naive map-based reference, across three hardware
+// production Gaze-style prefetcher (fixed bitmap tables, an indexed
+// active table) and the naive map-based reference, across three hardware
 // configurations, requiring identical prefetch streams and statistics
 // — including replay order and the LRU eviction sequence.
 func TestGazeVsReference(t *testing.T) {

@@ -37,10 +37,17 @@ func NewIndex(capacity int) Index {
 	}
 }
 
+// Hash is the Fibonacci hash an Index places keys by: its top bits
+// spread keys that differ only in their high bits, so a table of 2^b
+// buckets takes bucket Hash(key) >> (64-b).
+//
+//cbws:hotpath
+func Hash(key uint64) uint64 { return key * 0x9E3779B97F4A7C15 }
+
 // home is key's preferred bucket.
 //
 //cbws:hotpath
-func (x *Index) home(key uint64) uint64 { return (key * 0x9E3779B97F4A7C15) >> x.shift }
+func (x *Index) home(key uint64) uint64 { return Hash(key) >> x.shift }
 
 // find returns the bucket holding key, or the empty bucket that ends
 // its probe sequence (found = false).
@@ -106,6 +113,11 @@ func (x *Index) Delete(key uint64) bool {
 	x.n--
 	return true
 }
+
+// Len returns the number of keys held.
+//
+//cbws:hotpath
+func (x *Index) Len() int { return x.n }
 
 // Clear removes every key.
 func (x *Index) Clear() {

@@ -75,14 +75,14 @@ type ghbEntry struct {
 // it is pinned to.
 type GHB struct {
 	NoBlocks
-	cfg      GHBConfig
-	buf      []ghbEntry
-	seq      uint64 // sequence number of the next push
-	next     int    // slot of the next push
-	index    mem.Index
-	walk     int // most entries one history walk visits
-	scratch  []mem.LineAddr
-	dscratch []int64
+	cfg    GHBConfig
+	buf    []ghbEntry
+	seq    uint64 // sequence number of the next push
+	next   int    // slot of the next push
+	index  mem.Index
+	walk   int     // most entries one history walk visits
+	keyLen int     // deltas in the correlation key
+	deltas []int64 // history-walk deltas, newest first
 }
 
 // NewGHB builds a GHB prefetcher; zero-value fields fall back to the
@@ -109,13 +109,16 @@ func NewGHB(cfg GHBConfig) *GHB {
 	// recurrence, and a bounded walk matches the constant-time
 	// hardware lookup.
 	walk := min(8*(cfg.HistoryLength+cfg.Degree), cfg.BufferEntries)
+	// Correlation key: the HistoryLength-1 most recent deltas
+	// (Nesbit & Smith use a delta pair for history length 3).
+	keyLen := max(cfg.HistoryLength-1, 1)
 	return &GHB{
-		cfg:      cfg,
-		buf:      make([]ghbEntry, cfg.BufferEntries),
-		index:    mem.NewIndex(cfg.BufferEntries),
-		walk:     walk,
-		scratch:  make([]mem.LineAddr, 0, walk),
-		dscratch: make([]int64, walk),
+		cfg:    cfg,
+		buf:    make([]ghbEntry, cfg.BufferEntries),
+		index:  mem.NewIndex(cfg.BufferEntries),
+		walk:   walk,
+		keyLen: keyLen,
+		deltas: make([]int64, walk),
 	}
 }
 
@@ -167,32 +170,18 @@ func (g *GHB) push(key uint64, line mem.LineAddr) int {
 	return slot
 }
 
-// stream collects the most recent addresses of the key stream ending
-// at slot, newest first, up to max entries.
-//
-//cbws:hotpath
-func (g *GHB) stream(slot int, max int) []mem.LineAddr {
-	out := g.scratch[:0]
-	e := &g.buf[slot]
-	for {
-		out = append(out, e.line)
-		if len(out) == max || !e.hasPrev {
-			break
-		}
-		prev := &g.buf[e.prevSlot]
-		if prev.seq != e.prevSeq {
-			break // overwritten since the link was made
-		}
-		e = prev
-	}
-	g.scratch = out
-	return out
-}
-
 // OnAccess implements the delta-correlation lookup: on a triggering
-// access, gather the key stream, form the two most recent deltas as the
-// correlation key, locate the same delta pair earlier in the stream, and
-// prefetch the addresses implied by the deltas that followed it.
+// access, walk the key stream back from the new entry, forming deltas
+// newest first; the HistoryLength-1 most recent deltas are the
+// correlation key, and the most recent earlier occurrence of that delta
+// window locates the history to replay: the deltas that followed it.
+//
+// The walk stops at the first match. Window j (deltas j..j+keyLen-1)
+// is complete once its oldest delta has been formed, so testing each
+// window as its last delta arrives visits windows in increasing j, the
+// order an eager search over the whole walk would, and stops at the
+// same match. On a strided stream the match is window 1, and the walk
+// visits keyLen+2 entries instead of the whole bound.
 //
 //cbws:hotpath
 func (g *GHB) OnAccess(a Access, issue IssueFunc) {
@@ -203,40 +192,25 @@ func (g *GHB) OnAccess(a Access, issue IssueFunc) {
 	if !g.cfg.TrainOnHits && !a.Miss() {
 		return
 	}
-	slot := g.push(g.key(a.PC), a.Line)
+	e := &g.buf[g.push(g.key(a.PC), a.Line)]
 
-	// addrs[0] is the current address; addrs[i] are progressively
-	// older, up to the walk bound.
-	addrs := g.stream(slot, g.walk)
-	if len(addrs) < g.cfg.HistoryLength+1 {
-		return
-	}
-	// deltas[i] = addrs[i] - addrs[i+1]: deltas newest-first.
-	n := len(addrs) - 1
-	deltas := g.dscratch[:n]
-	for i := 0; i < n; i++ {
-		deltas[i] = addrs[i].Delta(addrs[i+1])
-	}
-	// Correlation key: the HistoryLength-1 most recent deltas
-	// (Nesbit & Smith use a delta pair for history length 3).
-	keyLen := g.cfg.HistoryLength - 1
-	if keyLen < 1 {
-		keyLen = 1
-	}
-	if n < keyLen+1 {
-		return
-	}
-	// Find the most recent earlier occurrence of the key window.
-	match := -1
-	for j := 1; j+keyLen <= n; j++ {
-		same := true
-		for k := 0; k < keyLen; k++ {
-			if deltas[j+k] != deltas[k] {
-				same = false
-				break
-			}
+	// deltas[i] is the key stream's i-th newest delta: the i-th
+	// visited address minus the next older one. The walk visits at
+	// most g.walk entries, and stops where the stream begins or a
+	// link breaks (the entry it named was overwritten since).
+	deltas := g.deltas
+	keyLen := g.keyLen
+	n, match := 0, -1
+	for visited := 1; visited < g.walk && e.hasPrev; visited++ {
+		prev := &g.buf[e.prevSlot]
+		if prev.seq != e.prevSeq {
+			break // overwritten since the link was made
 		}
-		if same {
+		deltas[n] = e.line.Delta(prev.line)
+		n++
+		e = prev
+		// The new delta completes window j = n-keyLen.
+		if j := n - keyLen; j >= 1 && windowMatch(deltas, j, keyLen) {
 			match = j
 			break
 		}
@@ -250,7 +224,7 @@ func (g *GHB) OnAccess(a Access, issue IssueFunc) {
 	// the match, the delta sequence is treated as periodic and replayed
 	// — for a constant stride (period 1) this degenerates to classic
 	// degree-deep stride prefetching, as in Nesbit & Smith.
-	addr := addrs[0]
+	addr := a.Line
 	j := match - 1
 	for k := 0; k < g.cfg.Degree; k++ {
 		addr = addr.Add(deltas[j])
@@ -259,6 +233,19 @@ func (g *GHB) OnAccess(a Access, issue IssueFunc) {
 			j = match - 1
 		}
 	}
+}
+
+// windowMatch reports whether deltas[j:j+keyLen] repeats the
+// correlation key deltas[:keyLen].
+//
+//cbws:hotpath
+func windowMatch(deltas []int64, j, keyLen int) bool {
+	for k := 0; k < keyLen; k++ {
+		if deltas[j+k] != deltas[k] {
+			return false
+		}
+	}
+	return true
 }
 
 // StorageBits implements the Table III estimates:

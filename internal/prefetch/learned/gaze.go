@@ -134,8 +134,9 @@ type Gaze struct {
 	regionWords int  // footprint bitmap words in use
 	patMask     uint32
 
-	active   []gazeActive
-	patterns []gazePattern
+	active    []gazeActive
+	activeIdx mem.Index // region → slot of each valid active entry
+	patterns  []gazePattern
 
 	tick uint64
 
@@ -178,6 +179,7 @@ func (g *Gaze) Reset() {
 	g.regionWords = (g.regionLines + 63) / 64
 	g.patMask = uint32(c.PatternEntries - 1)
 	g.active = make([]gazeActive, c.ActiveEntries)
+	g.activeIdx = mem.NewIndex(c.ActiveEntries)
 	g.patterns = make([]gazePattern, c.PatternEntries)
 	g.tick = 0
 	g.Stats = GazeStats{}
@@ -195,19 +197,6 @@ func gazeSignature(pc uint64, off1, off2 int16) uint32 {
 	s = s<<9 | s>>23
 	s ^= uint32(uint16(off2)) * 0xC2B2AE35
 	return s
-}
-
-// findActive scans the active table for the region (linear scan over a
-// fixed 64-entry array, as the hardware CAM would).
-//
-//cbws:hotpath
-func (g *Gaze) findActive(region uint64) int {
-	for i := range g.active {
-		if g.active[i].valid && g.active[i].region == region {
-			return i
-		}
-	}
-	return -1
 }
 
 // allocActive claims a slot for a new generation, committing and
@@ -238,6 +227,7 @@ func (g *Gaze) allocActive() int {
 func (g *Gaze) commit(idx int) {
 	e := &g.active[idx]
 	e.valid = false
+	g.activeIdx.Delete(e.region)
 	if e.off2 < 0 {
 		g.Stats.SingleLine++
 		return
@@ -331,8 +321,8 @@ func (g *Gaze) OnAccess(a prefetch.Access, issue prefetch.IssueFunc) {
 	region := uint64(line) >> g.regionShift
 	off := int16(uint64(line) & uint64(g.regionLines-1))
 
-	idx := g.findActive(region)
-	if idx < 0 {
+	idx, ok := g.activeIdx.Get(region)
+	if !ok {
 		// Cold region: only a miss (or prefetch first-use) opens a
 		// new generation, anchored at this trigger.
 		if !a.Miss() && !a.PfHit {
@@ -343,6 +333,7 @@ func (g *Gaze) OnAccess(a prefetch.Access, issue prefetch.IssueFunc) {
 		e.valid = true
 		e.replaying = false
 		e.region = region
+		g.activeIdx.Put(region, idx)
 		e.pc = a.PC
 		e.off1 = off
 		e.off2 = -1
@@ -394,26 +385,26 @@ func (g *Gaze) OnAccess(a prefetch.Access, issue prefetch.IssueFunc) {
 //cbws:hotpath
 func (g *Gaze) OnCacheEvict(line mem.LineAddr) {
 	region := uint64(line) >> g.regionShift
-	if idx := g.findActive(region); idx >= 0 {
+	if idx, ok := g.activeIdx.Get(region); ok {
 		g.commit(idx)
 	}
 }
 
 // checkTables verifies structural invariants under check.Enabled:
-// active regions are unique, order lists are within bounds and consist
-// of footprint members, confidences stay within [≤0 handled, ConfMax].
+// the active index maps exactly the valid regions, each to its own
+// slot (so active regions are unique), order lists are within bounds
+// and consist of footprint members, confidences stay within [≤0
+// handled, ConfMax].
 func (g *Gaze) checkTables() {
+	valid := 0
 	for i := range g.active {
 		e := &g.active[i]
 		if !e.valid {
 			continue
 		}
-		for j := i + 1; j < len(g.active); j++ {
-			if g.active[j].valid {
-				check.Assertf(g.active[j].region != e.region,
-					"gaze: region %#x active in slots %d and %d", e.region, i, j)
-			}
-		}
+		valid++
+		j, ok := g.activeIdx.Get(e.region)
+		check.Assertf(ok && j == i, "gaze: region %#x active in slot %d, index gives (%d, %v)", e.region, i, j, ok)
 		check.Assertf(e.orderLen <= g.cfg.OrderLines, "gaze: orderLen %d > %d", e.orderLen, g.cfg.OrderLines)
 		for k := 0; k < e.orderLen; k++ {
 			off := e.order[k]
@@ -421,6 +412,7 @@ func (g *Gaze) checkTables() {
 				"gaze: ordered offset %d absent from footprint", off)
 		}
 	}
+	check.Assertf(g.activeIdx.Len() == valid, "gaze: %d regions indexed, %d active", g.activeIdx.Len(), valid)
 	for i := range g.patterns {
 		p := &g.patterns[i]
 		if p.valid {

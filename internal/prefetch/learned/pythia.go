@@ -196,6 +196,17 @@ type Pythia struct {
 	eqHead int
 	eqLen  int
 
+	// The reward-scan filter, the EQ's associative match in software:
+	// pendLine counts the queued entries that are issued and not yet
+	// rewarded, by bucket of their line; openPage counts the queued
+	// no-prefetch entries not yet marked sawMiss, by bucket of their
+	// page. A zero bucket proves no entry the scan could change
+	// exists, so the scan is skipped.
+	pendLine  []int32
+	openPage  []int32
+	filtShift uint    // bucket = mem.Hash(key) >> filtShift
+	recount   []int32 // checkQueue's scratch: pendLine then openPage
+
 	deltaHist []int32 // ring of the DeltaHistory most recent deltas
 	histPos   int     // index of the oldest element
 	lastLine  mem.LineAddr
@@ -237,6 +248,10 @@ func (p *Pythia) Reset() {
 	p.eq = make([]pythiaEQEntry, c.EQSize)
 	p.eqHead = 0
 	p.eqLen = 0
+	buckets := nextPow2(4 * c.EQSize)
+	p.pendLine = make([]int32, buckets)
+	p.openPage = make([]int32, buckets)
+	p.filtShift = 64 - mem.Log2(uint64(buckets))
 	p.deltaHist = make([]int32, c.DeltaHistory)
 	p.histPos = 0
 	p.lastLine = 0
@@ -320,6 +335,11 @@ func (p *Pythia) argmax(h1, h2 uint32) int32 {
 	return best
 }
 
+// bucket is key's reward-scan filter bucket.
+//
+//cbws:hotpath
+func (p *Pythia) bucket(key uint64) uint32 { return uint32(mem.Hash(key) >> p.filtShift) }
+
 //cbws:hotpath
 func (p *Pythia) clampQ(q int32) int32 {
 	if q > p.qMax {
@@ -351,12 +371,14 @@ func (p *Pythia) evictOldest() {
 		case e.issued:
 			r = p.cfg.RewardInaccurate
 			p.Stats.Inaccurate++
+			p.pendLine[p.bucket(uint64(e.line))]--
 		case e.sawMiss:
 			r = p.cfg.RewardNoPrefBad
 			p.Stats.NoPrefBad++
 		default:
 			r = p.cfg.RewardNoPrefGood
 			p.Stats.NoPrefGood++
+			p.openPage[p.bucket(e.page)]--
 		}
 	}
 	target := r
@@ -374,6 +396,39 @@ func (p *Pythia) evictOldest() {
 	p.Stats.QUpdates++
 }
 
+// settle is the reward scan over the evaluation queue: it claims the
+// oldest issued, unrewarded entry for line, and on a miss marks every
+// no-prefetch entry of page. hl and hp are the filter buckets of line
+// and page, whose counts it keeps.
+//
+//cbws:hotpath
+func (p *Pythia) settle(line mem.LineAddr, page uint64, miss bool, hl, hp uint32) {
+	claimed := false
+	for i, j := 0, p.eqHead; i < p.eqLen; i++ {
+		e := &p.eq[j]
+		if j++; j == len(p.eq) {
+			j = 0
+		}
+		if e.issued {
+			if !claimed && !e.rewarded && e.line == line {
+				claimed = true
+				e.rewarded = true
+				p.pendLine[hl]--
+				if p.tick-e.tick >= p.cfg.TimelyAge {
+					e.reward = p.cfg.RewardAccurateTimely
+					p.Stats.AccurateTimely++
+				} else {
+					e.reward = p.cfg.RewardAccurateLate
+					p.Stats.AccurateLate++
+				}
+			}
+		} else if miss && e.page == page && !e.sawMiss {
+			e.sawMiss = true
+			p.openPage[hp]--
+		}
+	}
+}
+
 // OnAccess implements prefetch.Prefetcher. Every demand access settles
 // rewards against the evaluation queue; misses and prefetch hits are
 // the triggers that advance the delta history, consult the Q-tables
@@ -389,28 +444,10 @@ func (p *Pythia) OnAccess(a prefetch.Access, issue prefetch.IssueFunc) {
 	// this exact line is accurate (timely if it has had TimelyAge
 	// trigger accesses to complete); a demand miss marks every queued
 	// no-prefetch decision on the same page as a lost opportunity.
+	// The filter skips the scan when it could change nothing.
 	miss := a.Miss()
-	claimed := false
-	for i, j := 0, p.eqHead; i < p.eqLen; i++ {
-		e := &p.eq[j]
-		if j++; j == len(p.eq) {
-			j = 0
-		}
-		if e.issued {
-			if !claimed && !e.rewarded && e.line == line {
-				claimed = true
-				e.rewarded = true
-				if p.tick-e.tick >= p.cfg.TimelyAge {
-					e.reward = p.cfg.RewardAccurateTimely
-					p.Stats.AccurateTimely++
-				} else {
-					e.reward = p.cfg.RewardAccurateLate
-					p.Stats.AccurateLate++
-				}
-			}
-		} else if miss && e.page == page {
-			e.sawMiss = true
-		}
+	if hl, hp := p.bucket(uint64(line)), p.bucket(page); p.pendLine[hl] != 0 || miss && p.openPage[hp] != 0 {
+		p.settle(line, page, miss, hl, hp)
 	}
 
 	// 2. Only misses and first uses of prefetched lines trigger a new
@@ -479,6 +516,11 @@ func (p *Pythia) OnAccess(a prefetch.Access, issue prefetch.IssueFunc) {
 	slot.sawMiss = false
 	slot.reward = 0
 	p.eqLen++
+	if issued {
+		p.pendLine[p.bucket(uint64(cand))]++
+	} else {
+		p.openPage[p.bucket(page)]++
+	}
 
 	if check.Enabled {
 		p.checkQueue()
@@ -486,13 +528,20 @@ func (p *Pythia) OnAccess(a prefetch.Access, issue prefetch.IssueFunc) {
 }
 
 // checkQueue verifies the evaluation-queue structural invariants under
-// check.Enabled: occupancy within bounds and every entry's action and
-// rows within their tables. The full Q-table range scan is amortized
-// to every 4096th access — it is O(tables), and every slot write is
+// check.Enabled: occupancy within bounds, every entry's action and
+// rows within their tables, and the reward-scan filter equal to a
+// recount of the queue. The full Q-table range scan is amortized to
+// every 4096th access — it is O(tables), and every slot write is
 // clamped anyway.
 func (p *Pythia) checkQueue() {
 	check.Assertf(p.eqLen >= 0 && p.eqLen <= len(p.eq),
 		"pythia: EQ occupancy %d out of range [0,%d]", p.eqLen, len(p.eq))
+	nb := len(p.pendLine)
+	if len(p.recount) != 2*nb {
+		p.recount = make([]int32, 2*nb)
+	}
+	clear(p.recount)
+	pend, open := p.recount[:nb], p.recount[nb:]
 	for i, j := 0, p.eqHead; i < p.eqLen; i++ {
 		e := &p.eq[j]
 		if j++; j == len(p.eq) {
@@ -501,6 +550,17 @@ func (p *Pythia) checkQueue() {
 		check.Assertf(int(e.action) < p.numActions, "pythia: EQ action %d out of range", e.action)
 		check.Assertf(int(e.h1) < p.cfg.Feature1Entries && int(e.h2) < p.cfg.Feature2Entries,
 			"pythia: EQ rows (%d,%d) out of range", e.h1, e.h2)
+		switch {
+		case e.issued && !e.rewarded:
+			pend[p.bucket(uint64(e.line))]++
+		case !e.issued && !e.sawMiss:
+			open[p.bucket(e.page)]++
+		}
+	}
+	for b := range p.pendLine {
+		check.Assertf(p.pendLine[b] == pend[b] && p.openPage[b] == open[b],
+			"pythia: filter bucket %d counts (%d,%d), queue holds (%d,%d)",
+			b, p.pendLine[b], p.openPage[b], pend[b], open[b])
 	}
 	if p.tick&0xFFF != 0 {
 		return

@@ -67,10 +67,11 @@ type smsPHTEntry struct {
 // and, when a new generation begins with the same trigger signature
 // (PC + region offset), prefetches the learned footprint.
 //
-// The three tables are fixed arrays sized by the configuration. The
-// AGT and filter find a region by scanning a compact region array
-// (invalidRegion when empty), the structure-of-arrays layout of
-// Cache.tags; the PHT finds a signature through a fixed index. Every
+// The three tables are fixed arrays sized by the configuration, each
+// found through a fixed index (the hardware tables' CAM match): the
+// AGT and filter from region to slot, the PHT from signature to slot.
+// The AGT and filter also keep a compact region array (invalidRegion
+// when empty), which only an insert scans, for a free slot. Every
 // table update takes a fresh stamp from one counter, so LRU order is
 // total and a victim never depends on slot order. check.RefSMS is the
 // map-based reference it is pinned to.
@@ -81,12 +82,12 @@ type SMS struct {
 	offsetMask  uint64 // line offset within a region
 	lineMask    uint64 // pattern bits that name a line of the region
 
-	agtRegion  []uint64 // compact region per AGT entry
+	agtRegion  []uint64  // compact region per AGT entry
+	agtIndex   mem.Index // region → AGT entry; its Len is the occupancy
 	agt        []smsGeneration
-	agtLen     int
-	filtRegion []uint64 // compact region per filter entry
+	filtRegion []uint64  // compact region per filter entry
+	filtIndex  mem.Index // region → filter entry; its Len is the occupancy
 	filter     []smsFilterEntry
-	filtLen    int
 	pht        []smsPHTEntry // pht[:phtLen] are in use
 	phtLen     int
 	phtIndex   mem.Index // signature → pht slot
@@ -136,8 +137,10 @@ func NewSMS(cfg SMSConfig) *SMS {
 		offsetMask:  lines - 1,
 		lineMask:    lineMask,
 		agtRegion:   make([]uint64, cfg.AGTEntries),
+		agtIndex:    mem.NewIndex(cfg.AGTEntries),
 		agt:         make([]smsGeneration, cfg.AGTEntries),
 		filtRegion:  make([]uint64, cfg.FilterEntries),
+		filtIndex:   mem.NewIndex(cfg.FilterEntries),
 		filter:      make([]smsFilterEntry, cfg.FilterEntries),
 		pht:         make([]smsPHTEntry, cfg.PHTEntries),
 		phtIndex:    mem.NewIndex(cfg.PHTEntries),
@@ -157,7 +160,9 @@ func (s *SMS) Reset() {
 	for i := range s.filtRegion {
 		s.filtRegion[i] = invalidRegion
 	}
-	s.agtLen, s.filtLen, s.phtLen = 0, 0, 0
+	s.phtLen = 0
+	s.agtIndex.Clear()
+	s.filtIndex.Clear()
 	s.phtIndex.Clear()
 	s.clock = 0
 }
@@ -177,17 +182,17 @@ func (s *SMS) signature(pc uint64, offset int) uint64 {
 	return pc<<uint(s.cfg.OffsetBits) | uint64(offset)
 }
 
-// findRegion returns the entry of a compact region array holding r,
-// or -1.
+// freeSlot returns the first empty entry of a compact region array.
+// Only an insert, after making room, calls it.
 //
 //cbws:hotpath
-func findRegion(regions []uint64, r uint64) int {
+func freeSlot(regions []uint64) int {
 	for i := range regions {
-		if regions[i] == r {
+		if regions[i] == invalidRegion {
 			return i
 		}
 	}
-	return -1
+	panic("prefetch: SMS table has no free entry")
 }
 
 // endGeneration commits a finished generation's footprint to the PHT,
@@ -222,8 +227,8 @@ func (s *SMS) endGeneration(trigger, pattern uint64) {
 //cbws:hotpath
 func (s *SMS) endAGT(i int) {
 	s.endGeneration(s.agt[i].trigger, s.agt[i].pattern)
+	s.agtIndex.Delete(s.agtRegion[i])
 	s.agtRegion[i] = invalidRegion
-	s.agtLen--
 }
 
 // evictOldestAGT ends and removes the LRU generation.
@@ -245,8 +250,8 @@ func (s *SMS) evictOldestAGT() {
 //
 //cbws:hotpath
 func (s *SMS) dropFilter(i int) {
+	s.filtIndex.Delete(s.filtRegion[i])
 	s.filtRegion[i] = invalidRegion
-	s.filtLen--
 }
 
 // OnAccess trains on every L1 demand access, as in the original SMS
@@ -258,12 +263,12 @@ func (s *SMS) OnAccess(a Access, issue IssueFunc) {
 	region := uint64(a.Addr) >> s.regionShift
 	offset := int(uint64(a.Addr) >> mem.LineShift & s.offsetMask)
 
-	if i := findRegion(s.agtRegion, region); i >= 0 {
+	if i, ok := s.agtIndex.Get(region); ok {
 		s.agt[i].pattern |= 1 << uint(offset)
 		s.agt[i].lru = s.stamp()
 		return
 	}
-	if i := findRegion(s.filtRegion, region); i >= 0 {
+	if i, ok := s.filtIndex.Get(region); ok {
 		f := &s.filter[i]
 		if f.firstLine == offset {
 			f.lru = s.stamp()
@@ -272,17 +277,17 @@ func (s *SMS) OnAccess(a Access, issue IssueFunc) {
 		// Second distinct line: promote to an active generation.
 		trigger, first := f.trigger, f.firstLine
 		s.dropFilter(i)
-		if s.agtLen >= len(s.agt) {
+		if s.agtIndex.Len() >= len(s.agt) {
 			s.evictOldestAGT()
 		}
-		j := findRegion(s.agtRegion, invalidRegion)
+		j := freeSlot(s.agtRegion)
 		s.agtRegion[j] = region
+		s.agtIndex.Put(region, j)
 		s.agt[j] = smsGeneration{
 			trigger: trigger,
 			pattern: (1 << uint(first)) | (1 << uint(offset)),
 			lru:     s.stamp(),
 		}
-		s.agtLen++
 		return
 	}
 
@@ -300,7 +305,7 @@ func (s *SMS) OnAccess(a Access, issue IssueFunc) {
 			issue(mem.LineOf(mem.Addr(region<<s.regionShift + off<<mem.LineShift)))
 		}
 	}
-	if s.filtLen >= len(s.filter) {
+	if s.filtIndex.Len() >= len(s.filter) {
 		victim := -1
 		for i, r := range s.filtRegion {
 			if r != invalidRegion && (victim < 0 || s.filter[i].lru < s.filter[victim].lru) {
@@ -309,10 +314,10 @@ func (s *SMS) OnAccess(a Access, issue IssueFunc) {
 		}
 		s.dropFilter(victim)
 	}
-	j := findRegion(s.filtRegion, invalidRegion)
+	j := freeSlot(s.filtRegion)
 	s.filtRegion[j] = region
+	s.filtIndex.Put(region, j)
 	s.filter[j] = smsFilterEntry{trigger: sig, firstLine: offset, lru: s.stamp()}
-	s.filtLen++
 }
 
 // OnCacheEvict ends the generation of the region containing the evicted
@@ -322,13 +327,41 @@ func (s *SMS) OnAccess(a Access, issue IssueFunc) {
 //cbws:hotpath
 func (s *SMS) OnCacheEvict(l mem.LineAddr) {
 	region := uint64(l.Byte()) >> s.regionShift
-	if i := findRegion(s.agtRegion, region); i >= 0 {
+	if i, ok := s.agtIndex.Get(region); ok {
 		s.endAGT(i)
 		return
 	}
-	if i := findRegion(s.filtRegion, region); i >= 0 {
+	if i, ok := s.filtIndex.Get(region); ok {
 		s.dropFilter(i)
 	}
+}
+
+// Check verifies that the AGT and filter indexes agree with their
+// region arrays: each holds exactly the live regions, each mapped to
+// its own entry. Tests and fuzz targets call it between accesses; it
+// does not require check.Enabled.
+func (s *SMS) Check() error {
+	if err := checkRegionIndex("AGT", s.agtRegion, &s.agtIndex); err != nil {
+		return err
+	}
+	return checkRegionIndex("filter", s.filtRegion, &s.filtIndex)
+}
+
+func checkRegionIndex(table string, regions []uint64, x *mem.Index) error {
+	live := 0
+	for i, r := range regions {
+		if r == invalidRegion {
+			continue
+		}
+		live++
+		if j, ok := x.Get(r); !ok || j != i {
+			return fmt.Errorf("sms %s: region %#x in entry %d, index gives (%d, %v)", table, r, i, j, ok)
+		}
+	}
+	if x.Len() != live {
+		return fmt.Errorf("sms %s: %d live entries, %d indexed", table, live, x.Len())
+	}
+	return nil
 }
 
 var _ EvictionObserver = (*SMS)(nil)

@@ -91,11 +91,11 @@ func TestSMSRepeatedLineStaysInFilter(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		p.OnAccess(smsAccess(0x40, mem.Addr(0x10000)+7), c.issue)
 	}
-	if p.agtLen != 0 {
+	if p.agtIndex.Len() != 0 {
 		t.Error("repeated same-line accesses promoted to AGT")
 	}
-	if p.filtLen != 1 {
-		t.Errorf("filter has %d entries", p.filtLen)
+	if p.filtIndex.Len() != 1 {
+		t.Errorf("filter has %d entries", p.filtIndex.Len())
 	}
 }
 

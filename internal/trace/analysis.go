@@ -32,7 +32,8 @@ type Summary struct {
 	// (bucketed: 1,2,..,16,>16).
 	BlockSizes map[int]uint64
 
-	// TopStrides lists the most frequent per-PC line strides.
+	// TopStrides lists the most frequent per-PC line strides, most
+	// frequent first; equal counts list the smaller stride first.
 	TopStrides []StrideCount
 
 	// Regions2KB counts distinct 2KB regions touched.
@@ -134,8 +135,14 @@ func (a *analyzer) finish() {
 	for st, n := range a.strides {
 		a.s.TopStrides = append(a.s.TopStrides, StrideCount{Stride: st, Count: n})
 	}
+	// The histogram is a map, so ties must break on the stride itself
+	// for the order, and the cut below, not to follow map iteration.
 	sort.Slice(a.s.TopStrides, func(i, j int) bool {
-		return a.s.TopStrides[i].Count > a.s.TopStrides[j].Count
+		x, y := a.s.TopStrides[i], a.s.TopStrides[j]
+		if x.Count != y.Count {
+			return x.Count > y.Count
+		}
+		return x.Stride < y.Stride
 	})
 	if len(a.s.TopStrides) > 8 {
 		a.s.TopStrides = a.s.TopStrides[:8]

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -69,6 +70,29 @@ func TestAnalyzeStrides(t *testing.T) {
 	}
 	if !found1 || !found2 {
 		t.Errorf("stride histogram: %+v", s.TopStrides)
+	}
+}
+
+// TestAnalyzeStrideTiesDeterministic feeds twelve PCs that each step
+// by their own stride the same number of times, so all twelve strides
+// tie, and requires every run to keep the same eight: the smallest
+// strides, in ascending order.
+func TestAnalyzeStrideTiesDeterministic(t *testing.T) {
+	g := genFunc{name: "ties", body: func(emit func(Event) bool) {
+		for i := 0; i < 10; i++ {
+			for k := 1; k <= 12; k++ {
+				emit(Event{Kind: Load, PC: uint64(k), Addr: mem.Addr(uint64(k)<<32 + uint64(i*k*64))})
+			}
+		}
+	}}
+	var want []StrideCount
+	for k := int64(1); k <= 8; k++ {
+		want = append(want, StrideCount{Stride: k, Count: 9})
+	}
+	for run := 0; run < 20; run++ {
+		if got := Analyze(g, 0).TopStrides; !slices.Equal(got, want) {
+			t.Fatalf("run %d: TopStrides = %v, want %v", run, got, want)
+		}
 	}
 }
 
