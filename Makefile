@@ -7,7 +7,7 @@ STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
 .PHONY: all build test vet fmt-check race bench obs-smoke service-smoke check \
-	fuzz-smoke golden bench-gate bench-smoke corpus-smoke cluster-smoke streaming-smoke \
+	fuzz-smoke golden golden-check bench-gate bench-smoke corpus-smoke cluster-smoke streaming-smoke \
 	lint lint-custom lint-v2 compat-manifest staticcheck govulncheck tools
 
 all: check
@@ -75,8 +75,9 @@ corpus-smoke:
 
 # Each differential fuzz target gets a short coverage-guided run on top
 # of its seed corpus (CI uses 30s per target; override with FUZZTIME).
-# FuzzCorpusRoundTrip's minimization is capped at 5s per new input:
-# left unbounded, it spends nearly the whole run minimizing the first.
+# FuzzCorpusRoundTrip's and FuzzAnalyzeVsRef's minimization is capped
+# at 5s per new input: left unbounded, it spends nearly the whole run
+# minimizing the first.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test ./internal/check/ -run '^$$' -fuzz '^FuzzCacheVsRef$$' -fuzztime $(FUZZTIME)
@@ -86,6 +87,7 @@ fuzz-smoke:
 	$(GO) test ./internal/check/ -run '^$$' -fuzz '^FuzzStrideVsRef$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/check/ -run '^$$' -fuzz '^FuzzGHBVsRef$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/check/ -run '^$$' -fuzz '^FuzzSMSVsRef$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/check/ -run '^$$' -fuzz '^FuzzAnalyzeVsRef$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzTraceRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzStreamChunkFraming$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace/corpus/ -run '^$$' -fuzz '^FuzzCorpusRoundTrip$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
@@ -101,6 +103,15 @@ golden:
 	/tmp/cbws-figures -n 400000 -warmup 100000 -par 0 -golden /tmp/cbws-golden-parallel.json
 	cmp /tmp/cbws-golden-serial.json golden/seed.json
 	cmp /tmp/cbws-golden-parallel.json golden/seed.json
+
+# Checked-build golden fill: the same matrix with the cbwscheck
+# invariant hooks compiled in (cache MSHR and tag-array coherence, ROB
+# order, CBWS vector bounds), so every golden cell runs under them, and
+# the manifest must still match golden/seed.json byte for byte.
+golden-check:
+	$(GO) build -tags cbwscheck -o /tmp/cbws-figures-checked ./cmd/figures
+	/tmp/cbws-figures-checked -n 400000 -warmup 100000 -par 0 -golden /tmp/cbws-golden-checked.json
+	cmp /tmp/cbws-golden-checked.json golden/seed.json
 
 # Install the pinned third-party analysis tools into GOBIN (network
 # required once; the versions above keep it reproducible).
@@ -149,7 +160,7 @@ lint: fmt-check vet lint-custom
 # must stay within the baseline's time ratio with exact allocs/op.
 # To re-baseline: make bench-gate BENCHGATE_FLAGS='-write BENCH_baseline.json'
 BENCHGATE_FLAGS ?= -baseline BENCH_baseline.json
-BENCH_GATED = BenchmarkPipelineEventsPerSec$$|BenchmarkCBWSOnAccess$$|BenchmarkCorpusReplayEventsPerSec$$|BenchmarkPythiaOnAccess$$|BenchmarkGazeOnAccess$$|BenchmarkStrideOnAccess$$|BenchmarkGHBOnAccess$$|BenchmarkSMSOnAccess$$|BenchmarkHierarchyAccessInto$$|BenchmarkGoldenCell$$
+BENCH_GATED = BenchmarkPipelineEventsPerSec$$|BenchmarkCBWSOnAccess$$|BenchmarkCorpusReplayEventsPerSec$$|BenchmarkPythiaOnAccess$$|BenchmarkGazeOnAccess$$|BenchmarkStrideOnAccess$$|BenchmarkGHBOnAccess$$|BenchmarkSMSOnAccess$$|BenchmarkHierarchyAccessInto$$|BenchmarkGoldenCell$$|BenchmarkTraceCapture$$|BenchmarkTraceAnalyze$$|BenchmarkCensus$$
 # The end-to-end benchmark (bench/) is its own module, so the root
 # `go test ./...` never compiles it; vet and test it against the
 # current tree's APIs.

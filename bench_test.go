@@ -9,6 +9,7 @@ package cbws_test
 import (
 	"context"
 	"fmt"
+	"io"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -566,6 +567,76 @@ func BenchmarkHierarchyAccessInto(b *testing.B) {
 		h.AccessInto(&info, e.PC, e.Addr, e.Kind == trace.Store, now)
 		now += 3
 	}
+}
+
+// toolchainTrace captures the stream the trace-toolchain stage
+// benchmarks share: 1M instructions of 429.mcf, a pointer chase whose
+// footprint keeps the analyzer's and census's tables growing.
+func toolchainTrace(b *testing.B) *trace.Trace {
+	b.Helper()
+	spec, ok := workload.ByName("429.mcf-ref")
+	if !ok {
+		b.Fatal("429.mcf-ref not registered")
+	}
+	return trace.Capture(trace.Limit{Gen: spec.Make(), Max: 1_000_000})
+}
+
+// Package-level sinks keep the toolchain benchmarks' results live.
+var (
+	summarySink *trace.Summary
+	censusSink  *core.Census
+)
+
+// reportEventRate reports the events a toolchain stage benchmark
+// processed per second of its timed region.
+func reportEventRate(b *testing.B, events int) {
+	if s := b.Elapsed().Seconds(); s > 0 {
+		b.ReportMetric(float64(events)*float64(b.N)/1e6/s, "Mevents/s")
+	}
+}
+
+// BenchmarkTraceCapture encodes toolchainTrace as a CBWT stream into
+// io.Discard: the encode stage of trace capture, header and terminator
+// included.
+func BenchmarkTraceCapture(b *testing.B) {
+	tr := toolchainTrace(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w, err := trace.NewWriter(io.Discard, tr.Name())
+		if err != nil {
+			b.Fatal(err)
+		}
+		w.ConsumeBatch(tr.Events)
+		if err := w.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportEventRate(b, len(tr.Events))
+}
+
+// BenchmarkTraceAnalyze summarizes toolchainTrace with trace.Analyze,
+// the characterization behind tracegen -stats.
+func BenchmarkTraceAnalyze(b *testing.B) {
+	tr := toolchainTrace(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		summarySink = trace.Analyze(tr, 0)
+	}
+	reportEventRate(b, len(tr.Events))
+}
+
+// BenchmarkCensus runs toolchainTrace through a Figure 5 census.
+func BenchmarkCensus(b *testing.B) {
+	tr := toolchainTrace(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		censusSink = core.NewCensus(0)
+		censusSink.ConsumeBatch(tr.Events)
+	}
+	reportEventRate(b, len(tr.Events))
 }
 
 // goldenCellWorkload is the workload of BenchmarkGoldenCell: a

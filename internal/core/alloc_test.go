@@ -7,6 +7,7 @@ import (
 	"cbws/internal/mem"
 	"cbws/internal/prefetch"
 	"cbws/internal/trace"
+	"cbws/internal/workload"
 )
 
 // skipIfChecksEnabled guards the zero-allocation pins: they assert a
@@ -74,13 +75,20 @@ func TestPrefetcherBlockSwitchAllocationFree(t *testing.T) {
 func TestCensusSteadyStateAllocationFree(t *testing.T) {
 	skipIfChecksEnabled(t)
 	c := NewCensus(16)
+	// Warm on a real kernel first, so the pin holds with the tables
+	// full of blocks and differentials, as at the end of a workload.
+	spec, ok := workload.ByName("stencil-default")
+	if !ok {
+		t.Fatal("stencil-default not registered")
+	}
+	c.ConsumeBatch(trace.Capture(trace.Limit{Gen: spec.Make(), Max: 200_000}).Events)
 	k := 0
 	iter := func() {
-		c.observe(trace.Event{Kind: trace.BlockBegin, Block: 1})
+		c.observe(&trace.Event{Kind: trace.BlockBegin, Block: 1})
 		for j := 0; j < 4; j++ {
-			c.observe(trace.Event{Kind: trace.Load, Addr: mem.Addr((k*4 + j) * 64)})
+			c.observe(&trace.Event{Kind: trace.Load, Addr: mem.Addr((k*4 + j) * 64)})
 		}
-		c.observe(trace.Event{Kind: trace.BlockEnd, Block: 1})
+		c.observe(&trace.Event{Kind: trace.BlockEnd, Block: 1})
 		k++
 	}
 	for i := 0; i < 8; i++ {

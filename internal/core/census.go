@@ -1,8 +1,9 @@
 package core
 
 import (
-	"sort"
-	"strconv"
+	"cmp"
+	"encoding/binary"
+	"slices"
 
 	"cbws/internal/mem"
 	"cbws/internal/trace"
@@ -21,17 +22,16 @@ type Census struct {
 	inBlock  bool
 	curBlock int
 	cur      Vector
-	prev     map[int]Vector // per static block: previous instance's CBWS
-	diffBuf  Diff           // reusable differential scratch
-	keyBuf   []byte         // reusable canonical-key scratch
+	prev     map[int]*Vector // per static block: previous instance's CBWS
+	diffBuf  Diff            // reusable differential scratch
+	keyBuf   []byte          // reusable canonical-key scratch
 
-	// counts maps a canonical differential to its occurrence counter.
-	// The counter is boxed so the steady-state increment needs no
-	// string allocation: the map probe with string(keyBuf) is
-	// allocation-free, and only a first-seen insert materializes the
-	// key.
-	counts     map[string]*uint64
-	iterations uint64 // block instances with a defined differential
+	// index maps a canonical differential to its slot in freqs. The
+	// map is only probed with string(keyBuf), which does not allocate,
+	// so only a first-seen differential materializes its key.
+	index      map[string]int
+	freqs      []uint64 // occurrences per distinct differential
+	iterations uint64   // block instances with a defined differential
 }
 
 // NewCensus returns a census that traces up to maxVec lines per block
@@ -43,22 +43,23 @@ func NewCensus(maxVec int) *Census {
 	return &Census{
 		maxVec:   maxVec,
 		curBlock: -1,
-		prev:     make(map[int]Vector),
-		counts:   make(map[string]*uint64),
+		prev:     make(map[int]*Vector),
+		index:    make(map[string]int),
 	}
 }
 
-// appendDiffKey appends d's canonical form ("s0,s1,...,") to buf.
+// appendDiffKey appends d's canonical form, its elements as
+// consecutive zigzag varints, to buf. Varints are self-delimiting, so
+// distinct differentials (of any lengths) get distinct keys.
 func appendDiffKey(buf []byte, d Diff) []byte {
 	for _, s := range d {
-		buf = strconv.AppendInt(buf, s, 10)
-		buf = append(buf, ',')
+		buf = binary.AppendVarint(buf, s)
 	}
 	return buf
 }
 
 // observe processes one trace event.
-func (c *Census) observe(e trace.Event) {
+func (c *Census) observe(e *trace.Event) {
 	switch e.Kind {
 	case trace.BlockBegin:
 		c.inBlock = true
@@ -69,18 +70,23 @@ func (c *Census) observe(e trace.Event) {
 			return
 		}
 		c.inBlock = false
-		if prev, ok := c.prev[c.curBlock]; ok && len(prev) > 0 && len(c.cur) > 0 {
-			c.diffBuf = DifferentialInto(c.diffBuf, prev, c.cur)
+		prev, ok := c.prev[c.curBlock]
+		if !ok {
+			prev = new(Vector)
+			c.prev[c.curBlock] = prev
+		}
+		if len(*prev) > 0 && len(c.cur) > 0 {
+			c.diffBuf = DifferentialInto(c.diffBuf, *prev, c.cur)
 			c.keyBuf = appendDiffKey(c.keyBuf[:0], c.diffBuf)
-			if n, ok := c.counts[string(c.keyBuf)]; ok {
-				*n++
+			if i, ok := c.index[string(c.keyBuf)]; ok {
+				c.freqs[i]++
 			} else {
-				one := uint64(1)
-				c.counts[string(c.keyBuf)] = &one
+				c.index[string(c.keyBuf)] = len(c.freqs)
+				c.freqs = append(c.freqs, 1)
 			}
 			c.iterations++
 		}
-		c.prev[c.curBlock] = append(c.prev[c.curBlock][:0], c.cur...)
+		*prev = append((*prev)[:0], c.cur...)
 	case trace.Load, trace.Store:
 		if !c.inBlock || len(c.cur) >= c.maxVec {
 			return
@@ -95,14 +101,14 @@ func (c *Census) observe(e trace.Event) {
 // ConsumeBatch implements trace.BatchSink.
 func (c *Census) ConsumeBatch(batch []trace.Event) bool {
 	for i := range batch {
-		c.observe(batch[i])
+		c.observe(&batch[i])
 	}
 	return true
 }
 
 // DistinctVectors returns the number of distinct differential vectors
 // observed.
-func (c *Census) DistinctVectors() int { return len(c.counts) }
+func (c *Census) DistinctVectors() int { return len(c.freqs) }
 
 // Iterations returns the number of block instances that produced a
 // differential.
@@ -118,14 +124,11 @@ type CoveragePoint struct {
 // descending frequency, with the cumulative fraction of iterations each
 // prefix explains. The curve has one point per distinct vector.
 func (c *Census) Coverage() []CoveragePoint {
-	if c.iterations == 0 || len(c.counts) == 0 {
+	if c.iterations == 0 {
 		return nil
 	}
-	freqs := make([]uint64, 0, len(c.counts))
-	for _, n := range c.counts {
-		freqs = append(freqs, *n)
-	}
-	sort.Slice(freqs, func(i, j int) bool { return freqs[i] > freqs[j] })
+	freqs := slices.Clone(c.freqs)
+	slices.SortFunc(freqs, func(x, y uint64) int { return cmp.Compare(y, x) })
 	out := make([]CoveragePoint, len(freqs))
 	var cum uint64
 	for i, n := range freqs {

@@ -11,11 +11,11 @@ import (
 // feedBlocks runs block instances through a census.
 func feedBlocks(c *Census, id int, blocks [][]mem.LineAddr) {
 	for _, b := range blocks {
-		c.observe(trace.Event{Kind: trace.BlockBegin, Block: id})
+		c.observe(&trace.Event{Kind: trace.BlockBegin, Block: id})
 		for _, l := range b {
-			c.observe(trace.Event{Kind: trace.Load, PC: 1, Addr: l.Byte()})
+			c.observe(&trace.Event{Kind: trace.Load, PC: 1, Addr: l.Byte()})
 		}
-		c.observe(trace.Event{Kind: trace.BlockEnd, Block: id})
+		c.observe(&trace.Event{Kind: trace.BlockEnd, Block: id})
 	}
 }
 
@@ -115,7 +115,7 @@ func TestCensusEmpty(t *testing.T) {
 
 func TestCensusIgnoresOutsideBlocks(t *testing.T) {
 	c := NewCensus(16)
-	c.observe(trace.Event{Kind: trace.Load, PC: 1, Addr: 0x4000})
+	c.observe(&trace.Event{Kind: trace.Load, PC: 1, Addr: 0x4000})
 	if c.Iterations() != 0 || c.DistinctVectors() != 0 {
 		t.Error("accesses outside blocks were counted")
 	}

@@ -58,7 +58,8 @@ func newPeerFetcher(peers []string, timeout time.Duration) (*peerFetcher, error)
 // order clients route by, so the worker most likely to have computed
 // the key is asked first. Counter semantics: hits count jobs served by
 // a peer, misses count per-sibling 404 probes, errors count transport
-// failures and responses that fail validation.
+// failures and responses that fail validation, including a record
+// whose names or config differ from the job's.
 func (s *Service) tryPeerFetch(j *Job) bool {
 	p := s.peers
 	if p == nil {
@@ -86,7 +87,9 @@ func (s *Service) tryPeerFetch(j *Job) bool {
 			s.counters.peerErrors.Add(1)
 			continue
 		}
-		if rec.Workload != j.Spec.Workload || rec.Prefetcher != j.Spec.Prefetcher {
+		// The key covers the config, so a record under it must carry the
+		// job's own config; sim.Config holds only scalars, so == is exact.
+		if rec.Workload != j.Spec.Workload || rec.Prefetcher != j.Spec.Prefetcher || rec.Config != j.Spec.Config {
 			s.counters.peerErrors.Add(1)
 			continue
 		}

@@ -177,3 +177,50 @@ func TestPeerConfigRejectsDuplicates(t *testing.T) {
 		t.Fatal("duplicate peers accepted")
 	}
 }
+
+// TestPeerFetchRejectsForeignConfig proves a sibling serving a valid
+// record with the right names but another configuration's results
+// cannot poison the local cache: the record is rejected and counted,
+// the job is simulated locally, and the cached record carries the
+// job's own config.
+func TestPeerFetchRejectsForeignConfig(t *testing.T) {
+	_, tsA := newTestService(t, testConfig())
+	_, dataA := submitAndWait(t, tsA.URL, peerJobBody)
+	foreign := &harness.RunRecord{}
+	if err := json.Unmarshal(dataA, foreign); err != nil {
+		t.Fatal(err)
+	}
+	want := foreign.Config
+	foreign.Config.MaxInstructions++
+	if err := foreign.Validate(); err != nil {
+		t.Fatalf("the foreign record must pass schema validation: %v", err)
+	}
+	body, err := json.Marshal(foreign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	liar := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(body)
+	}))
+	defer liar.Close()
+
+	cfg := testConfig()
+	cfg.Peers = []string{liar.URL}
+	svc, ts := newTestService(t, cfg)
+	_, data := submitAndWait(t, ts.URL, peerJobBody)
+	vars := svc.Counters()
+	if vars.PeerErrors != 1 || vars.PeerHits != 0 {
+		t.Fatalf("peer counters errors=%d hits=%d, want 1/0", vars.PeerErrors, vars.PeerHits)
+	}
+	if vars.JobsSimulated != 1 {
+		t.Fatalf("simulated %d, want 1 — a foreign config must fall back to computing", vars.JobsSimulated)
+	}
+	got := &harness.RunRecord{}
+	if err := json.Unmarshal(data, got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Config != want {
+		t.Fatalf("cached record carries config %+v, want the job's %+v", got.Config, want)
+	}
+}

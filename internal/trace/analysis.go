@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -46,31 +47,47 @@ type StrideCount struct {
 	Count  uint64
 }
 
-// analyzer is the BatchSink behind Analyze.
+// blockLineCap is the most distinct lines the analyzer tracks per
+// dynamic block: BlockSizes tells apart 1..16 lines and ">16", so a
+// 17th distinct line settles the bucket and later ones change nothing.
+const blockLineCap = 17
+
+// regionLineShift converts a line address to its 2 KB region (32 lines).
+const regionLineShift = 11 - mem.LineShift
+
+// analyzer is the BatchSink behind Analyze. Steady state allocates
+// nothing: sets grow only on a first-seen line, PC or stride, and the
+// current block's lines live in a fixed slice.
 type analyzer struct {
 	s       Summary
 	lines   map[mem.LineAddr]struct{}
 	regions map[mem.Region]struct{}
-	lastPC  map[uint64]mem.LineAddr
+	pcSlot  map[uint64]int // PC -> index into lastLine
 	strides map[int64]uint64
-	rc      mem.RegionConfig
+
+	lastLine   []mem.LineAddr // per PC: the line of its latest access
+	blockSizes [blockLineCap + 1]uint64
 
 	inBlock  bool
-	curLines map[mem.LineAddr]struct{}
+	curLines []mem.LineAddr // distinct lines of the current block, at most blockLineCap
+}
+
+func newAnalyzer(name string) *analyzer {
+	a := &analyzer{
+		lines:    make(map[mem.LineAddr]struct{}),
+		regions:  make(map[mem.Region]struct{}),
+		pcSlot:   make(map[uint64]int),
+		strides:  make(map[int64]uint64),
+		curLines: make([]mem.LineAddr, 0, blockLineCap),
+	}
+	a.s.Name = name
+	return a
 }
 
 // Analyze consumes up to max instructions of gen and summarizes them.
 func Analyze(gen Generator, max uint64) *Summary {
-	a := &analyzer{
-		lines:   make(map[mem.LineAddr]struct{}),
-		regions: make(map[mem.Region]struct{}),
-		lastPC:  make(map[uint64]mem.LineAddr),
-		strides: make(map[int64]uint64),
-		rc:      mem.RegionConfig{SizeBytes: 2 << 10},
-	}
-	a.s.Name = gen.Name()
-	a.s.BlockSizes = make(map[int]uint64)
-	src := Generator(gen)
+	a := newAnalyzer(gen.Name())
+	src := gen
 	if max > 0 {
 		src = Limit{Gen: gen, Max: max}
 	}
@@ -82,12 +99,12 @@ func Analyze(gen Generator, max uint64) *Summary {
 // ConsumeBatch implements BatchSink.
 func (a *analyzer) ConsumeBatch(batch []Event) bool {
 	for i := range batch {
-		a.observe(batch[i])
+		a.observe(&batch[i])
 	}
 	return true
 }
 
-func (a *analyzer) observe(e Event) {
+func (a *analyzer) observe(e *Event) {
 	a.s.Instructions += uint64(e.Count())
 	switch e.Kind {
 	case Load, Store:
@@ -97,14 +114,20 @@ func (a *analyzer) observe(e Event) {
 			a.s.Stores++
 		}
 		l := mem.LineOf(e.Addr)
-		a.lines[l] = struct{}{}
-		a.regions[a.rc.RegionOf(e.Addr)] = struct{}{}
-		if last, ok := a.lastPC[e.PC]; ok {
-			a.strides[l.Delta(last)]++
+		if _, ok := a.lines[l]; !ok {
+			// A line already seen has its region recorded too.
+			a.lines[l] = struct{}{}
+			a.regions[mem.Region(l>>regionLineShift)] = struct{}{}
 		}
-		a.lastPC[e.PC] = l
-		if a.inBlock {
-			a.curLines[l] = struct{}{}
+		if slot, ok := a.pcSlot[e.PC]; ok {
+			a.strides[l.Delta(a.lastLine[slot])]++
+			a.lastLine[slot] = l
+		} else {
+			a.pcSlot[e.PC] = len(a.lastLine)
+			a.lastLine = append(a.lastLine, l)
+		}
+		if a.inBlock && len(a.curLines) < blockLineCap && !slices.Contains(a.curLines, l) {
+			a.curLines = append(a.curLines, l)
 		}
 	case Branch:
 		a.s.Branches++
@@ -113,25 +136,27 @@ func (a *analyzer) observe(e Event) {
 		}
 	case BlockBegin:
 		a.inBlock = true
-		a.curLines = make(map[mem.LineAddr]struct{}, 16)
+		a.curLines = a.curLines[:0]
 	case BlockEnd:
 		if a.inBlock {
 			a.inBlock = false
 			a.s.Blocks++
-			n := len(a.curLines)
-			if n > 16 {
-				n = 17 // ">16" bucket
-			}
-			a.s.BlockSizes[n]++
+			a.blockSizes[len(a.curLines)]++ // index blockLineCap is the ">16" bucket
 		}
 	}
 }
 
 func (a *analyzer) finish() {
 	a.s.UniqueLines = len(a.lines)
-	a.s.UniquePCs = len(a.lastPC)
+	a.s.UniquePCs = len(a.lastLine)
 	a.s.FootprintBytes = uint64(len(a.lines)) * mem.LineSize
 	a.s.Regions2KB = len(a.regions)
+	a.s.BlockSizes = make(map[int]uint64)
+	for n, c := range a.blockSizes {
+		if c > 0 {
+			a.s.BlockSizes[n] = c
+		}
+	}
 	for st, n := range a.strides {
 		a.s.TopStrides = append(a.s.TopStrides, StrideCount{Stride: st, Count: n})
 	}

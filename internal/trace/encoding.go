@@ -28,93 +28,85 @@ var ErrBadTrace = errors.New("trace: malformed trace file")
 // Writer encodes events to an io.Writer in the binary trace format.
 type Writer struct {
 	w        *bufio.Writer
+	buf      []byte // one window's encoding, reused across batches
 	lastPC   uint64
 	lastAddr uint64
 	err      error
 }
 
+// encodeWindow is the number of events encoded into the Writer's
+// scratch before it is handed to the bufio.Writer. With maxEventBytes
+// it bounds the scratch, so a producer that delivers a whole captured
+// trace as one batch costs no more memory than one fed by a Batcher.
+const encodeWindow = 1024
+
 // NewWriter writes the file header (with the trace name) and returns a
 // Writer ready to receive events.
 func NewWriter(w io.Writer, name string) (*Writer, error) {
+	hdr := make([]byte, 0, encodeWindow*maxEventBytes)
+	hdr = append(hdr, traceMagic...)
+	hdr = append(hdr, traceVersion)
+	hdr = binary.AppendUvarint(hdr, uint64(len(name)))
+	hdr = append(hdr, name...)
 	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(traceMagic); err != nil {
+	if _, err := bw.Write(hdr); err != nil {
 		return nil, err
 	}
-	if err := bw.WriteByte(traceVersion); err != nil {
-		return nil, err
-	}
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], uint64(len(name)))
-	if _, err := bw.Write(buf[:n]); err != nil {
-		return nil, err
-	}
-	if _, err := bw.WriteString(name); err != nil {
-		return nil, err
-	}
-	return &Writer{w: bw}, nil
+	return &Writer{w: bw, buf: hdr[:0]}, nil
 }
 
-func (w *Writer) putUvarint(v uint64) {
-	if w.err != nil {
-		return
-	}
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	_, w.err = w.w.Write(buf[:n])
-}
-
-func (w *Writer) putVarint(v int64) {
-	if w.err != nil {
-		return
-	}
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(buf[:], v)
-	_, w.err = w.w.Write(buf[:n])
-}
-
-// encode encodes one event. Errors are sticky and reported by Close.
-func (w *Writer) encode(e Event) {
-	w.err = w.w.WriteByte(byte(e.Kind))
+// appendEvent appends the encoding of one event to dst.
+func (w *Writer) appendEvent(dst []byte, e *Event) ([]byte, error) {
+	dst = append(dst, byte(e.Kind))
 	switch e.Kind {
 	case Instr:
 		if e.N > MaxInstrCount {
-			w.err = fmt.Errorf("trace: instr count %d exceeds %d", e.N, MaxInstrCount)
-			return
+			return dst, fmt.Errorf("trace: instr count %d exceeds %d", e.N, MaxInstrCount)
 		}
-		w.putUvarint(uint64(e.Count()))
+		dst = binary.AppendUvarint(dst, uint64(e.Count()))
 	case Load, Store:
-		w.putVarint(int64(e.PC) - int64(w.lastPC))
-		w.putVarint(int64(e.Addr) - int64(w.lastAddr))
+		dst = binary.AppendVarint(dst, int64(e.PC)-int64(w.lastPC))
+		dst = binary.AppendVarint(dst, int64(e.Addr)-int64(w.lastAddr))
 		w.lastPC = e.PC
 		w.lastAddr = uint64(e.Addr)
 	case BlockBegin, BlockEnd:
 		if e.Block < 0 || e.Block > MaxBlockID {
-			w.err = fmt.Errorf("trace: block ID %d out of range [0, %d]", e.Block, MaxBlockID)
-			return
+			return dst, fmt.Errorf("trace: block ID %d out of range [0, %d]", e.Block, MaxBlockID)
 		}
-		w.putUvarint(uint64(e.Block))
+		dst = binary.AppendUvarint(dst, uint64(e.Block))
 	case Branch:
-		w.putVarint(int64(e.PC) - int64(w.lastPC))
+		dst = binary.AppendVarint(dst, int64(e.PC)-int64(w.lastPC))
 		w.lastPC = e.PC
-		t := uint64(0)
+		t := byte(0)
 		if e.Taken {
 			t = 1
 		}
-		w.putUvarint(t)
+		dst = append(dst, t)
 	default:
-		w.err = fmt.Errorf("trace: cannot encode kind %v", e.Kind)
+		return dst, fmt.Errorf("trace: cannot encode kind %v", e.Kind)
 	}
+	return dst, nil
 }
 
-// ConsumeBatch implements BatchSink. Encoding errors are sticky; a
-// stuck writer asks the producer to stop instead of silently chewing
-// through the rest of the stream.
+// ConsumeBatch implements BatchSink. The batch is encoded a window at a
+// time into the Writer's own scratch, which goes to the bufio.Writer in
+// one call. Encoding errors are sticky; a stuck writer asks the
+// producer to stop instead of silently chewing through the rest of the
+// stream.
 func (w *Writer) ConsumeBatch(batch []Event) bool {
-	for i := range batch {
-		if w.err != nil {
-			return false
+	for len(batch) > 0 && w.err == nil {
+		win := batch[:min(len(batch), encodeWindow)]
+		batch = batch[len(win):]
+		buf := w.buf[:0]
+		for i := range win {
+			if buf, w.err = w.appendEvent(buf, &win[i]); w.err != nil {
+				break
+			}
 		}
-		w.encode(batch[i])
+		w.buf = buf
+		if _, err := w.w.Write(buf); w.err == nil {
+			w.err = err
+		}
 	}
 	return w.err == nil
 }
