@@ -75,18 +75,18 @@ corpus-smoke:
 
 # Each differential fuzz target gets a short coverage-guided run on top
 # of its seed corpus (CI uses 30s per target; override with FUZZTIME).
-# FuzzCorpusRoundTrip's and FuzzAnalyzeVsRef's minimization is capped
-# at 5s per new input: left unbounded, it spends nearly the whole run
-# minimizing the first.
+# FuzzCorpusRoundTrip's and every internal/check target's minimization
+# is capped at 5s per new input: left unbounded, it spends nearly the
+# whole run minimizing the first.
 FUZZTIME ?= 30s
 fuzz-smoke:
-	$(GO) test ./internal/check/ -run '^$$' -fuzz '^FuzzCacheVsRef$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/check/ -run '^$$' -fuzz '^FuzzCBWSVsRef$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/check/ -run '^$$' -fuzz '^FuzzPythiaVsRef$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/check/ -run '^$$' -fuzz '^FuzzGazeVsRef$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/check/ -run '^$$' -fuzz '^FuzzStrideVsRef$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/check/ -run '^$$' -fuzz '^FuzzGHBVsRef$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/check/ -run '^$$' -fuzz '^FuzzSMSVsRef$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/check/ -run '^$$' -fuzz '^FuzzCacheVsRef$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
+	$(GO) test ./internal/check/ -run '^$$' -fuzz '^FuzzCBWSVsRef$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
+	$(GO) test ./internal/check/ -run '^$$' -fuzz '^FuzzPythiaVsRef$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
+	$(GO) test ./internal/check/ -run '^$$' -fuzz '^FuzzGazeVsRef$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
+	$(GO) test ./internal/check/ -run '^$$' -fuzz '^FuzzStrideVsRef$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
+	$(GO) test ./internal/check/ -run '^$$' -fuzz '^FuzzGHBVsRef$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
+	$(GO) test ./internal/check/ -run '^$$' -fuzz '^FuzzSMSVsRef$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
 	$(GO) test ./internal/check/ -run '^$$' -fuzz '^FuzzAnalyzeVsRef$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzTraceRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzStreamChunkFraming$$' -fuzztime $(FUZZTIME)

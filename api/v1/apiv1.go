@@ -17,8 +17,8 @@
 //     place.
 //
 // The types here marshal byte-identically to the pre-extraction
-// internal/service definitions, so on-disk cache indexes and job keys
-// written by older daemons load unchanged.
+// internal/service definitions, so job keys computed by older daemons
+// are unchanged.
 package apiv1
 
 import "encoding/json"

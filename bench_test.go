@@ -728,7 +728,11 @@ func BenchmarkAblationBranchPrediction(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := ablationConfig()
 				cfg.IdealBranchPrediction = ideal
-				res, err := sim.Run(cfg, spec.Make(), cbws.NewCBWSPlusSMS())
+				pf, err := cbws.NewPrefetcher("cbws+sms")
+				if err != nil {
+					b.Fatal(err)
+				}
+				res, err := sim.Run(cfg, spec.Make(), pf)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -158,46 +158,6 @@ func NewPrefetcher(name string) (Prefetcher, error) { return registry.New(name) 
 // NewPrefetcher("cbws"); NewCBWS remains for custom CBWSConfig values.
 func NewCBWS(cfg CBWSConfig) *core.Prefetcher { return core.New(cfg) }
 
-// NewCBWSPlusSMS builds the integrated CBWS+SMS prefetcher — the paper's
-// best-performing configuration.
-//
-// Deprecated: use NewPrefetcher("cbws+sms").
-func NewCBWSPlusSMS() Prefetcher { return mustNew("cbws+sms") }
-
-// NewSMS builds the spatial memory streaming baseline.
-//
-// Deprecated: use NewPrefetcher("sms").
-func NewSMS() Prefetcher { return mustNew("sms") }
-
-// NewStride builds the 256-stream stride baseline.
-//
-// Deprecated: use NewPrefetcher("stride").
-func NewStride() Prefetcher { return mustNew("stride") }
-
-// NewGHBPCDC builds the GHB PC/DC baseline.
-//
-// Deprecated: use NewPrefetcher("ghb-pc/dc").
-func NewGHBPCDC() Prefetcher { return mustNew("ghb-pc/dc") }
-
-// NewGHBGDC builds the GHB G/DC baseline.
-//
-// Deprecated: use NewPrefetcher("ghb-g/dc").
-func NewGHBGDC() Prefetcher { return mustNew("ghb-g/dc") }
-
-// NewNone builds the no-prefetching baseline.
-//
-// Deprecated: use NewPrefetcher("none").
-func NewNone() Prefetcher { return mustNew("none") }
-
-// mustNew resolves a name known to be registered.
-func mustNew(name string) Prefetcher {
-	p, err := registry.New(name)
-	if err != nil {
-		panic(err) // unreachable: the wrappers only pass registered names
-	}
-	return p
-}
-
 // Workloads returns all 30 benchmark emulations.
 func Workloads() []WorkloadSpec { return workload.All() }
 

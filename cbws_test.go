@@ -17,7 +17,11 @@ func TestFacadeQuickstart(t *testing.T) {
 	if !ok {
 		t.Fatal("stencil workload missing")
 	}
-	res, err := cbws.Run(cfg, wl.Make(), cbws.NewCBWSPlusSMS())
+	pf, err := cbws.NewPrefetcher("cbws+sms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := cbws.Run(cfg, wl.Make(), pf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,20 +30,23 @@ func TestFacadeQuickstart(t *testing.T) {
 	}
 }
 
+// TestFacadePrefetcherConstructors checks the paper's evaluated roster
+// constructs by name, and that NewCBWS with a zero config is the
+// registry's "cbws".
 func TestFacadePrefetcherConstructors(t *testing.T) {
-	names := map[string]cbws.Prefetcher{
-		"none":      cbws.NewNone(),
-		"stride":    cbws.NewStride(),
-		"ghb-pc/dc": cbws.NewGHBPCDC(),
-		"ghb-g/dc":  cbws.NewGHBGDC(),
-		"sms":       cbws.NewSMS(),
-		"cbws":      cbws.NewCBWS(cbws.CBWSConfig{}),
-		"cbws+sms":  cbws.NewCBWSPlusSMS(),
-	}
-	for want, p := range names {
-		if p.Name() != want {
-			t.Errorf("constructor for %q builds %q", want, p.Name())
+	for _, name := range []string{"none", "stride", "ghb-pc/dc", "ghb-g/dc", "sms", "cbws", "cbws+sms"} {
+		p, err := cbws.NewPrefetcher(name)
+		if err != nil {
+			t.Fatalf("NewPrefetcher(%q): %v", name, err)
 		}
+		if p.Name() != name {
+			t.Errorf("NewPrefetcher(%q) builds %q", name, p.Name())
+		}
+	}
+	reg, _ := cbws.NewPrefetcher("cbws")
+	if p := cbws.NewCBWS(cbws.CBWSConfig{}); p.Name() != reg.Name() || p.StorageBits() != reg.StorageBits() {
+		t.Errorf("NewCBWS(zero) builds %q (%d bits), registry cbws %q (%d bits)",
+			p.Name(), p.StorageBits(), reg.Name(), reg.StorageBits())
 	}
 }
 

@@ -24,7 +24,8 @@
 // daemon on a random port and discover it race-free. On SIGINT/SIGTERM
 // the daemon drains gracefully: the listener closes, running jobs
 // finish (bounded by -drain-timeout), queued jobs are canceled, and the
-// cache index is persisted before exit 0.
+// daemon exits 0. Every result is on disk as soon as it is stored, so a
+// daemon killed without draining restarts with all of them.
 //
 // -peers turns the daemon into one worker of a fleet: before
 // simulating a job it asks the listed sibling daemons for the job's
@@ -69,7 +70,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	addrFile := fs.String("addr-file", "", "write the bound address to this file once listening")
 	workers := fs.Int("workers", 0, "concurrent simulations, closed jobs and streams together (0: one per CPU)")
 	queue := fs.Int("queue", 64, "bound on jobs waiting for their first slot; submissions beyond it get 429")
-	cacheDir := fs.String("cache-dir", "", "persist results and the cache index here (default: memory only)")
+	cacheDir := fs.String("cache-dir", "", "persist results here, one run record per job (default: memory only)")
 	n := fs.Uint64("n", 4_000_000, "base instruction budget per job")
 	warm := fs.Uint64("warmup", 1_000_000, "base warmup instructions excluded from metrics")
 	configPath := fs.String("config", "", "JSON system-config file (overrides Table II defaults)")

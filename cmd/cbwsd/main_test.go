@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"cbws/internal/cli"
+	"cbws/internal/harness"
 )
 
 func TestUsageErrors(t *testing.T) {
@@ -67,7 +68,7 @@ func TestBadListenAddr(t *testing.T) {
 
 // TestServeSubmitSigtermDrain is the full daemon lifecycle: start on an
 // ephemeral port published through -addr-file, serve a job, then drain
-// cleanly on SIGTERM with exit 0 and a persisted cache index.
+// cleanly on SIGTERM with exit 0, leaving the job's run record on disk.
 func TestServeSubmitSigtermDrain(t *testing.T) {
 	dir := t.TempDir()
 	addrFile := filepath.Join(dir, "addr")
@@ -125,11 +126,12 @@ func TestServeSubmitSigtermDrain(t *testing.T) {
 	if !strings.Contains(stderr.String(), "drained cleanly") {
 		t.Fatalf("drain not logged:\n%s", stderr.String())
 	}
-	if _, err := os.Stat(filepath.Join(cacheDir, "index.json")); err != nil {
-		t.Fatalf("cache index not persisted: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(cacheDir, key+".json")); err != nil {
+	rec, err := harness.ReadRunRecord(filepath.Join(cacheDir, key+".json"))
+	if err != nil {
 		t.Fatalf("cached result not persisted: %v", err)
+	}
+	if rec.Workload != "stencil-default" || rec.Prefetcher != "none" {
+		t.Fatalf("persisted record names %q × %q, want stencil-default × none", rec.Workload, rec.Prefetcher)
 	}
 	if _, err := os.Stat(addrFile); !os.IsNotExist(err) {
 		t.Fatal("addr file not cleaned up on exit")

@@ -30,7 +30,12 @@ func ExampleRun() {
 	cfg.MaxInstructions = 100_000
 
 	wl, _ := cbws.WorkloadByName("nw")
-	res, err := cbws.Run(cfg, wl.Make(), cbws.NewCBWSPlusSMS())
+	pf, err := cbws.NewPrefetcher("cbws+sms")
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	res, err := cbws.Run(cfg, wl.Make(), pf)
 	if err != nil {
 		fmt.Println("error:", err)
 		return

@@ -65,7 +65,11 @@ func main() {
 		log.Fatal(err)
 	}
 	cfg := cbws.DefaultConfig()
-	res, err := cbws.Run(cfg, r, cbws.NewCBWSPlusSMS())
+	pf, err := cbws.NewPrefetcher("cbws+sms")
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := cbws.Run(cfg, r, pf)
 	if err != nil {
 		log.Fatal(err)
 	}

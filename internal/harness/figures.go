@@ -515,7 +515,7 @@ func LearnedTable(m *Matrix) (*report.Table, error) {
 		if !ok {
 			return 0, fmt.Errorf("harness: unknown scheme %q", sn)
 		}
-		base, err := m.Get(spec, Factory{Name: none.Name, New: none.New})
+		base, err := m.Get(spec, none)
 		if err != nil {
 			return 0, err
 		}

@@ -14,71 +14,41 @@ import (
 	"sync"
 	"time"
 
-	"cbws/internal/prefetch"
 	"cbws/internal/registry"
 	"cbws/internal/sim"
 	"cbws/internal/workload"
 )
 
-// Factory names and constructs one prefetching scheme.
-type Factory struct {
-	Name string
-	New  func() prefetch.Prefetcher
-}
-
-// fromRegistry converts registry factories to the harness view.
-func fromRegistry(in []registry.Factory) []Factory {
-	out := make([]Factory, len(in))
-	for i, f := range in {
-		out[i] = Factory{Name: f.Name, New: f.New}
-	}
-	return out
-}
+// Factory names and constructs one prefetching scheme; it is the
+// shared registry's factory.
+type Factory = registry.Factory
 
 // Prefetchers returns the six evaluated schemes in the paper's plotting
 // order: no-prefetch, stride, GHB PC/DC, GHB G/DC, SMS, CBWS, CBWS+SMS.
 // The roster is backed by the shared scheme registry
 // (internal/registry).
-func Prefetchers() []Factory {
-	return fromRegistry(registry.Evaluated())
-}
+func Prefetchers() []Factory { return registry.Evaluated() }
 
 // ExtendedPrefetchers returns the evaluated schemes plus extension
 // baselines beyond the paper's roster (AMPM and Markov, which the
 // paper's related-work section discusses but does not evaluate, and
 // the learned Pythia/Gaze baselines).
-func ExtendedPrefetchers() []Factory {
-	return fromRegistry(registry.All())
-}
+func ExtendedPrefetchers() []Factory { return registry.All() }
 
 // GoldenPrefetchers returns the roster pinned by golden/seed.json: the
 // evaluated schemes plus the learned baselines (pythia, gaze), whose
 // determinism the manifest guards cell by cell.
-func GoldenPrefetchers() []Factory {
-	return fromRegistry(registry.GoldenRoster())
-}
+func GoldenPrefetchers() []Factory { return registry.GoldenRoster() }
 
 // FactoryByName looks up an evaluated or extension scheme in the shared
 // registry.
-func FactoryByName(name string) (Factory, bool) {
-	f, ok := registry.ByName(name)
-	if !ok {
-		return Factory{}, false
-	}
-	return Factory{Name: f.Name, New: f.New}, true
-}
+func FactoryByName(name string) (Factory, bool) { return registry.ByName(name) }
 
 // ResolveFactory is FactoryByName with the registry's case-insensitive
 // "did you mean" diagnostics: a miss returns the suggestion error
 // verbatim, suitable for surfacing to a remote caller (the simulation
 // service embeds it in HTTP 400 bodies).
-func ResolveFactory(name string) (Factory, error) {
-	f, err := registry.Resolve(name)
-	if err != nil {
-		return Factory{}, err
-	}
-	return Factory{Name: f.Name, New: f.New}, nil
-}
+func ResolveFactory(name string) (Factory, error) { return registry.Resolve(name) }
 
 // Options configures a harness run.
 type Options struct {

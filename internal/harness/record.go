@@ -23,10 +23,14 @@ const RunRecordSchemaVersion = 1
 // configuration, the identity of the cell, provenance (Go version, wall
 // time), the final metrics, and the delta-encoded sample series. One
 // record is written per matrix cell when observability is enabled.
+// CodeVersion and WorkloadHash complete the identity a result cache
+// keys the record by (cbwsd's JobSpec.Key); they are empty outside one.
 type RunRecord struct {
 	Schema         int               `json:"schema"`
 	Workload       string            `json:"workload"`
 	Prefetcher     string            `json:"prefetcher"`
+	CodeVersion    string            `json:"code_version,omitempty"`
+	WorkloadHash   string            `json:"workload_hash,omitempty"`
 	GoVersion      string            `json:"go_version"`
 	WallTime       float64           `json:"wall_time_sec"`
 	SampleInterval uint64            `json:"sample_interval"`

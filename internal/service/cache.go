@@ -6,119 +6,105 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
 	"strings"
 	"sync"
+
+	"cbws/internal/harness"
 )
 
-// CacheIndexSchema versions the on-disk index layout.
-const CacheIndexSchema = "cbws-result-cache/1"
-
-// CacheMeta is the human-readable identity stored in the index next to
-// each content address.
-type CacheMeta struct {
-	Key        string `json:"key"`
-	Workload   string `json:"workload"`
-	Prefetcher string `json:"prefetcher"`
-	Bytes      int    `json:"bytes"`
-}
-
-// cacheIndex is the persisted catalogue of cached results.
-type cacheIndex struct {
-	Schema  string      `json:"schema"`
-	Entries []CacheMeta `json:"entries"`
+// cacheEntry is one cached result: the encoded run record and the
+// names read from it.
+type cacheEntry struct {
+	data                 []byte
+	workload, prefetcher string
 }
 
 // Cache is the content-addressed result store: encoded run records
 // keyed by JobSpec.Key. All entries live in memory — a hit serves
 // pre-encoded bytes with no I/O or allocation — and, when a directory
-// is configured, each entry is written through to <key>.json so a
-// restarted daemon starts warm. The index (index.json) is persisted on
-// drain.
+// is configured, each entry is written through to <key>.json and
+// synced, so a restarted daemon starts warm even after a crash. The
+// record is the only catalogue: it carries its own names, code version
+// and workload hash, so every file re-derives the key it is stored
+// under.
 type Cache struct {
 	dir string
+	// quarantined counts the files NewCache set aside as torn or
+	// mis-keyed; fixed once the Cache is built.
+	quarantined int
 
-	mu   sync.RWMutex
-	mem  map[string][]byte    //cbws:guardedby mu
-	meta map[string]CacheMeta //cbws:guardedby mu
+	mu      sync.RWMutex
+	entries map[string]cacheEntry //cbws:guardedby mu
 }
 
 // keyFileRE matches content-address file names: 64 hex chars + .json.
 var keyFileRE = regexp.MustCompile(`^[0-9a-f]{64}\.json$`)
 
+// quarantineSuffix is appended to a file that fails verification, so it
+// no longer matches keyFileRE but stays on disk for inspection.
+const quarantineSuffix = ".quarantined"
+
 // NewCache opens (and, for a non-empty dir, loads) a result cache.
-// Entries are recovered from index.json when present, else by scanning
-// the directory for key-shaped files, so a crash before the index was
-// persisted loses nothing.
+// Every <key>.json is verified against its key; a file that fails (torn,
+// not a run record, or keyed from other values) is renamed aside and
+// counted, never served.
 func NewCache(dir string) (*Cache, error) {
-	mem := make(map[string][]byte)
-	meta := make(map[string]CacheMeta)
+	entries := make(map[string]cacheEntry)
 	if dir == "" {
-		return &Cache{dir: dir, mem: mem, meta: meta}, nil
+		return &Cache{entries: entries}, nil
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("cache: %w", err)
-	}
-	keys, err := diskKeys(dir)
-	if err != nil {
-		return nil, err
-	}
-	for _, m := range keys {
-		data, err := os.ReadFile(filepath.Join(dir, m.Key+".json"))
-		if err != nil {
-			if os.IsNotExist(err) {
-				continue // indexed but never written: skip, don't fail startup
-			}
-			return nil, fmt.Errorf("cache: %w", err)
-		}
-		m.Bytes = len(data)
-		mem[m.Key] = data
-		meta[m.Key] = m
-	}
-	// The maps are fully built before the Cache is published, so no
-	// lock is taken here.
-	return &Cache{dir: dir, mem: mem, meta: meta}, nil
-}
-
-// diskKeys returns the entries to load: the persisted index union any
-// key-shaped files the index does not mention.
-func diskKeys(dir string) ([]CacheMeta, error) {
-	var out []CacheMeta
-	seen := make(map[string]bool)
-	if data, err := os.ReadFile(filepath.Join(dir, "index.json")); err == nil {
-		var idx cacheIndex
-		if err := json.Unmarshal(data, &idx); err != nil {
-			return nil, fmt.Errorf("cache: parsing index.json: %w", err)
-		}
-		if idx.Schema != CacheIndexSchema {
-			return nil, fmt.Errorf("cache: index schema %q, want %q", idx.Schema, CacheIndexSchema)
-		}
-		for _, m := range idx.Entries {
-			if !seen[m.Key] {
-				seen[m.Key] = true
-				out = append(out, m)
-			}
-		}
-	} else if !os.IsNotExist(err) {
 		return nil, fmt.Errorf("cache: %w", err)
 	}
 	names, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("cache: %w", err)
 	}
+	quarantined := 0
 	for _, de := range names {
 		name := de.Name()
 		if !keyFileRE.MatchString(name) {
 			continue
 		}
-		key := strings.TrimSuffix(name, ".json")
-		if !seen[key] {
-			seen[key] = true
-			out = append(out, CacheMeta{Key: key})
+		path := filepath.Join(dir, name)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return nil, fmt.Errorf("cache: %w", err)
 		}
+		key := strings.TrimSuffix(name, ".json")
+		rec, err := verifyRecord(key, data)
+		if err != nil {
+			if err := os.Rename(path, path+quarantineSuffix); err != nil {
+				return nil, fmt.Errorf("cache: quarantining %s: %w", name, err)
+			}
+			quarantined++
+			continue
+		}
+		entries[key] = cacheEntry{data: data, workload: rec.Workload, prefetcher: rec.Prefetcher}
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out, nil
+	// The map is fully built before the Cache is published, so no lock
+	// is taken here.
+	return &Cache{dir: dir, quarantined: quarantined, entries: entries}, nil
+}
+
+// verifyRecord decodes and validates the run record stored under key,
+// and checks that the record's own identity (names, config, workload
+// hash, code version) hashes to that key. It is the one check every
+// byte entering the cache from outside this process passes: a file at
+// start-up or a sibling's peer-fetch answer.
+func verifyRecord(key string, data []byte) (*harness.RunRecord, error) {
+	rec := &harness.RunRecord{}
+	if err := json.Unmarshal(data, rec); err != nil {
+		return nil, fmt.Errorf("run record: %w", err)
+	}
+	if err := rec.Validate(); err != nil {
+		return nil, err
+	}
+	spec := JobSpec{Workload: rec.Workload, Prefetcher: rec.Prefetcher, Config: rec.Config, WorkloadHash: rec.WorkloadHash}
+	if got := spec.Key(rec.CodeVersion); got != key {
+		return nil, fmt.Errorf("run record keys to %.12s…, stored under %.12s…", got, key)
+	}
+	return rec, nil
 }
 
 // Get returns the pre-encoded result bytes for key. This is the
@@ -129,104 +115,90 @@ func diskKeys(dir string) ([]CacheMeta, error) {
 //cbws:hotpath
 func (c *Cache) Get(key string) ([]byte, bool) {
 	c.mu.RLock()
-	data, ok := c.mem[key]
+	e, ok := c.entries[key]
 	c.mu.RUnlock()
-	return data, ok
+	return e.data, ok
 }
 
-// Meta returns the index entry for key.
-func (c *Cache) Meta(key string) (CacheMeta, bool) {
+// Names returns the workload and prefetcher of the record cached under
+// key.
+func (c *Cache) Names(key string) (workload, prefetcher string, ok bool) {
 	c.mu.RLock()
-	m, ok := c.meta[key]
+	e, ok := c.entries[key]
 	c.mu.RUnlock()
-	return m, ok
+	return e.workload, e.prefetcher, ok
 }
 
 // Len returns the number of cached results.
 func (c *Cache) Len() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return len(c.mem)
+	return len(c.entries)
 }
 
-// Put stores the encoded result under its content address, writing
-// through to disk when a directory is configured. The write is atomic
-// (temp file + rename), so a concurrent reader or a crash never
-// observes a torn entry.
-func (c *Cache) Put(key string, meta CacheMeta, data []byte) error {
-	meta.Key = key
-	meta.Bytes = len(data)
+// PutOnce stores data, the encoding of rec, under key if the key is
+// absent; it is the cache's only write path. First write wins:
+// streaming finalization and peer fetch can race the closed-job path
+// to the same key, and the bytes stored first (which include run-local
+// telemetry like wall time) stay authoritative, so every later writer
+// is served those exact bytes. With a directory configured the entry
+// is written through atomically and durably; if that fails it is
+// taken back out, so a result is never served without its file.
+func (c *Cache) PutOnce(key string, rec *harness.RunRecord, data []byte) error {
 	c.mu.Lock()
-	c.mem[key] = data
-	c.meta[key] = meta
-	c.mu.Unlock()
-	if c.dir == "" {
-		return nil
-	}
-	return writeFileAtomic(filepath.Join(c.dir, key+".json"), data)
-}
-
-// PutOnce stores data under key only if the key is absent, reporting
-// whether this call's bytes were stored. First write wins: streaming
-// finalization uses it so a result already computed by the closed-job
-// path (whose bytes include run-local telemetry like wall time) stays
-// authoritative, and every later writer is served those exact bytes.
-func (c *Cache) PutOnce(key string, meta CacheMeta, data []byte) (stored bool, err error) {
-	meta.Key = key
-	meta.Bytes = len(data)
-	c.mu.Lock()
-	if _, ok := c.mem[key]; ok {
+	if _, ok := c.entries[key]; ok {
 		c.mu.Unlock()
-		return false, nil
+		return nil
 	}
-	c.mem[key] = data
-	c.meta[key] = meta
+	c.entries[key] = cacheEntry{data: data, workload: rec.Workload, prefetcher: rec.Prefetcher}
 	c.mu.Unlock()
-	if c.dir == "" {
-		return true, nil
-	}
-	return true, writeFileAtomic(filepath.Join(c.dir, key+".json"), data)
-}
-
-// PersistIndex writes the index.json catalogue: every entry sorted by
-// key, so the file is byte-stable for a given cache population. Called
-// on graceful drain.
-func (c *Cache) PersistIndex() error {
 	if c.dir == "" {
 		return nil
 	}
-	c.mu.RLock()
-	idx := cacheIndex{Schema: CacheIndexSchema}
-	for _, m := range c.meta {
-		idx.Entries = append(idx.Entries, m)
-	}
-	c.mu.RUnlock()
-	sort.SliceStable(idx.Entries, func(i, j int) bool { return idx.Entries[i].Key < idx.Entries[j].Key })
-	data, err := json.MarshalIndent(idx, "", "  ")
+	err := writeFileAtomic(c.dir, key+".json", data)
 	if err != nil {
-		return err
+		// The entry still holds this call's bytes: no other call
+		// replaces an entry, and only the call that stored it removes it.
+		c.mu.Lock()
+		delete(c.entries, key)
+		c.mu.Unlock()
 	}
-	return writeFileAtomic(filepath.Join(c.dir, "index.json"), append(data, '\n'))
+	return err
 }
 
-// writeFileAtomic writes data to path via a temp file and rename.
-func writeFileAtomic(path string, data []byte) error {
-	dir, base := filepath.Split(path)
-	tmp, err := os.CreateTemp(dir, base+".tmp*")
+// writeFileAtomic writes data to dir/name via a synced temp file and a
+// rename, then syncs dir, so neither a concurrent reader nor a crash
+// observes a torn entry and a returned nil means the entry is durable.
+func writeFileAtomic(dir, name string, data []byte) error {
+	tmp, err := os.CreateTemp(dir, name+".tmp*")
 	if err != nil {
 		return fmt.Errorf("cache: %w", err)
 	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), filepath.Join(dir, name))
+	}
+	if err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("cache: %w", err)
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
+	return syncDir(dir)
+}
+
+// syncDir flushes dir's entries, making a rename into it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
 		return fmt.Errorf("cache: %w", err)
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
+	defer d.Close() // opened only to sync; nothing written through it
+	if err := d.Sync(); err != nil {
 		return fmt.Errorf("cache: %w", err)
 	}
 	return nil

@@ -1,16 +1,39 @@
 package service
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"cbws/internal/harness"
+	"cbws/internal/sim"
+	"cbws/internal/stats"
 )
 
-func testKey(s string) string {
-	sum := sha256.Sum256([]byte(s))
-	return hex.EncodeToString(sum[:])
+// testRecord builds a minimal valid run record for workload ×
+// prefetcher under code version code, and returns it with its encoding
+// and the key it is cached under.
+func testRecord(t *testing.T, workload, prefetcher, code string) (string, *harness.RunRecord, []byte) {
+	t.Helper()
+	m := stats.Metrics{Instructions: 1000, Cycles: 1500}
+	rec := &harness.RunRecord{
+		Schema:         harness.RunRecordSchemaVersion,
+		Workload:       workload,
+		Prefetcher:     prefetcher,
+		CodeVersion:    code,
+		GoVersion:      "go1.test",
+		SampleInterval: 1000,
+		Config:         testConfig().BaseSim,
+		Metrics:        m,
+		Samples:        []sim.SamplePoint{{Instructions: 1000, Cycles: 1500, Interval: m, Final: true}},
+	}
+	data, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := JobSpec{Workload: workload, Prefetcher: prefetcher, Config: rec.Config}
+	return spec.Key(code), rec, data
 }
 
 func TestCacheMemoryOnly(t *testing.T) {
@@ -18,23 +41,26 @@ func TestCacheMemoryOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := testKey("a")
+	k, rec, data := testRecord(t, "w", "p", "test")
 	if _, ok := c.Get(k); ok {
 		t.Fatal("empty cache reported a hit")
 	}
-	if err := c.Put(k, CacheMeta{Workload: "w", Prefetcher: "p"}, []byte("data")); err != nil {
+	if err := c.PutOnce(k, rec, data); err != nil {
 		t.Fatal(err)
 	}
 	got, ok := c.Get(k)
-	if !ok || string(got) != "data" {
-		t.Fatalf("Get after Put: %q, %v", got, ok)
+	if !ok || string(got) != string(data) {
+		t.Fatalf("Get after PutOnce: %q, %v", got, ok)
 	}
-	m, ok := c.Meta(k)
-	if !ok || m.Workload != "w" || m.Prefetcher != "p" || m.Bytes != 4 {
-		t.Fatalf("Meta: %+v, %v", m, ok)
+	if w, p, ok := c.Names(k); !ok || w != "w" || p != "p" {
+		t.Fatalf("Names: %q %q %v", w, p, ok)
 	}
-	if err := c.PersistIndex(); err != nil {
-		t.Fatalf("PersistIndex on a memory-only cache should be a no-op: %v", err)
+	// First write wins: a second writer is served the first bytes.
+	if err := c.PutOnce(k, rec, []byte("later")); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := c.Get(k); string(got) != string(data) {
+		t.Fatalf("second PutOnce replaced the entry: %q", got)
 	}
 }
 
@@ -44,14 +70,12 @@ func TestCachePersistsAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k1, k2 := testKey("one"), testKey("two")
-	if err := c.Put(k1, CacheMeta{Workload: "w1", Prefetcher: "p1"}, []byte("r1")); err != nil {
+	k1, r1, d1 := testRecord(t, "w1", "p1", "test")
+	k2, r2, d2 := testRecord(t, "w2", "p2", "test")
+	if err := c.PutOnce(k1, r1, d1); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Put(k2, CacheMeta{Workload: "w2", Prefetcher: "p2"}, []byte("r2")); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.PersistIndex(); err != nil {
+	if err := c.PutOnce(k2, r2, d2); err != nil {
 		t.Fatal(err)
 	}
 
@@ -59,41 +83,104 @@ func TestCachePersistsAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
-	if re.Len() != 2 {
-		t.Fatalf("reopened cache has %d entries, want 2", re.Len())
+	if re.Len() != 2 || re.quarantined != 0 {
+		t.Fatalf("reopened cache has %d entries, %d quarantined; want 2, 0", re.Len(), re.quarantined)
 	}
 	got, ok := re.Get(k1)
-	if !ok || string(got) != "r1" {
+	if !ok || string(got) != string(d1) {
 		t.Fatalf("reopened Get(k1): %q, %v", got, ok)
 	}
-	m, ok := re.Meta(k2)
-	if !ok || m.Workload != "w2" {
-		t.Fatalf("reopened Meta(k2): %+v, %v — index metadata lost", m, ok)
+	if w, p, ok := re.Names(k2); !ok || w != "w2" || p != "p2" {
+		t.Fatalf("reopened Names(k2): %q %q %v", w, p, ok)
 	}
 }
 
-func TestCacheRecoversWithoutIndex(t *testing.T) {
-	// A crash before PersistIndex leaves entry files but no index; the
-	// data must still be recovered (with empty identity metadata).
+// TestCacheQuarantinesBadFiles proves NewCache serves nothing it cannot
+// verify: a torn file, an empty file and a valid record stored under
+// another record's key are each set aside and counted.
+func TestCacheQuarantinesBadFiles(t *testing.T) {
+	dir := t.TempDir()
+	kTorn, _, data := testRecord(t, "w1", "p1", "test")
+	kEmpty, _, _ := testRecord(t, "w2", "p2", "test")
+	kWrong, _, _ := testRecord(t, "w3", "p3", "test")
+	files := map[string][]byte{
+		kTorn:  data[:len(data)/2],
+		kEmpty: nil,
+		kWrong: data, // w1 × p1's record under w3 × p3's key
+	}
+	for k, b := range files {
+		if err := os.WriteFile(filepath.Join(dir, k+".json"), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, err := NewCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Len() != 0 || c.quarantined != 3 {
+		t.Fatalf("cache has %d entries, %d quarantined; want 0, 3", c.Len(), c.quarantined)
+	}
+	for k := range files {
+		if _, ok := c.Get(k); ok {
+			t.Errorf("bad file %.12s… served", k)
+		}
+		if _, err := os.Stat(filepath.Join(dir, k+".json")); !os.IsNotExist(err) {
+			t.Errorf("bad file %.12s… left under its key name: %v", k, err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, k+".json"+quarantineSuffix)); err != nil {
+			t.Errorf("bad file %.12s… not kept aside: %v", k, err)
+		}
+	}
+	// Set-aside files are not entries: a second open finds nothing to do.
+	re, err := NewCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.Len() != 0 || re.quarantined != 0 {
+		t.Fatalf("reopen: %d entries, %d quarantined; want 0, 0", re.Len(), re.quarantined)
+	}
+}
+
+// TestCacheLoadsOtherCodeVersion checks a record from another build is
+// verified against its own code version: it loads under its own key.
+func TestCacheLoadsOtherCodeVersion(t *testing.T) {
+	dir := t.TempDir()
+	k, _, data := testRecord(t, "w", "p", "other-build")
+	if err := os.WriteFile(filepath.Join(dir, k+".json"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.quarantined != 0 {
+		t.Fatalf("other-version record quarantined")
+	}
+	if w, p, ok := c.Names(k); !ok || w != "w" || p != "p" {
+		t.Fatalf("Names: %q %q %v", w, p, ok)
+	}
+}
+
+// TestCacheFailedWriteNotServed checks a result whose file could not be
+// written is taken back out of memory.
+func TestCacheFailedWriteNotServed(t *testing.T) {
 	dir := t.TempDir()
 	c, err := NewCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := testKey("orphan")
-	if err := c.Put(k, CacheMeta{Workload: "w"}, []byte("payload")); err != nil {
+	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "index.json")); !os.IsNotExist(err) {
-		t.Fatal("index.json written before PersistIndex")
+	k, rec, data := testRecord(t, "w", "p", "test")
+	if err := c.PutOnce(k, rec, data); err == nil {
+		t.Fatal("PutOnce into a removed directory succeeded")
 	}
-	re, err := NewCache(dir)
-	if err != nil {
-		t.Fatal(err)
+	if _, ok := c.Get(k); ok {
+		t.Fatal("result served after its write failed")
 	}
-	got, ok := re.Get(k)
-	if !ok || string(got) != "payload" {
-		t.Fatalf("orphan entry not recovered: %q, %v", got, ok)
+	if c.Len() != 0 {
+		t.Fatalf("cache has %d entries after a failed write", c.Len())
 	}
 }
 
@@ -109,8 +196,8 @@ func TestCacheIgnoresForeignFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Len() != 0 {
-		t.Fatalf("foreign files loaded as cache entries: %d", c.Len())
+	if c.Len() != 0 || c.quarantined != 0 {
+		t.Fatalf("foreign files loaded or quarantined: %d, %d", c.Len(), c.quarantined)
 	}
 }
 
@@ -121,8 +208,8 @@ func TestCacheHitZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := testKey("hot")
-	if err := c.Put(k, CacheMeta{}, []byte("hot data")); err != nil {
+	k, rec, data := testRecord(t, "w", "p", "test")
+	if err := c.PutOnce(k, rec, data); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(1000, func() {

@@ -130,7 +130,8 @@ func TestCorpusBackedJob(t *testing.T) {
 
 // TestCorpusResultMatchesLiveService pins result equality end to end:
 // the run record served by a corpus-backed daemon equals the record a
-// corpus-less daemon computes for the same job, field for field.
+// corpus-less daemon computes for the same job, field for field, except
+// the workload hash that keys it.
 func TestCorpusResultMatchesLiveService(t *testing.T) {
 	cfgLive := testConfig()
 	svcLive, tsLive := newTestService(t, cfgLive)
@@ -153,11 +154,18 @@ func TestCorpusResultMatchesLiveService(t *testing.T) {
 	if len(rawLive) == 0 || len(rawCorp) == 0 {
 		t.Fatal("missing results")
 	}
-	// Identical run records (the wall-clock telemetry field aside).
+	// The corpus record carries the corpus content address its key was
+	// built from; the live record, keyed without one, carries none.
+	wantHash, _ := src.Hash("stencil-default")
+	if !strings.Contains(string(rawCorp), `"workload_hash": "`+wantHash+`"`) ||
+		strings.Contains(string(rawLive), "workload_hash") {
+		t.Fatalf("workload_hash: corpus record should carry %.12s…, live record none", wantHash)
+	}
+	// Otherwise identical run records (wall-clock telemetry aside).
 	stripDur := func(s []byte) string {
 		var out []string
 		for _, line := range strings.Split(string(s), "\n") {
-			if strings.Contains(line, "wall_time_sec") {
+			if strings.Contains(line, "wall_time_sec") || strings.Contains(line, "workload_hash") {
 				continue
 			}
 			out = append(out, line)

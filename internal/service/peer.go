@@ -1,14 +1,12 @@
 package service
 
 import (
-	"encoding/json"
 	"errors"
 	"net/http"
 	"time"
 
 	apiv1 "cbws/api/v1"
 	"cbws/internal/cluster"
-	"cbws/internal/harness"
 )
 
 // The federated result cache: before simulating, a worker asks its
@@ -58,8 +56,7 @@ func newPeerFetcher(peers []string, timeout time.Duration) (*peerFetcher, error)
 // order clients route by, so the worker most likely to have computed
 // the key is asked first. Counter semantics: hits count jobs served by
 // a peer, misses count per-sibling 404 probes, errors count transport
-// failures and responses that fail validation, including a record
-// whose names or config differ from the job's.
+// failures and responses that fail verifyRecord.
 func (s *Service) tryPeerFetch(j *Job) bool {
 	p := s.peers
 	if p == nil {
@@ -76,25 +73,16 @@ func (s *Service) tryPeerFetch(j *Job) bool {
 			}
 			continue
 		}
-		// Validate before caching: a sibling answering the right key with
-		// a torn or foreign body must never poison the local cache.
-		rec := &harness.RunRecord{}
-		if err := json.Unmarshal(data, rec); err != nil {
+		// Verify before caching: a sibling answering the right key with
+		// a torn body, or with a record keyed from other values (names,
+		// config, workload hash, code version), must never poison the
+		// local cache.
+		rec, err := verifyRecord(j.Key, data)
+		if err != nil {
 			s.counters.peerErrors.Add(1)
 			continue
 		}
-		if err := rec.Validate(); err != nil {
-			s.counters.peerErrors.Add(1)
-			continue
-		}
-		// The key covers the config, so a record under it must carry the
-		// job's own config; sim.Config holds only scalars, so == is exact.
-		if rec.Workload != j.Spec.Workload || rec.Prefetcher != j.Spec.Prefetcher || rec.Config != j.Spec.Config {
-			s.counters.peerErrors.Add(1)
-			continue
-		}
-		meta := CacheMeta{Workload: j.Spec.Workload, Prefetcher: j.Spec.Prefetcher}
-		if err := s.cache.Put(j.Key, meta, data); err != nil {
+		if err := s.cache.PutOnce(j.Key, rec, data); err != nil {
 			s.counters.peerErrors.Add(1)
 			return false // local disk trouble; let the simulation path report it
 		}

@@ -224,3 +224,42 @@ func TestPeerFetchRejectsForeignConfig(t *testing.T) {
 		t.Fatalf("cached record carries config %+v, want the job's %+v", got.Config, want)
 	}
 }
+
+// TestPeerFetchRejectsForeignCodeVersion proves the key check covers
+// the code version: a sibling serving the job's own record stamped with
+// another build's version is rejected and counted, and the job is
+// simulated locally.
+func TestPeerFetchRejectsForeignCodeVersion(t *testing.T) {
+	_, tsA := newTestService(t, testConfig())
+	_, dataA := submitAndWait(t, tsA.URL, peerJobBody)
+	foreign := &harness.RunRecord{}
+	if err := json.Unmarshal(dataA, foreign); err != nil {
+		t.Fatal(err)
+	}
+	foreign.CodeVersion = "another-build"
+	body, err := json.Marshal(foreign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	liar := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(body)
+	}))
+	defer liar.Close()
+
+	cfg := testConfig()
+	cfg.Peers = []string{liar.URL}
+	svc, ts := newTestService(t, cfg)
+	_, data := submitAndWait(t, ts.URL, peerJobBody)
+	vars := svc.Counters()
+	if vars.PeerErrors != 1 || vars.PeerHits != 0 || vars.JobsSimulated != 1 {
+		t.Fatalf("peer errors=%d hits=%d simulated=%d, want 1/0/1", vars.PeerErrors, vars.PeerHits, vars.JobsSimulated)
+	}
+	got := &harness.RunRecord{}
+	if err := json.Unmarshal(data, got); err != nil {
+		t.Fatal(err)
+	}
+	if got.CodeVersion != cfg.CodeVersion {
+		t.Fatalf("cached record carries code version %q, want %q", got.CodeVersion, cfg.CodeVersion)
+	}
+}

@@ -11,7 +11,7 @@
 // closed jobs and streams alike, a bounded queue with 429 + Retry-After
 // backpressure, per-job timeouts, progress reporting from the
 // simulator's probe hooks, expvar counters, and graceful drain that
-// finishes running jobs and persists the cache index.
+// finishes running jobs.
 package service
 
 import (
@@ -39,7 +39,8 @@ type Config struct {
 	// JobTimeout aborts a single simulation after this long (0: no
 	// timeout). A timed-out job is reported failed.
 	JobTimeout time.Duration
-	// CacheDir persists results and the cache index ("" = memory only).
+	// CacheDir persists results, one run record per key ("" = memory
+	// only).
 	CacheDir string
 	// BaseSim is the configuration submitted partial configs merge over
 	// (zero value: the Table II defaults with the harness's standard
@@ -275,14 +276,14 @@ func (s *Service) resolveWorkloadHash(spec *JobSpec) error {
 // cache. The cache is authoritative across restarts: a key may be
 // cached without a live job in this daemon's table.
 func (s *Service) cachedView(key string) (JobView, bool) {
-	meta, ok := s.cache.Meta(key)
+	workload, prefetcher, ok := s.cache.Names(key)
 	if !ok {
 		return JobView{}, false
 	}
 	return JobView{
 		Key:        key,
-		Workload:   meta.Workload,
-		Prefetcher: meta.Prefetcher,
+		Workload:   workload,
+		Prefetcher: prefetcher,
 		Status:     StatusDone,
 		Cached:     true,
 	}, true
@@ -392,19 +393,21 @@ func (s *Service) newSeries(cfg sim.Config) *sim.TimeSeries {
 }
 
 // storeRecord assembles the run record of a finished simulation and
-// caches it under key. First write wins: when the key is already
-// cached (a full-budget stream adopting a closed job's key races that
-// job), the existing bytes stay authoritative; the two differ only in
-// wall-clock telemetry.
+// caches it under key, which spec was keyed to: the record carries the
+// spec's code version and workload hash so it re-derives its own key.
+// First write wins: when the key is already cached (a full-budget
+// stream adopting a closed job's key races that job), the existing
+// bytes stay authoritative; the two differ only in wall-clock
+// telemetry.
 func (s *Service) storeRecord(key string, spec JobSpec, res sim.Result, points []sim.SamplePoint, start time.Time) error {
 	rec := harness.NewRunRecord(spec.Config, res, s.cfg.SampleInterval, points, s.cfg.Clock().Sub(start))
+	rec.CodeVersion, rec.WorkloadHash = s.cfg.CodeVersion, spec.WorkloadHash
 	data, err := json.MarshalIndent(rec, "", "  ")
 	if err != nil {
 		return fmt.Errorf("encoding result: %w", err)
 	}
 	data = append(data, '\n')
-	meta := CacheMeta{Workload: spec.Workload, Prefetcher: spec.Prefetcher}
-	if _, err := s.cache.PutOnce(key, meta, data); err != nil {
+	if err := s.cache.PutOnce(key, rec, data); err != nil {
 		return fmt.Errorf("caching result: %w", err)
 	}
 	return nil
@@ -424,10 +427,10 @@ func (s *Service) Draining() bool {
 
 // Drain gracefully stops the service: no new jobs or streams are
 // accepted, closed jobs still waiting for their first slot are
-// canceled, every open stream is finalized or canceled, started runs
-// finish, and the cache index is persisted. It returns ctx.Err() if
-// the started runs did not finish in time (the index is still
-// persisted with whatever completed).
+// canceled, every open stream is finalized or canceled, and started
+// runs finish. Every result is on disk once stored, so nothing is left
+// to persist. It returns ctx.Err() if the started runs did not finish
+// in time.
 func (s *Service) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	if s.draining {
@@ -440,7 +443,6 @@ func (s *Service) Drain(ctx context.Context) error {
 	close(s.quit)
 	s.sched.drain()
 	settleStreams(s.streamsByID())
-	var waitErr error
 	done := make(chan struct{})
 	go func() {
 		s.wg.Wait()
@@ -448,13 +450,10 @@ func (s *Service) Drain(ctx context.Context) error {
 	}()
 	select {
 	case <-done:
+		return nil
 	case <-ctx.Done():
-		waitErr = ctx.Err()
+		return ctx.Err()
 	}
-	if err := s.cache.PersistIndex(); err != nil {
-		return err
-	}
-	return waitErr
 }
 
 // prefetcherRoster lists every scheme the service accepts, evaluated

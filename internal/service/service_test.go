@@ -492,8 +492,8 @@ func TestCachePersistenceAcrossServices(t *testing.T) {
 	if err := svc1.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "index.json")); err != nil {
-		t.Fatalf("drain did not persist the cache index: %v", err)
+	if _, err := os.Stat(filepath.Join(dir, view.Key+".json")); err != nil {
+		t.Fatalf("result record not persisted: %v", err)
 	}
 
 	// A new daemon over the same directory serves the result without
@@ -520,6 +520,40 @@ func TestCachePersistenceAcrossServices(t *testing.T) {
 	}
 	if err := rec.Validate(); err != nil {
 		t.Fatalf("persisted record invalid: %v", err)
+	}
+}
+
+// TestRestartWithoutDrainKeepsNames is the crash case: a daemon that
+// stops without draining leaves only its record files, and a new
+// daemon over the same directory still reports each cached key under
+// its workload and prefetcher names.
+func TestRestartWithoutDrainKeepsNames(t *testing.T) {
+	dir := t.TempDir()
+	cfg := testConfig()
+	cfg.CacheDir = dir
+
+	svc1, ts1 := newTestService(t, cfg)
+	view, err := svc1.Submit(mustSpec(t, svc1, "stencil-default", "stride"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, ts1.URL, view.Key)
+
+	svc2, _ := newTestService(t, cfg)
+	if n := svc2.Counters().Quarantined; n != 0 {
+		t.Fatalf("restart quarantined %d records", n)
+	}
+	got, ok := svc2.Status(view.Key)
+	if !ok || got.Status != StatusDone || !got.Cached ||
+		got.Workload != "stencil-default" || got.Prefetcher != "stride" {
+		t.Fatalf("Status after restart: %+v, %v", got, ok)
+	}
+	sub, err := svc2.Submit(mustSpec(t, svc2, "stencil-default", "stride"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sub != got {
+		t.Fatalf("Submit after restart: %+v, want %+v", sub, got)
 	}
 }
 

@@ -575,7 +575,7 @@ func (s *Service) runStream(st *Stream) {
 	// If the closed job (or an earlier stream) already cached this key,
 	// this stream's result is served from those bytes — the byte
 	// identity the streaming smoke asserts.
-	if err := s.storeRecord(key, st.Spec, res, points, start); err != nil {
+	if err := s.storeRecord(key, spec, res, points, start); err != nil {
 		s.finishStream(st, "", err.Error())
 		return
 	}

@@ -377,6 +377,36 @@ func TestStreamPartialGetsOwnKey(t *testing.T) {
 	}
 }
 
+// TestStreamRecordsReload checks both stream keyings leave records that
+// re-derive their keys: a full-budget stream (the closed job's key) and
+// a short one (keyed by its own bytes) both reload without quarantine.
+func TestStreamRecordsReload(t *testing.T) {
+	const wl = "stencil-default"
+	cfg := testConfig()
+	cfg.CacheDir = t.TempDir()
+	_, ts := newTestService(t, cfg)
+	client := apiv1.NewClient(ts.URL)
+	req := apiv1.OpenStreamRequest{Tenant: "acme", Workload: wl, Prefetcher: "cbws"}
+	full := streamTrace(t, client, req, encodeWorkloadTrace(t, wl, cfg.BaseSim.MaxInstructions), 64<<10)
+	short := streamTrace(t, client, req, encodeWorkloadTrace(t, wl, cfg.BaseSim.MaxInstructions/2), 64<<10)
+	if full.Key == "" || short.Key == "" || full.Key == short.Key {
+		t.Fatalf("stream keys: full %q, short %q", full.Key, short.Key)
+	}
+
+	c, err := NewCache(cfg.CacheDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.quarantined != 0 || c.Len() != 2 {
+		t.Fatalf("reloaded %d records, %d quarantined; want 2, 0", c.Len(), c.quarantined)
+	}
+	for _, k := range []string{full.Key, short.Key} {
+		if w, p, ok := c.Names(k); !ok || w != wl || p != "cbws" {
+			t.Errorf("record %.12s… reloads as %q × %q (%v)", k, w, p, ok)
+		}
+	}
+}
+
 func openStream(t *testing.T, url, body string) (int, map[string]any, http.Header) {
 	t.Helper()
 	resp, err := http.Post(url+apiv1.PathStreams, "application/json", strings.NewReader(body))

@@ -17,7 +17,10 @@
 #      jobs_simulated counter must not move;
 #   6. SIGKILL one worker and repeat the golden sweep with the dead
 #      worker still listed: the client must fail over and finish;
-#   7. SIGTERM the survivors and require clean drains.
+#   7. SIGTERM the survivors and require clean drains;
+#   8. restart the SIGKILLed worker alone over its cache directory: it
+#      must load every record it computed or peer-fetched, none
+#      quarantined.
 #
 # Run from the repository root: ./scripts/cluster_smoke.sh
 set -euo pipefail
@@ -158,6 +161,11 @@ if [ "$sim_after" -ne "$sim_before" ]; then
 fi
 echo "cluster-smoke: 60 hot submissions, 0 simulations, ratio 1.0"
 
+# Worker 1 peer-fetches every cell it does not own, so its cache holds
+# the whole sub-matrix when it is killed (checked on restart below).
+"$tmp/cbwsctl" -server "${urls[1]}" sweep \
+    -workloads "$WORKLOADS" -prefetchers "$PREFETCHERS" -golden golden/seed.json >/dev/null
+
 echo "cluster-smoke: SIGKILL worker 1, sweep must fail over and stay golden"
 kill -9 "${pids[1]}"
 wait "${pids[1]}" 2>/dev/null || true
@@ -182,9 +190,30 @@ for i in 0 2; do
         cat "$tmp/cbwsd$i.log" >&2
         exit 1
     fi
-    [ -f "$tmp/cache$i/index.json" ] || {
-        echo "cluster-smoke: worker $i drain did not persist its cache index" >&2
+    ls "$tmp/cache$i" | grep -q '\.json$' || {
+        echo "cluster-smoke: worker $i left no result records" >&2
         exit 1
     }
 done
-echo "cluster-smoke: PASS (sharded sweep golden, federated cache, failover, clean drains)"
+
+echo "cluster-smoke: restart the SIGKILLed worker: every record loads, none quarantined"
+records="$(ls "$tmp/cache1" | grep -c '\.json$' || true)"
+rm -f "$tmp/addr1"
+"$tmp/cbwsd" -addr 127.0.0.1:0 -addr-file "$tmp/addr1" -cache-dir "$tmp/cache1" \
+    -n 400000 -warmup 100000 2>"$tmp/cbwsd1-restart.log" &
+pids[1]=$!
+for _ in $(seq 1 100); do
+    [ -s "$tmp/addr1" ] && break
+    sleep 0.1
+done
+[ -s "$tmp/addr1" ] || { echo "cluster-smoke: restarted worker 1 never came up" >&2; exit 1; }
+url1="http://$(cat "$tmp/addr1")"
+if [ "$records" -ne "$CELLS" ] || [ "$(expvar_counter "$url1" cache_entries)" -ne "$records" ] ||
+    [ "$(expvar_counter "$url1" cache_quarantined)" -ne 0 ]; then
+    echo "cluster-smoke: restarted worker 1 loaded $(expvar_counter "$url1" cache_entries) of $records records, quarantined $(expvar_counter "$url1" cache_quarantined)" >&2
+    exit 1
+fi
+kill -TERM "${pids[1]}"
+wait "${pids[1]}" || { echo "cluster-smoke: restarted worker 1 did not drain cleanly" >&2; exit 1; }
+pids[1]=""
+echo "cluster-smoke: PASS (sharded sweep golden, federated cache, failover, clean drains, crash reload)"

@@ -9,8 +9,10 @@
 #      byte-identical to the checked-in seed;
 #   3. repeat the sweep and require a 100% cache-hit rate, checked both
 #      by cbwsctl -require-cached and by the expvar counter deltas;
-#   4. SIGTERM the daemon and require a clean drain: exit status 0 and
-#      a persisted cache index.
+#   4. SIGTERM the daemon and require a clean drain (exit status 0);
+#   5. restart a daemon over the same cache directory: it must load
+#      every record (none quarantined), serve the sweep 100% cached
+#      and golden, and report each cell under its own names.
 #
 # Run from the repository root: ./scripts/service_smoke.sh
 set -euo pipefail
@@ -47,22 +49,27 @@ git diff --exit-code -- api/v1/compat.json || {
 }
 
 mkdir -p "$tmp/cache"
-"$tmp/cbwsd" -addr 127.0.0.1:0 -addr-file "$tmp/addr" -cache-dir "$tmp/cache" \
-    -n 400000 -warmup 100000 2>"$tmp/cbwsd.log" &
-daemon_pid=$!
+# start_daemon launches cbwsd over $tmp/cache and sets daemon_pid and url.
+start_daemon() {
+    rm -f "$tmp/addr"
+    "$tmp/cbwsd" -addr 127.0.0.1:0 -addr-file "$tmp/addr" -cache-dir "$tmp/cache" \
+        -n 400000 -warmup 100000 2>"$tmp/cbwsd.log" &
+    daemon_pid=$!
 
-for _ in $(seq 1 100); do
-    [ -s "$tmp/addr" ] && break
-    if ! kill -0 "$daemon_pid" 2>/dev/null; then
-        echo "service-smoke: cbwsd died on startup:" >&2
-        cat "$tmp/cbwsd.log" >&2
-        exit 1
-    fi
-    sleep 0.1
-done
-[ -s "$tmp/addr" ] || { echo "service-smoke: cbwsd never published its address" >&2; exit 1; }
-url="http://$(cat "$tmp/addr")"
-echo "service-smoke: cbwsd on $url"
+    for _ in $(seq 1 100); do
+        [ -s "$tmp/addr" ] && break
+        if ! kill -0 "$daemon_pid" 2>/dev/null; then
+            echo "service-smoke: cbwsd died on startup:" >&2
+            cat "$tmp/cbwsd.log" >&2
+            exit 1
+        fi
+        sleep 0.1
+    done
+    [ -s "$tmp/addr" ] || { echo "service-smoke: cbwsd never published its address" >&2; exit 1; }
+    url="http://$(cat "$tmp/addr")"
+    echo "service-smoke: cbwsd on $url"
+}
+start_daemon
 
 # expvar_counter NAME prints the daemon's current cbwsd.NAME value.
 expvar_counter() {
@@ -92,19 +99,43 @@ if [ "$((hits_after - hits_before))" -ne "$CELLS" ]; then
     exit 1
 fi
 
+# stop_daemon sends SIGTERM and requires a clean drain.
+stop_daemon() {
+    kill -TERM "$daemon_pid"
+    drain_status=0
+    wait "$daemon_pid" || drain_status=$?
+    daemon_pid=""
+    if [ "$drain_status" -ne 0 ]; then
+        echo "service-smoke: cbwsd exited $drain_status after SIGTERM, want 0:" >&2
+        cat "$tmp/cbwsd.log" >&2
+        exit 1
+    fi
+}
+
 echo "service-smoke: SIGTERM, expecting a clean drain"
-kill -TERM "$daemon_pid"
-drain_status=0
-wait "$daemon_pid" || drain_status=$?
-daemon_pid=""
-if [ "$drain_status" -ne 0 ]; then
-    echo "service-smoke: cbwsd exited $drain_status after SIGTERM, want 0:" >&2
-    cat "$tmp/cbwsd.log" >&2
+stop_daemon
+entries="$(ls "$tmp/cache" | grep -c '\.json$' || true)"
+if [ "$entries" -ne "$CELLS" ]; then
+    echo "service-smoke: $entries record files persisted, want $CELLS" >&2
     exit 1
 fi
-if [ ! -f "$tmp/cache/index.json" ]; then
-    echo "service-smoke: drain did not persist the cache index" >&2
+
+echo "service-smoke: restart over the same cache: every cell cached, names intact"
+start_daemon
+if [ "$(expvar_counter cache_entries)" -ne "$CELLS" ] || [ "$(expvar_counter cache_quarantined)" -ne 0 ]; then
+    echo "service-smoke: restart loaded $(expvar_counter cache_entries) records, quarantined $(expvar_counter cache_quarantined); want $CELLS, 0" >&2
     exit 1
 fi
-entries="$(ls "$tmp/cache" | grep -c '\.json$')"
-echo "service-smoke: PASS (drained cleanly, $entries cache files persisted)"
+"$tmp/cbwsctl" -server "$url" sweep \
+    -workloads "$WORKLOADS" -prefetchers "$PREFETCHERS" -golden golden/seed.json \
+    -require-cached
+view="$("$tmp/cbwsctl" -server "$url" submit -workload stencil-default -prefetcher pythia)"
+case "$view" in
+*"  stencil-default/pythia  done (cached)") ;;
+*)
+    echo "service-smoke: restarted daemon reports \"$view\", want stencil-default/pythia done (cached)" >&2
+    exit 1
+    ;;
+esac
+stop_daemon
+echo "service-smoke: PASS (drained cleanly, $entries records reloaded after restart)"

@@ -14,8 +14,10 @@
 #      (zero new misses) serving byte-identical result bytes;
 #   4. SIGTERM drain with open streams: a fully-received but unclosed
 #      stream is finalized into a persisted cache record, a half-fed
-#      stream is canceled, and the daemon still exits 0 with a
-#      persisted cache index.
+#      stream is canceled, and the daemon still exits 0;
+#   5. a daemon restarted over the same cache loads every record, the
+#      full-budget and the short stream's alike, with none quarantined,
+#      and serves the closed job cached under its own names.
 #
 # Run from the repository root: ./scripts/streaming_smoke.sh
 set -euo pipefail
@@ -43,22 +45,27 @@ echo "streaming-smoke: capturing stencil-default traces"
 "$tmp/tracegen" -workload stencil-default -n 100000 -o "$tmp/short.cbwt" >/dev/null
 
 mkdir -p "$tmp/cache"
-"$tmp/cbwsd" -addr 127.0.0.1:0 -addr-file "$tmp/addr" -cache-dir "$tmp/cache" \
-    -n "$N" -warmup "$WARMUP" -tenant-streams 1 2>"$tmp/cbwsd.log" &
-daemon_pid=$!
+# start_daemon launches cbwsd over $tmp/cache and sets daemon_pid and url.
+start_daemon() {
+    rm -f "$tmp/addr"
+    "$tmp/cbwsd" -addr 127.0.0.1:0 -addr-file "$tmp/addr" -cache-dir "$tmp/cache" \
+        -n "$N" -warmup "$WARMUP" -tenant-streams 1 2>"$tmp/cbwsd.log" &
+    daemon_pid=$!
 
-for _ in $(seq 1 100); do
-    [ -s "$tmp/addr" ] && break
-    if ! kill -0 "$daemon_pid" 2>/dev/null; then
-        echo "streaming-smoke: cbwsd died on startup:" >&2
-        cat "$tmp/cbwsd.log" >&2
-        exit 1
-    fi
-    sleep 0.1
-done
-[ -s "$tmp/addr" ] || { echo "streaming-smoke: cbwsd never published its address" >&2; exit 1; }
-url="http://$(cat "$tmp/addr")"
-echo "streaming-smoke: cbwsd on $url"
+    for _ in $(seq 1 100); do
+        [ -s "$tmp/addr" ] && break
+        if ! kill -0 "$daemon_pid" 2>/dev/null; then
+            echo "streaming-smoke: cbwsd died on startup:" >&2
+            cat "$tmp/cbwsd.log" >&2
+            exit 1
+        fi
+        sleep 0.1
+    done
+    [ -s "$tmp/addr" ] || { echo "streaming-smoke: cbwsd never published its address" >&2; exit 1; }
+    url="http://$(cat "$tmp/addr")"
+    echo "streaming-smoke: cbwsd on $url"
+}
+start_daemon
 
 # expvar_counter NAME prints the daemon's current cbwsd.NAME value.
 expvar_counter() {
@@ -169,7 +176,7 @@ mkdir -p "$tmp/pieces-half"
 cp "$(ls "$tmp/pieces-full"/* | head -1)" "$tmp/pieces-half/p"
 send_chunks "$id_cancel" "$tmp/pieces-half"
 
-records_before="$(ls "$tmp/cache" | grep -v '^index\.json$' | grep -c '\.json$' || true)"
+records_before="$(ls "$tmp/cache" | grep -c '\.json$' || true)"
 kill -TERM "$daemon_pid"
 drain_status=0
 wait "$daemon_pid" || drain_status=$?
@@ -179,11 +186,7 @@ if [ "$drain_status" -ne 0 ]; then
     cat "$tmp/cbwsd.log" >&2
     exit 1
 fi
-if [ ! -f "$tmp/cache/index.json" ]; then
-    echo "streaming-smoke: drain did not persist the cache index" >&2
-    exit 1
-fi
-records_after="$(ls "$tmp/cache" | grep -v '^index\.json$' | grep -c '\.json$' || true)"
+records_after="$(ls "$tmp/cache" | grep -c '\.json$' || true)"
 # The delta is drain-finalized streams only: exactly one (the complete
 # stream; the half-fed one must not leave a record).
 if [ "$((records_after - records_before))" -ne 1 ]; then
@@ -191,4 +194,22 @@ if [ "$((records_after - records_before))" -ne 1 ]; then
     ls "$tmp/cache" >&2
     exit 1
 fi
-echo "streaming-smoke: PASS (quota 429, byte-identical stream result, finalize-or-cancel drain)"
+
+echo "streaming-smoke: restart over the same cache must load every record"
+start_daemon
+if [ "$(expvar_counter cache_entries)" -ne "$records_after" ] || [ "$(expvar_counter cache_quarantined)" -ne 0 ]; then
+    echo "streaming-smoke: restart loaded $(expvar_counter cache_entries) records, quarantined $(expvar_counter cache_quarantined); want $records_after, 0" >&2
+    exit 1
+fi
+view="$("$tmp/cbwsctl" -server "$url" submit -workload stencil-default -prefetcher cbws)"
+case "$view" in
+"$stream_key  stencil-default/cbws  done (cached)") ;;
+*)
+    echo "streaming-smoke: restarted daemon reports \"$view\", want $stream_key stencil-default/cbws done (cached)" >&2
+    exit 1
+    ;;
+esac
+kill -TERM "$daemon_pid"
+wait "$daemon_pid" || { echo "streaming-smoke: restarted cbwsd did not drain cleanly" >&2; exit 1; }
+daemon_pid=""
+echo "streaming-smoke: PASS (quota 429, byte-identical stream result, finalize-or-cancel drain, records reload)"
