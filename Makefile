@@ -7,7 +7,7 @@ STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
 .PHONY: all build test vet fmt-check race bench obs-smoke service-smoke check \
-	fuzz-smoke golden golden-check bench-gate bench-smoke corpus-smoke cluster-smoke streaming-smoke \
+	fuzz-smoke golden golden-check bench-gate bench-ab bench-smoke corpus-smoke cluster-smoke streaming-smoke \
 	lint lint-custom lint-v2 compat-manifest staticcheck govulncheck tools
 
 all: check
@@ -160,7 +160,7 @@ lint: fmt-check vet lint-custom
 # must stay within the baseline's time ratio with exact allocs/op.
 # To re-baseline: make bench-gate BENCHGATE_FLAGS='-write BENCH_baseline.json'
 BENCHGATE_FLAGS ?= -baseline BENCH_baseline.json
-BENCH_GATED = BenchmarkPipelineEventsPerSec$$|BenchmarkCBWSOnAccess$$|BenchmarkCorpusReplayEventsPerSec$$|BenchmarkPythiaOnAccess$$|BenchmarkGazeOnAccess$$|BenchmarkStrideOnAccess$$|BenchmarkGHBOnAccess$$|BenchmarkSMSOnAccess$$|BenchmarkHierarchyAccessInto$$|BenchmarkGoldenCell$$|BenchmarkTraceCapture$$|BenchmarkTraceAnalyze$$|BenchmarkCensus$$
+BENCH_GATED = BenchmarkPipelineEventsPerSec$$|BenchmarkCBWSOnAccess$$|BenchmarkCorpusReplayEventsPerSec$$|BenchmarkPythiaOnAccess$$|BenchmarkGazeOnAccess$$|BenchmarkStrideOnAccess$$|BenchmarkGHBOnAccess$$|BenchmarkSMSOnAccess$$|BenchmarkHierarchyAccessInto$$|BenchmarkGoldenCell$$|BenchmarkTraceCapture$$|BenchmarkTraceDecode$$|BenchmarkCorpusPack$$|BenchmarkTraceAnalyze$$|BenchmarkCensus$$
 # The end-to-end benchmark (bench/) is its own module, so the root
 # `go test ./...` never compiles it; vet and test it against the
 # current tree's APIs.
@@ -170,5 +170,13 @@ bench-smoke:
 bench-gate:
 	$(GO) test -run '^$$' -bench '$(BENCH_GATED)' -count 3 . | tee /tmp/cbws-bench.out
 	$(GO) run ./cmd/benchgate $(BENCHGATE_FLAGS) -input /tmp/cbws-bench.out
+
+# Paired A/B gate over the same benchmarks: the merge-base with main
+# against the working tree, alternated for 10 rounds; fails when a
+# benchmark's median slowdown is above 10% with 95% confidence. Needs
+# a local main branch and the history back to the merge-base. A
+# benchmark the merge-base lacks is skipped.
+bench-ab:
+	$(GO) run ./cmd/benchgate -ab -bench '$(BENCH_GATED)'
 
 check: build vet fmt-check test race obs-smoke

@@ -7,6 +7,7 @@
 package cbws_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -604,6 +605,62 @@ func BenchmarkTraceCapture(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w, err := trace.NewWriter(io.Discard, tr.Name())
+		if err != nil {
+			b.Fatal(err)
+		}
+		w.ConsumeBatch(tr.Events)
+		if err := w.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportEventRate(b, len(tr.Events))
+}
+
+// decodeWindow is the window BenchmarkTraceDecode feeds its decoder.
+const decodeWindow = 64 << 10
+
+// BenchmarkTraceDecode decodes toolchainTrace's CBWT stream with a
+// ChunkDecoder fed 64 KiB windows, the way cbwsd ingests a stream.
+func BenchmarkTraceDecode(b *testing.B) {
+	tr := toolchainTrace(b)
+	var buf bytes.Buffer
+	w, err := trace.NewWriter(&buf, tr.Name())
+	if err != nil {
+		b.Fatal(err)
+	}
+	w.ConsumeBatch(tr.Events)
+	if err := w.Close(); err != nil {
+		b.Fatal(err)
+	}
+	data := buf.Bytes()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var cs countingBatchSink
+		var d trace.ChunkDecoder
+		for off := 0; off < len(data); off += decodeWindow {
+			if err := d.Feed(data[off:min(off+decodeWindow, len(data))], &cs); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := d.Finish(); err != nil {
+			b.Fatal(err)
+		}
+		if cs.events != uint64(len(tr.Events)) {
+			b.Fatalf("decoded %d events, captured %d", cs.events, len(tr.Events))
+		}
+	}
+	reportEventRate(b, len(tr.Events))
+}
+
+// BenchmarkCorpusPack packs toolchainTrace into a CBWC corpus written
+// to io.Discard: column encoding, block writes and the content hash.
+func BenchmarkCorpusPack(b *testing.B) {
+	tr := toolchainTrace(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w, err := corpus.NewWriter(io.Discard, tr.Name(), corpus.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,7 +1,9 @@
 package trace
 
 import (
+	"bytes"
 	"io"
+	"math/rand"
 	"testing"
 
 	"cbws/internal/mem"
@@ -98,5 +100,60 @@ func TestAnalyzeWarmBlockAllocationFree(t *testing.T) {
 	a.ConsumeBatch(block) // the wrap-around stride from the last line to the first
 	if avg := testing.AllocsPerRun(100, func() { a.ConsumeBatch(block) }); avg != 0 {
 		t.Errorf("warm block allocates %.1f objects per run, want 0", avg)
+	}
+}
+
+// TestChunkDecoderWindowAllocsFree pins the ingest path at the window
+// size cbwsd clients post: after the header, feeding a stream of
+// multi-byte deltas in 64 KiB windows, which split events anywhere,
+// allocates nothing per window.
+func TestChunkDecoderWindowAllocsFree(t *testing.T) {
+	const window = 64 << 10
+	rng := rand.New(rand.NewSource(5))
+	events := make([]Event, 100_000)
+	for i := range events {
+		switch rng.Intn(4) {
+		case 0:
+			events[i] = Event{Kind: Instr, N: rng.Intn(1 << 12)}
+		case 1:
+			events[i] = Event{Kind: Branch, PC: uint64(rng.Intn(1 << 20)), Taken: rng.Intn(2) == 0}
+		default:
+			events[i] = Event{Kind: Load, PC: uint64(rng.Intn(1 << 20)), Addr: mem.Addr(rng.Int63n(1 << 40))}
+		}
+	}
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, "windows")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.ConsumeBatch(events)
+	// No terminator: every run feeds the same body, which ends on an
+	// event boundary, so the decoder stays in its event phase.
+	if err := w.w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	head := encodeHeader("windows")
+	body := buf.Bytes()[len(head):]
+	if len(body) < 4*window {
+		t.Fatalf("body is %d bytes, want at least four windows", len(body))
+	}
+	var d ChunkDecoder
+	var cs countBatchSink
+	if err := d.Feed(head, &cs); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		for off := 0; off < len(body); off += window {
+			if err := d.Feed(body[off:min(off+window, len(body))], &cs); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("feeding the body's %d windows allocates %v per run, want 0", (len(body)+window-1)/window, allocs)
+	}
+	// AllocsPerRun makes one warm-up run before the 20 it counts.
+	if want := uint64(21 * len(events)); cs.events != want {
+		t.Errorf("decoded %d events, want %d", cs.events, want)
 	}
 }

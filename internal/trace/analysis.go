@@ -56,16 +56,15 @@ const blockLineCap = 17
 const regionLineShift = 11 - mem.LineShift
 
 // analyzer is the BatchSink behind Analyze. Steady state allocates
-// nothing: sets grow only on a first-seen line, PC or stride, and the
-// current block's lines live in a fixed slice.
+// nothing: its tables grow only on a first-seen line, region, PC or
+// stride, and the current block's lines live in a fixed slice.
 type analyzer struct {
 	s       Summary
-	lines   map[mem.LineAddr]struct{}
-	regions map[mem.Region]struct{}
-	pcSlot  map[uint64]int // PC -> index into lastLine
-	strides map[int64]uint64
+	lines   keyTable // set of mem.LineAddr
+	regions keyTable // set of mem.Region
+	pcLine  keyTable // PC -> the mem.LineAddr of its latest access
+	strides keyTable // per-PC line stride (an int64) -> count
 
-	lastLine   []mem.LineAddr // per PC: the line of its latest access
 	blockSizes [blockLineCap + 1]uint64
 
 	inBlock  bool
@@ -74,10 +73,10 @@ type analyzer struct {
 
 func newAnalyzer(name string) *analyzer {
 	a := &analyzer{
-		lines:    make(map[mem.LineAddr]struct{}),
-		regions:  make(map[mem.Region]struct{}),
-		pcSlot:   make(map[uint64]int),
-		strides:  make(map[int64]uint64),
+		lines:    newKeySet(),
+		regions:  newKeySet(),
+		pcLine:   newKeyMap(),
+		strides:  newKeyMap(),
 		curLines: make([]mem.LineAddr, 0, blockLineCap),
 	}
 	a.s.Name = name
@@ -114,18 +113,16 @@ func (a *analyzer) observe(e *Event) {
 			a.s.Stores++
 		}
 		l := mem.LineOf(e.Addr)
-		if _, ok := a.lines[l]; !ok {
+		if a.lines.add(uint64(l)) {
 			// A line already seen has its region recorded too.
-			a.lines[l] = struct{}{}
-			a.regions[mem.Region(l>>regionLineShift)] = struct{}{}
+			a.regions.add(uint64(l >> regionLineShift))
 		}
-		if slot, ok := a.pcSlot[e.PC]; ok {
-			a.strides[l.Delta(a.lastLine[slot])]++
-			a.lastLine[slot] = l
-		} else {
-			a.pcSlot[e.PC] = len(a.lastLine)
-			a.lastLine = append(a.lastLine, l)
+		last, seen := a.pcLine.val(e.PC)
+		if seen {
+			n, _ := a.strides.val(uint64(l.Delta(mem.LineAddr(*last))))
+			*n++
 		}
+		*last = uint64(l)
 		if a.inBlock && len(a.curLines) < blockLineCap && !slices.Contains(a.curLines, l) {
 			a.curLines = append(a.curLines, l)
 		}
@@ -147,21 +144,25 @@ func (a *analyzer) observe(e *Event) {
 }
 
 func (a *analyzer) finish() {
-	a.s.UniqueLines = len(a.lines)
-	a.s.UniquePCs = len(a.lastLine)
-	a.s.FootprintBytes = uint64(len(a.lines)) * mem.LineSize
-	a.s.Regions2KB = len(a.regions)
+	a.s.UniqueLines = a.lines.count()
+	a.s.UniquePCs = a.pcLine.count()
+	a.s.FootprintBytes = uint64(a.s.UniqueLines) * mem.LineSize
+	a.s.Regions2KB = a.regions.count()
 	a.s.BlockSizes = make(map[int]uint64)
 	for n, c := range a.blockSizes {
 		if c > 0 {
 			a.s.BlockSizes[n] = c
 		}
 	}
-	for st, n := range a.strides {
-		a.s.TopStrides = append(a.s.TopStrides, StrideCount{Stride: st, Count: n})
+	if n := a.strides.count(); n > 0 { // without strides, TopStrides stays nil
+		a.s.TopStrides = make([]StrideCount, 0, n)
 	}
-	// The histogram is a map, so ties must break on the stride itself
-	// for the order, and the cut below, not to follow map iteration.
+	a.strides.each(func(st, n uint64) {
+		a.s.TopStrides = append(a.s.TopStrides, StrideCount{Stride: int64(st), Count: n})
+	})
+	// The histogram is a hash table, so ties must break on the stride
+	// itself for the order, and the cut below, not to follow bucket
+	// order.
 	sort.Slice(a.s.TopStrides, func(i, j int) bool {
 		x, y := a.s.TopStrides[i], a.s.TopStrides[j]
 		if x.Count != y.Count {

@@ -1,6 +1,7 @@
 package corpus
 
 import (
+	"io"
 	"testing"
 
 	"cbws/internal/trace"
@@ -56,5 +57,35 @@ func TestDecodeBlockZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("decodeBlock allocates %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestWriterConsumeBatchZeroAllocs pins the pack hot path: once the
+// column buffers, the block buffer and the index have grown, encoding a
+// batch and writing the blocks it completes allocates nothing.
+func TestWriterConsumeBatchZeroAllocs(t *testing.T) {
+	const runs = 50
+	// A batch spans block boundaries, so every run flushes blocks.
+	batch := randomEvents(DefaultBlockEvents+DefaultBlockEvents/3, 44)
+	w, err := NewWriter(io.Discard, "alloc", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2*runs; i++ {
+		if !w.ConsumeBatch(batch) {
+			t.Fatal(w.Close())
+		}
+	}
+	// The index grows once per doubling of the block count: keep the
+	// capacity the warm-up runs grew, which the measured runs stay
+	// within, and start the index over.
+	w.index = w.index[:0]
+	allocs := testing.AllocsPerRun(runs, func() {
+		if !w.ConsumeBatch(batch) {
+			t.Fatal(w.Close())
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("ConsumeBatch allocates %.1f allocs/op, want 0", allocs)
 	}
 }

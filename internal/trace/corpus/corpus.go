@@ -96,9 +96,6 @@ const (
 	// accept, capping the decode-buffer allocation a hostile header can
 	// demand.
 	MaxBlockEvents = 1 << 20
-
-	// maxNameLen bounds the header name, mirroring the stream codec.
-	maxNameLen = 1 << 16
 )
 
 // ErrBadCorpus reports a structurally invalid corpus file.

@@ -6,9 +6,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"cbws/internal/mem"
@@ -341,6 +343,23 @@ func TestWriterRejectsOutOfRangeFields(t *testing.T) {
 		if err := w.Close(); err == nil {
 			t.Errorf("%s: expected Close to report the encoding error", name)
 		}
+	}
+}
+
+// TestNameLengthBound checks the writer and the reader agree on
+// trace.MaxNameLen, the bound the CBWT stream codec shares: a longer
+// name is refused, one of exactly that length round-trips.
+func TestNameLengthBound(t *testing.T) {
+	if _, err := NewWriter(io.Discard, strings.Repeat("n", trace.MaxNameLen+1), Options{}); err == nil {
+		t.Errorf("NewWriter accepted a %d-byte name", trace.MaxNameLen+1)
+	}
+	name := strings.Repeat("n", trace.MaxNameLen)
+	c, err := OpenBytes(packEvents(t, name, randomEvents(100, 7), Options{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Name() != name {
+		t.Errorf("corpus name has %d bytes, want %d", len(c.Name()), len(name))
 	}
 }
 

@@ -105,7 +105,7 @@ func (c *Corpus) parse() error {
 	}
 	c.blockEvents = int(be)
 	nameLen, n := binary.Uvarint(data[12:])
-	if n <= 0 || nameLen > maxNameLen || uint64(n)+nameLen > uint64(len(data)-12) {
+	if n <= 0 || nameLen > trace.MaxNameLen || uint64(n)+nameLen > uint64(len(data)-12) {
 		return bad("bad name length")
 	}
 	c.name = string(data[12+n : 12+n+int(nameLen)])

@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"cbws/internal/trace"
 )
@@ -47,7 +48,8 @@ type Writer struct {
 	lastPC   uint64
 	lastAddr uint64
 	cols     [numCols][]byte
-	takenBit uint // bit cursor into the taken column
+	takenBit uint   // bit cursor into the taken column
+	blk      []byte // the finished block's payload, reused across blocks
 
 	// File state.
 	off        uint64
@@ -65,7 +67,7 @@ func NewWriter(w io.Writer, name string, opts Options) (*Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(name) > maxNameLen {
+	if len(name) > trace.MaxNameLen {
 		return nil, fmt.Errorf("corpus: name too long (%d bytes)", len(name))
 	}
 	cw := &Writer{sum: sha256.New(), opts: opts, name: name}
@@ -95,69 +97,89 @@ func (w *Writer) write(p []byte) error {
 // ConsumeBatch implements trace.BatchSink; a sticky error asks the
 // producer to stop.
 func (w *Writer) ConsumeBatch(batch []trace.Event) bool {
-	for i := range batch {
-		if w.err != nil {
-			return false
+	for len(batch) > 0 && w.err == nil {
+		run := batch[:min(len(batch), w.opts.BlockEvents-w.events)]
+		batch = batch[len(run):]
+		w.encode(run)
+		if w.events == w.opts.BlockEvents {
+			w.flushBlock()
 		}
-		w.encode(batch[i])
 	}
 	return w.err == nil
 }
 
-// encode appends one event to the current block's columns, flushing the
-// block when it reaches the configured size.
-func (w *Writer) encode(e trace.Event) {
+// appendUvarint is binary.AppendUvarint with the one-byte encoding,
+// which most deltas take, inlined.
+func appendUvarint(dst []byte, v uint64) []byte {
+	if v < 0x80 {
+		return append(dst, byte(v))
+	}
+	return binary.AppendUvarint(dst, v)
+}
+
+// encode appends run, which fits in the current block, to the block's
+// columns. The columns and delta baselines stay in locals for the run
+// and are stored back once; an event that cannot be encoded stops the
+// run with a sticky error.
+func (w *Writer) encode(run []trace.Event) {
 	if w.events == 0 {
 		w.basePC = w.lastPC
 		w.baseAddr = w.lastAddr
 	}
-	w.cols[colKinds] = append(w.cols[colKinds], byte(e.Kind))
-	switch e.Kind {
-	case trace.Instr:
-		if e.N > trace.MaxInstrCount {
-			w.err = fmt.Errorf("corpus: instr count %d exceeds %d", e.N, trace.MaxInstrCount)
-			return
+	kinds, pcs, addrs := w.cols[colKinds], w.cols[colPC], w.cols[colAddr]
+	ns, blocks, taken := w.cols[colN], w.cols[colBlock], w.cols[colTaken]
+	lastPC, lastAddr, instr, tb := w.lastPC, w.lastAddr, w.instrCount, w.takenBit
+	i := 0
+encode:
+	for ; i < len(run); i++ {
+		e := &run[i]
+		switch e.Kind {
+		case trace.Instr:
+			if e.N > trace.MaxInstrCount {
+				w.err = fmt.Errorf("corpus: instr count %d exceeds %d", e.N, trace.MaxInstrCount)
+				break encode
+			}
+			n := uint64(max(e.N, 1)) // Event.Count of an Instr
+			ns = appendUvarint(ns, n)
+			instr += n
+		case trace.Load, trace.Store:
+			pcs = appendUvarint(pcs, zigzag(int64(e.PC-lastPC)))
+			addrs = appendUvarint(addrs, zigzag(int64(uint64(e.Addr)-lastAddr)))
+			lastPC, lastAddr = e.PC, uint64(e.Addr)
+			instr++
+		case trace.BlockBegin, trace.BlockEnd:
+			if e.Block < 0 || e.Block > trace.MaxBlockID {
+				w.err = fmt.Errorf("corpus: block ID %d out of range [0, %d]", e.Block, trace.MaxBlockID)
+				break encode
+			}
+			blocks = appendUvarint(blocks, uint64(e.Block))
+			instr++
+		case trace.Branch:
+			pcs = appendUvarint(pcs, zigzag(int64(e.PC-lastPC)))
+			lastPC = e.PC
+			if tb%8 == 0 {
+				taken = append(taken, 0)
+			}
+			if e.Taken {
+				taken[len(taken)-1] |= 1 << (tb % 8)
+			}
+			tb++
+			instr++
+		default:
+			w.err = fmt.Errorf("corpus: cannot encode kind %v", e.Kind)
+			break encode
 		}
-		n := uint64(e.Count())
-		w.cols[colN] = binary.AppendUvarint(w.cols[colN], n)
-		w.instrCount += n
-	case trace.Load, trace.Store:
-		w.cols[colPC] = binary.AppendUvarint(w.cols[colPC], zigzag(int64(e.PC)-int64(w.lastPC)))
-		w.cols[colAddr] = binary.AppendUvarint(w.cols[colAddr], zigzag(int64(e.Addr)-int64(w.lastAddr)))
-		w.lastPC = e.PC
-		w.lastAddr = uint64(e.Addr)
-		w.instrCount++
-	case trace.BlockBegin, trace.BlockEnd:
-		if e.Block < 0 || e.Block > trace.MaxBlockID {
-			w.err = fmt.Errorf("corpus: block ID %d out of range [0, %d]", e.Block, trace.MaxBlockID)
-			return
-		}
-		w.cols[colBlock] = binary.AppendUvarint(w.cols[colBlock], uint64(e.Block))
-		w.instrCount++
-	case trace.Branch:
-		w.cols[colPC] = binary.AppendUvarint(w.cols[colPC], zigzag(int64(e.PC)-int64(w.lastPC)))
-		w.lastPC = e.PC
-		if w.takenBit%8 == 0 {
-			w.cols[colTaken] = append(w.cols[colTaken], 0)
-		}
-		if e.Taken {
-			w.cols[colTaken][len(w.cols[colTaken])-1] |= 1 << (w.takenBit % 8)
-		}
-		w.takenBit++
-		w.instrCount++
-	default:
-		w.err = fmt.Errorf("corpus: cannot encode kind %v", e.Kind)
-		return
+		kinds = append(kinds, byte(e.Kind))
 	}
-	w.events++
-	w.eventCount++
-	if w.events >= w.opts.BlockEvents {
-		w.flushBlock()
-	}
+	w.cols = [numCols][]byte{kinds, pcs, addrs, ns, blocks, taken}
+	w.lastPC, w.lastAddr, w.instrCount, w.takenBit = lastPC, lastAddr, instr, tb
+	w.events += i
+	w.eventCount += uint64(i)
 }
 
-// flushBlock writes the current block payload and records its index
-// entry.
+// flushBlock writes the current block payload, its columns laid end to
+// end in the block buffer and handed over in one write, and records its
+// index entry.
 func (w *Writer) flushBlock() {
 	if w.err != nil || w.events == 0 {
 		return
@@ -173,17 +195,18 @@ func (w *Writer) flushBlock() {
 		entry.colLen[i] = uint32(len(col))
 		raw += len(col)
 	}
+	blk := slices.Grow(w.blk[:0], raw)
+	for i, col := range w.cols {
+		blk = append(blk, col...)
+		w.cols[i] = col[:0]
+	}
+	w.blk = blk
 	entry.rawLen = uint32(raw)
 	entry.storedLen = entry.rawLen
-	for _, col := range w.cols {
-		if w.write(col) != nil {
-			return
-		}
+	if w.write(blk) != nil {
+		return
 	}
 	w.index = append(w.index, entry)
-	for i := range w.cols {
-		w.cols[i] = w.cols[i][:0]
-	}
 	w.events = 0
 	w.takenBit = 0
 }

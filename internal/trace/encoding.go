@@ -40,9 +40,12 @@ type Writer struct {
 // trace as one batch costs no more memory than one fed by a Batcher.
 const encodeWindow = 1024
 
-// NewWriter writes the file header (with the trace name) and returns a
-// Writer ready to receive events.
+// NewWriter writes the file header (with the trace name, at most
+// MaxNameLen bytes) and returns a Writer ready to receive events.
 func NewWriter(w io.Writer, name string) (*Writer, error) {
+	if len(name) > MaxNameLen {
+		return nil, fmt.Errorf("trace: name too long (%d bytes)", len(name))
+	}
 	hdr := make([]byte, 0, encodeWindow*maxEventBytes)
 	hdr = append(hdr, traceMagic...)
 	hdr = append(hdr, traceVersion)

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"cbws/internal/mem"
@@ -272,5 +274,30 @@ func TestCompactEncoding(t *testing.T) {
 	}
 	if perEvent := float64(buf.Len()) / n; perEvent > 4.5 {
 		t.Errorf("strided stream encodes to %.1f bytes/event, want <= 4.5", perEvent)
+	}
+}
+
+// TestNameLengthBound pins the header name bound both ways: NewWriter
+// refuses a name the decoder would reject, and a name of exactly
+// MaxNameLen bytes round-trips through Reader and ChunkDecoder.
+func TestNameLengthBound(t *testing.T) {
+	if _, err := NewWriter(io.Discard, strings.Repeat("n", MaxNameLen+1)); err == nil {
+		t.Errorf("NewWriter accepted a %d-byte name", MaxNameLen+1)
+	}
+	name := strings.Repeat("n", MaxNameLen)
+	events := streamTestEvents()
+	r := roundTrip(t, name, events)
+	if r.Name() != name {
+		t.Errorf("Reader name has %d bytes, want %d", len(r.Name()), len(name))
+	}
+	got, gotName, err := feedInChunks(encodeTestTrace(t, name, events), 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotName != name {
+		t.Errorf("ChunkDecoder name has %d bytes, want %d", len(gotName), len(name))
+	}
+	if len(got) != len(events) {
+		t.Errorf("decoded %d events, want %d", len(got), len(events))
 	}
 }

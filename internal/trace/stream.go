@@ -3,6 +3,7 @@ package trace
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"cbws/internal/mem"
 )
@@ -85,8 +86,10 @@ func (d *ChunkDecoder) Feed(data []byte, sink BatchSink) error {
 		}
 	}
 	for len(data) > 0 && d.phase == phaseEvents {
+		// Each event decodes straight into its batch slot; the slot
+		// counts only once the event is complete.
+		e := &d.batch[d.nbatch]
 		var (
-			e  Event
 			n  int
 			ok bool
 		)
@@ -94,7 +97,7 @@ func (d *ChunkDecoder) Feed(data []byte, sink BatchSink) error {
 			// A previous window ended mid-event: extend the pending
 			// buffer and retry. n counts bytes consumed from data.
 			add := copy(d.pend[d.npend:], data)
-			e, n, ok = d.decodeOne(d.pend[:d.npend+add])
+			n, ok = d.decodeOne(d.pend[:d.npend+add], e)
 			if !ok {
 				if d.err != nil {
 					break
@@ -110,7 +113,7 @@ func (d *ChunkDecoder) Feed(data []byte, sink BatchSink) error {
 			n -= d.npend
 			d.npend = 0
 		} else {
-			e, n, ok = d.decodeOne(data)
+			n, ok = d.decodeOne(data, e)
 			if !ok {
 				if d.err != nil {
 					break
@@ -123,7 +126,6 @@ func (d *ChunkDecoder) Feed(data []byte, sink BatchSink) error {
 		if d.phase == phaseDone {
 			break
 		}
-		d.batch[d.nbatch] = e
 		d.nbatch++
 		if d.nbatch == batchSize && !d.flush(sink) {
 			return nil
@@ -173,7 +175,7 @@ func (d *ChunkDecoder) feedHeader(data []byte) ([]byte, error) {
 		if n == 0 {
 			return nil, nil // varint still incomplete
 		}
-		if n < 0 || nameLen > 1<<16 {
+		if n < 0 || nameLen > MaxNameLen {
 			d.err = fmt.Errorf("%w: name too long", ErrBadTrace)
 			return nil, d.err
 		}
@@ -194,92 +196,117 @@ func (d *ChunkDecoder) feedHeader(data []byte) ([]byte, error) {
 	return nil, nil
 }
 
-// decodeOne decodes a single event record from the front of b. It
-// returns ok == false either because b is too short (retry with more
-// bytes) or because the record is malformed (d.err is set). The
-// terminator flips the decoder to phaseDone and reports n == 1 with a
-// zero event.
-func (d *ChunkDecoder) decodeOne(b []byte) (e Event, n int, ok bool) {
+// decodeOne decodes a single event record from the front of b into e.
+// It returns ok == false either because b is too short (retry with more
+// bytes) or because the record is malformed (d.err is set); e and the
+// delta baselines change only when an event decodes. The terminator
+// flips the decoder to phaseDone and reports n == 1, leaving e
+// untouched.
+func (d *ChunkDecoder) decodeOne(b []byte, e *Event) (n int, ok bool) {
 	kb := b[0]
-	if kb == kindEOF {
-		d.phase = phaseDone
-		return Event{}, 1, true
-	}
-	e.Kind = Kind(kb)
-	n = 1
-	switch e.Kind {
+	switch Kind(kb) {
 	case Instr:
-		v, un := binary.Uvarint(b[n:])
+		v, un := uvarint(b[1:])
 		if un == 0 {
-			return e, 0, false
+			return 0, false
 		}
 		if un < 0 || v > MaxInstrCount {
 			d.err = fmt.Errorf("%w: instr count %d exceeds %d", ErrBadTrace, v, uint64(MaxInstrCount))
-			return e, 0, false
+			return 0, false
 		}
-		e.N = int(v)
-		n += un
+		*e = Event{Kind: Instr, N: int(v)}
+		return 1 + un, true
 	case Load, Store:
-		dpc, un := binary.Varint(b[n:])
+		dpc, un := varint(b[1:])
 		if un == 0 {
-			return e, 0, false
+			return 0, false
 		}
 		if un < 0 {
 			d.err = fmt.Errorf("%w: bad pc delta", ErrBadTrace)
-			return e, 0, false
+			return 0, false
 		}
-		n += un
-		daddr, un2 := binary.Varint(b[n:])
-		if un2 == 0 {
-			return e, 0, false
-		}
-		if un2 < 0 {
-			d.err = fmt.Errorf("%w: bad addr delta", ErrBadTrace)
-			return e, 0, false
-		}
-		n += un2
-		d.lastPC = uint64(int64(d.lastPC) + dpc)
-		d.lastAddr = uint64(int64(d.lastAddr) + daddr)
-		e.PC = d.lastPC
-		e.Addr = mem.Addr(d.lastAddr)
-	case BlockBegin, BlockEnd:
-		v, un := binary.Uvarint(b[n:])
+		n = 1 + un
+		daddr, un := varint(b[n:])
 		if un == 0 {
-			return e, 0, false
+			return 0, false
+		}
+		if un < 0 {
+			d.err = fmt.Errorf("%w: bad addr delta", ErrBadTrace)
+			return 0, false
+		}
+		d.lastPC += uint64(dpc)
+		d.lastAddr += uint64(daddr)
+		*e = Event{Kind: Kind(kb), PC: d.lastPC, Addr: mem.Addr(d.lastAddr)}
+		return n + un, true
+	case BlockBegin, BlockEnd:
+		v, un := uvarint(b[1:])
+		if un == 0 {
+			return 0, false
 		}
 		if un < 0 || v > MaxBlockID {
 			d.err = fmt.Errorf("%w: block ID %d exceeds %d", ErrBadTrace, v, uint64(MaxBlockID))
-			return e, 0, false
+			return 0, false
 		}
-		e.Block = int(v)
-		n += un
+		*e = Event{Kind: Kind(kb), Block: int(v)}
+		return 1 + un, true
 	case Branch:
-		dpc, un := binary.Varint(b[n:])
+		dpc, un := varint(b[1:])
 		if un == 0 {
-			return e, 0, false
+			return 0, false
 		}
 		if un < 0 {
 			d.err = fmt.Errorf("%w: bad pc delta", ErrBadTrace)
-			return e, 0, false
+			return 0, false
 		}
-		n += un
-		t, un2 := binary.Uvarint(b[n:])
-		if un2 == 0 {
-			return e, 0, false
+		n = 1 + un
+		t, un := uvarint(b[n:])
+		if un == 0 {
+			return 0, false
 		}
-		if un2 < 0 || t > 1 {
+		if un < 0 || t > 1 {
 			d.err = fmt.Errorf("%w: branch outcome %d is not 0 or 1", ErrBadTrace, t)
-			return e, 0, false
+			return 0, false
 		}
-		n += un2
-		d.lastPC = uint64(int64(d.lastPC) + dpc)
-		e.PC = d.lastPC
-		e.Taken = t != 0
-	default:
-		d.err = fmt.Errorf("%w: unknown kind %d", ErrBadTrace, kb)
-		return e, 0, false
+		d.lastPC += uint64(dpc)
+		*e = Event{Kind: Branch, PC: d.lastPC, Taken: t != 0}
+		return n + un, true
+	case kindEOF:
+		d.phase = phaseDone
+		return 1, true
 	}
-	return e, n, true
+	d.err = fmt.Errorf("%w: unknown kind %d", ErrBadTrace, kb)
+	return 0, false
+}
+
+// uvarint decodes the uvarint at the front of b like binary.Uvarint,
+// whose results it returns. Two fast paths cover nearly every field: a
+// one-byte encoding (most deltas), and an encoding that ends within the
+// next eight bytes, which is decoded from one 64-bit load without a
+// per-byte branch. Longer, short or overflowing input takes
+// binary.Uvarint itself.
+func uvarint(b []byte) (uint64, int) {
+	if len(b) > 0 && b[0] < 0x80 {
+		return uint64(b[0]), 1
+	}
+	if len(b) >= 8 {
+		x := binary.LittleEndian.Uint64(b)
+		if stop := ^x & 0x8080808080808080; stop != 0 {
+			// Byte n-1 is the first with its continuation bit clear;
+			// drop the bytes after it and pack the 7-bit groups.
+			n := bits.TrailingZeros64(stop)/8 + 1
+			x &= 1<<(8*n) - 1
+			x = x&0x7f | x>>1&(0x7f<<7) | x>>2&(0x7f<<14) | x>>3&(0x7f<<21) |
+				x>>4&(0x7f<<28) | x>>5&(0x7f<<35) | x>>6&(0x7f<<42) | x>>7&(0x7f<<49)
+			return x, n
+		}
+	}
+	return binary.Uvarint(b)
+}
+
+// varint is uvarint for a zigzag varint, like binary.Varint.
+func varint(b []byte) (int64, int) {
+	u, n := uvarint(b)
+	return int64(u>>1) ^ -int64(u&1), n
 }
 
 // Finish declares the input complete and checks the stream ended

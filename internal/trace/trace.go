@@ -67,6 +67,10 @@ const (
 	// MaxBlockID bounds the static block ID of BlockBegin/BlockEnd
 	// events.
 	MaxBlockID = 1 << 30
+	// MaxNameLen bounds the trace name a file header carries, in
+	// bytes. Writers refuse a longer name, and readers reject a header
+	// that claims one.
+	MaxNameLen = 1 << 16
 )
 
 // Event is one element of the committed instruction stream.
