@@ -75,9 +75,8 @@ corpus-smoke:
 
 # Each differential fuzz target gets a short coverage-guided run on top
 # of its seed corpus (CI uses 30s per target; override with FUZZTIME).
-# FuzzCorpusRoundTrip's and every internal/check target's minimization
-# is capped at 5s per new input: left unbounded, it spends nearly the
-# whole run minimizing the first.
+# Every target's minimization is capped at 5s per new input: left
+# unbounded, it spends nearly the whole run minimizing the first.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test ./internal/check/ -run '^$$' -fuzz '^FuzzCacheVsRef$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
@@ -88,10 +87,10 @@ fuzz-smoke:
 	$(GO) test ./internal/check/ -run '^$$' -fuzz '^FuzzGHBVsRef$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
 	$(GO) test ./internal/check/ -run '^$$' -fuzz '^FuzzSMSVsRef$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
 	$(GO) test ./internal/check/ -run '^$$' -fuzz '^FuzzAnalyzeVsRef$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
-	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzTraceRoundTrip$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzStreamChunkFraming$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzTraceRoundTrip$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
+	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzStreamChunkFraming$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
 	$(GO) test ./internal/trace/corpus/ -run '^$$' -fuzz '^FuzzCorpusRoundTrip$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
-	$(GO) test ./internal/trace/corpus/ -run '^$$' -fuzz '^FuzzCorpusParse$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/trace/corpus/ -run '^$$' -fuzz '^FuzzCorpusParse$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
 
 # Golden determinism gate: rebuild the full-matrix manifest with serial
 # and parallel fills and require both to match golden/seed.json byte

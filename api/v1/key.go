@@ -6,7 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"cbws/internal/harness"
+	"cbws/internal/registry"
 	"cbws/internal/sim"
 	"cbws/internal/workload"
 )
@@ -74,7 +74,7 @@ func (s JobSpec) Validate() error {
 	if _, ok := workload.ByName(s.Workload); !ok {
 		return fmt.Errorf("unknown workload %q (see /v1/workloads for the roster)", s.Workload)
 	}
-	if _, err := harness.ResolveFactory(s.Prefetcher); err != nil {
+	if _, err := registry.Resolve(s.Prefetcher); err != nil {
 		return err
 	}
 	if err := s.Config.Validate(); err != nil {

@@ -23,6 +23,7 @@ import (
 	"cbws/internal/mem"
 	"cbws/internal/prefetch"
 	"cbws/internal/prefetch/learned"
+	"cbws/internal/registry"
 	"cbws/internal/sim"
 	"cbws/internal/stats"
 	"cbws/internal/trace"
@@ -58,7 +59,7 @@ func benchSpecs(b *testing.B) []workload.Spec {
 // BenchmarkFigure1LoopResidency regenerates the loop-residency fractions
 // of Figure 1 over the benchmark subset.
 func BenchmarkFigure1LoopResidency(b *testing.B) {
-	noPf, _ := harness.FactoryByName("none")
+	noPf, _ := registry.ByName("none")
 	for i := 0; i < b.N; i++ {
 		m := harness.NewMatrix(benchOptions())
 		var fracs []float64
@@ -113,7 +114,7 @@ func BenchmarkFigure12MPKI(b *testing.B) {
 // BenchmarkFigure13Timeliness regenerates the timeliness/accuracy
 // classification of Figure 13 for the CBWS+SMS scheme.
 func BenchmarkFigure13Timeliness(b *testing.B) {
-	f, _ := harness.FactoryByName("cbws+sms")
+	f, _ := registry.ByName("cbws+sms")
 	for i := 0; i < b.N; i++ {
 		m := harness.NewMatrix(benchOptions())
 		var timely, wrong []float64
@@ -133,8 +134,8 @@ func BenchmarkFigure13Timeliness(b *testing.B) {
 // BenchmarkFigure14Speedup regenerates the headline IPC comparison of
 // Figure 14: CBWS+SMS speedup over SMS.
 func BenchmarkFigure14Speedup(b *testing.B) {
-	smsF, _ := harness.FactoryByName("sms")
-	hybridF, _ := harness.FactoryByName("cbws+sms")
+	smsF, _ := registry.ByName("sms")
+	hybridF, _ := registry.ByName("cbws+sms")
 	for i := 0; i < b.N; i++ {
 		m := harness.NewMatrix(benchOptions())
 		var speedups []float64
@@ -156,8 +157,8 @@ func BenchmarkFigure14Speedup(b *testing.B) {
 // BenchmarkFigure15PerfCost regenerates the performance/cost comparison
 // of Figure 15: IPC per byte fetched, CBWS+SMS normalized to no-prefetch.
 func BenchmarkFigure15PerfCost(b *testing.B) {
-	noneF, _ := harness.FactoryByName("none")
-	hybridF, _ := harness.FactoryByName("cbws+sms")
+	noneF, _ := registry.ByName("none")
+	hybridF, _ := registry.ByName("cbws+sms")
 	for i := 0; i < b.N; i++ {
 		m := harness.NewMatrix(benchOptions())
 		var ratios []float64
@@ -381,7 +382,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	for _, pf := range []string{"none", "sms", "cbws+sms"} {
 		pf := pf
 		b.Run(pf, func(b *testing.B) {
-			f, _ := harness.FactoryByName(pf)
+			f, _ := registry.ByName(pf)
 			spec, _ := workload.ByName("stencil-default")
 			cfg := sim.DefaultConfig()
 			cfg.MaxInstructions = 300_000
@@ -406,7 +407,7 @@ func BenchmarkSimulatorThroughputProbed(b *testing.B) {
 	for _, pf := range []string{"none", "cbws+sms"} {
 		pf := pf
 		b.Run(pf, func(b *testing.B) {
-			f, _ := harness.FactoryByName(pf)
+			f, _ := registry.ByName(pf)
 			spec, _ := workload.ByName("stencil-default")
 			cfg := sim.DefaultConfig()
 			cfg.MaxInstructions = 300_000
@@ -800,18 +801,6 @@ func BenchmarkAblationBranchPrediction(b *testing.B) {
 	}
 }
 
-// BenchmarkExtensionAMPM runs the AMPM extension baseline on stencil,
-// illustrating the zone-size limitation the paper's related-work section
-// describes (the plane-sized strides escape AMPM's access maps).
-func BenchmarkExtensionAMPM(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		ipc := ablationRun(b, func() cbws.Prefetcher {
-			return prefetch.NewAMPM(prefetch.AMPMConfig{})
-		}, ablationConfig())
-		b.ReportMetric(ipc, "ipc")
-	}
-}
-
 // BenchmarkAblationMemoryBandwidth compares the flat-latency memory of
 // Table II against a bandwidth-limited model where prefetch traffic
 // contends with demand fills — the contention that makes wrong
@@ -833,19 +822,5 @@ func BenchmarkAblationMemoryBandwidth(b *testing.B) {
 				b.ReportMetric(ipc, "ipc")
 			}
 		})
-	}
-}
-
-// BenchmarkExtensionMarkov runs the Markov pair-correlation extension
-// baseline on mcf (pointer-heavy, the pattern class it targets).
-func BenchmarkExtensionMarkov(b *testing.B) {
-	spec, _ := workload.ByName("429.mcf-ref")
-	for i := 0; i < b.N; i++ {
-		cfg := ablationConfig()
-		res, err := sim.Run(cfg, spec.Make(), prefetch.NewMarkov(prefetch.MarkovConfig{}))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Metrics.IPC(), "ipc")
 	}
 }

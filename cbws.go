@@ -12,10 +12,9 @@
 //     working-set vectors, 4-step differential prediction, 16-entry
 //     history table) plus the CBWS+SMS integration;
 //   - the four baseline prefetchers it is evaluated against: stride,
-//     GHB G/DC, GHB PC/DC and spatial memory streaming (SMS), plus
-//     extension baselines (AMPM, Markov) and two learned baselines — a
-//     Pythia-style online-RL prefetcher and a Gaze-style spatial
-//     prefetcher — from the related work;
+//     GHB G/DC, GHB PC/DC and spatial memory streaming (SMS), plus two
+//     learned baselines from the related work — a Pythia-style
+//     online-RL prefetcher and a Gaze-style spatial prefetcher;
 //   - 30 workload emulations standing in for the paper's SPEC CPU2006 /
 //     PARSEC / SPLASH / Rodinia / Parboil benchmarks;
 //   - a mini-IR with an automatic innermost-tight-loop annotation pass,
@@ -144,8 +143,8 @@ func WithProgress(fn func(instructions uint64)) Option { return sim.WithProgress
 func NewTimeSeries(capacity int) *TimeSeries { return sim.NewTimeSeries(capacity) }
 
 // Prefetchers returns the names of every registered prefetching scheme,
-// evaluated roster first ("none" … "cbws+sms"), then the extension
-// baselines ("ampm", "markov"). Each name constructs via NewPrefetcher.
+// evaluated roster first ("none" … "cbws+sms"), then the learned
+// baselines ("pythia", "gaze"). Each name constructs via NewPrefetcher.
 func Prefetchers() []string { return registry.Names() }
 
 // NewPrefetcher constructs a registered scheme by name. Unknown names

@@ -13,6 +13,7 @@ import (
 
 	"cbws/internal/cli"
 	"cbws/internal/harness"
+	"cbws/internal/registry"
 	"cbws/internal/service"
 	"cbws/internal/workload"
 )
@@ -120,7 +121,7 @@ func TestSweepGoldenAndCacheReplay(t *testing.T) {
 	}
 	var factories []harness.Factory
 	for _, name := range []string{"none", "cbws"} {
-		f, err := harness.ResolveFactory(name)
+		f, err := registry.Resolve(name)
 		if err != nil {
 			t.Fatal(err)
 		}

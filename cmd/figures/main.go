@@ -31,7 +31,7 @@ import (
 var validFigs = map[string]bool{
 	"all": true, "1": true, "t1": true, "3": true, "4": true, "5": true,
 	"t2": true, "t3": true, "12": true, "13": true, "14": true, "15": true,
-	"ext": true, "learned": true,
+	"learned": true,
 }
 
 // usageErr reports a command-line usage error and exits 2 via the
@@ -45,7 +45,7 @@ func main() {
 	n := flag.Uint64("n", 4_000_000, "instructions per simulation run")
 	warm := flag.Uint64("warmup", 1_000_000, "warmup instructions excluded from metrics")
 	par := flag.Int("par", 0, "parallel simulations (<= 0: one per CPU)")
-	fig := flag.String("fig", "all", "figure to regenerate (all, 1, t1, 3, 5, t2, t3, 12, 13, 14, 15, ext, learned)")
+	fig := flag.String("fig", "all", "figure to regenerate (all, 1, t1, 3, 5, t2, t3, 12, 13, 14, 15, learned)")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	golden := flag.String("golden", "", "write a golden determinism manifest for the full matrix to this path and render nothing")
 	obsDir := flag.String("obs-dir", "", "write per-cell run records (JSON) and time series (CSV) into this directory")
@@ -182,13 +182,6 @@ func run(m *harness.Matrix, opts harness.Options, fig string, n uint64, csv bool
 		}
 		render(mi)
 		render(reg)
-	}
-	if fig == "ext" { // extensions are opt-in, not part of "all"
-		t, err := harness.ExtensionTable(m)
-		if err != nil {
-			return err
-		}
-		render(t)
 	}
 	if fig == "learned" { // learned baselines are opt-in, not part of "all"
 		t, err := harness.LearnedTable(m)

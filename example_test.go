@@ -84,8 +84,6 @@ func ExampleNewPrefetcher() {
 	// sms
 	// cbws
 	// cbws+sms
-	// ampm
-	// markov
 	// pythia
 	// gaze
 }

@@ -10,6 +10,7 @@ import (
 	"os"
 
 	"cbws/internal/harness"
+	"cbws/internal/registry"
 	"cbws/internal/workload"
 )
 
@@ -44,8 +45,8 @@ func main() {
 	}
 
 	// Headline: CBWS+SMS speedup over standalone SMS.
-	sms, _ := harness.FactoryByName("sms")
-	hybrid, _ := harness.FactoryByName("cbws+sms")
+	sms, _ := registry.ByName("sms")
+	hybrid, _ := registry.ByName("cbws+sms")
 	var logSum, n float64
 	for _, spec := range specs {
 		a, err1 := m.Get(spec, sms)

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"cbws/internal/registry"
 	"cbws/internal/trace/corpus"
 	"cbws/internal/workload"
 )
@@ -83,7 +84,7 @@ func TestOpenCorpusDirErrors(t *testing.T) {
 func TestCorpusReplayMatchesLiveSimulation(t *testing.T) {
 	opts := tinyOptions()
 	spec, _ := workload.ByName("stencil-default")
-	f, _ := FactoryByName("cbws")
+	f, _ := registry.ByName("cbws")
 
 	live, err := NewMatrix(opts).Get(spec, f)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 
 	"cbws/internal/core"
 	"cbws/internal/mem"
+	"cbws/internal/registry"
 	"cbws/internal/report"
 	"cbws/internal/stats"
 	"cbws/internal/trace"
@@ -14,7 +15,7 @@ import (
 // Figure1 reports the fraction of runtime spent in tight innermost
 // loops for the memory-intensive group (paper Figure 1).
 func Figure1(m *Matrix) (*report.Table, error) {
-	noPf, _ := FactoryByName("none")
+	noPf, _ := registry.ByName("none")
 	t := &report.Table{
 		Title:   "Figure 1: fraction of runtime in tight innermost loops (no-prefetch)",
 		Columns: []string{"benchmark", "loop", "non-loop"},
@@ -351,7 +352,7 @@ func Figure13(m *Matrix) (*report.Table, error) {
 // regular group, with group averages (higher is better).
 func Figure14(m *Matrix) (*report.Table, *report.Table, error) {
 	factories := Prefetchers()
-	smsF, _ := FactoryByName("sms")
+	smsF, _ := registry.ByName("sms")
 	build := func(title string, specs []workload.Spec, avgSpecs []workload.Spec, avgLabel string) (*report.Table, error) {
 		cols := []string{"benchmark"}
 		for _, f := range factories {
@@ -427,7 +428,7 @@ func perfCostRatio(m, base stats.Metrics) float64 {
 // Figure15 reports performance/cost — IPC per byte read from memory —
 // normalized to the no-prefetch configuration (higher is better).
 func Figure15(m *Matrix) (*report.Table, error) {
-	noneF, _ := FactoryByName("none")
+	noneF, _ := registry.ByName("none")
 	factories := Prefetchers()
 	cols := []string{"benchmark"}
 	for _, f := range factories {
@@ -498,7 +499,7 @@ func Figure15(m *Matrix) (*report.Table, error) {
 // tight loops against learned and pattern-characterizing designs?
 func LearnedTable(m *Matrix) (*report.Table, error) {
 	schemes := []string{"cbws", "cbws+sms", "pythia", "gaze"}
-	none, ok := FactoryByName("none")
+	none, ok := registry.ByName("none")
 	if !ok {
 		return nil, fmt.Errorf("harness: no-prefetch baseline missing")
 	}
@@ -511,7 +512,7 @@ func LearnedTable(m *Matrix) (*report.Table, error) {
 		Columns: cols,
 	}
 	speedup := func(spec workload.Spec, sn string) (float64, error) {
-		f, ok := FactoryByName(sn)
+		f, ok := registry.ByName(sn)
 		if !ok {
 			return 0, fmt.Errorf("harness: unknown scheme %q", sn)
 		}
@@ -555,46 +556,6 @@ func LearnedTable(m *Matrix) (*report.Table, error) {
 				vals = append(vals, s)
 			}
 			row = append(row, report.F(stats.GeoMean(vals), 3))
-		}
-		t.AddRow(row...)
-	}
-	return t, nil
-}
-
-// ExtensionTable compares the extension baselines (AMPM, Markov) against
-// the paper's SMS and CBWS+SMS on a representative memory-intensive
-// subset — prefetchers the paper's related-work section discusses but
-// does not evaluate.
-func ExtensionTable(m *Matrix) (*report.Table, error) {
-	schemes := []string{"none", "sms", "ampm", "markov", "cbws+sms"}
-	subset := []string{
-		"stencil-default", "sgemm-medium", "429.mcf-ref",
-		"histo-large", "462.libquantum-ref", "radix-simlarge",
-	}
-	cols := []string{"benchmark"}
-	for _, s := range schemes {
-		cols = append(cols, s)
-	}
-	t := &report.Table{
-		Title:   "Extension: MPKI of related-work prefetchers (AMPM, Markov) vs the paper's roster",
-		Columns: cols,
-	}
-	for _, name := range subset {
-		spec, ok := workload.ByName(name)
-		if !ok {
-			return nil, fmt.Errorf("harness: unknown workload %q", name)
-		}
-		row := []string{name}
-		for _, sn := range schemes {
-			f, ok := FactoryByName(sn)
-			if !ok {
-				return nil, fmt.Errorf("harness: unknown scheme %q", sn)
-			}
-			r, err := m.Get(spec, f)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, report.F(r.Metrics.MPKI(), 2))
 		}
 		t.AddRow(row...)
 	}

@@ -100,22 +100,6 @@ func TestFigure15Builds(t *testing.T) {
 	}
 }
 
-func TestExtensionTableBuilds(t *testing.T) {
-	tab, err := ExtensionTable(figMatrix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 6 {
-		t.Errorf("rows = %d", len(tab.Rows))
-	}
-	s := tab.String()
-	for _, want := range []string{"ampm", "markov", "cbws+sms"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("extension table missing %q", want)
-		}
-	}
-}
-
 func TestLearnedTableBuilds(t *testing.T) {
 	tab, err := LearnedTable(figMatrix)
 	if err != nil {

@@ -2,8 +2,10 @@ package harness
 
 import (
 	"bytes"
+	"path/filepath"
 	"testing"
 
+	"cbws/internal/registry"
 	"cbws/internal/sim"
 	"cbws/internal/workload"
 )
@@ -27,7 +29,7 @@ func goldenTestMatrix(t *testing.T, parallel int, warmup uint64) *GoldenManifest
 	}
 	factories := []Factory{}
 	for _, name := range []string{"none", "cbws", "sms"} {
-		f, ok := FactoryByName(name)
+		f, ok := registry.ByName(name)
 		if !ok {
 			t.Fatalf("prefetcher %q missing", name)
 		}
@@ -94,5 +96,38 @@ func TestGoldenRoundTrip(t *testing.T) {
 	}
 	if diff := DiffGolden(g, back); len(diff) != 0 {
 		t.Fatalf("round-trip diverged: %v", diff)
+	}
+}
+
+// TestGoldenCoversRegistry is the contract check on the roster: every
+// registered scheme has exactly one golden/seed.json cell per workload,
+// and the manifest pins no scheme the registry does not know. A scheme
+// added without golden cells, or dropped while its cells stay, fails
+// here.
+func TestGoldenCoversRegistry(t *testing.T) {
+	g, err := ReadGolden(filepath.Join("..", "..", "golden", "seed.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := map[string]map[string]int{} // prefetcher -> workload -> count
+	for _, c := range g.Cells {
+		if cells[c.Prefetcher] == nil {
+			cells[c.Prefetcher] = map[string]int{}
+		}
+		cells[c.Prefetcher][c.Workload]++
+	}
+	for _, f := range registry.All() {
+		for _, spec := range workload.All() {
+			if n := cells[f.Name][spec.Name]; n != 1 {
+				t.Errorf("%s/%s: %d golden cells, want 1", spec.Name, f.Name, n)
+			}
+		}
+		if n := len(cells[f.Name]); n != len(workload.All()) {
+			t.Errorf("%s: golden cells on %d workloads, want %d", f.Name, n, len(workload.All()))
+		}
+		delete(cells, f.Name)
+	}
+	for name := range cells {
+		t.Errorf("golden/seed.json pins %q, which the registry does not list", name)
 	}
 }

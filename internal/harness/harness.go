@@ -29,26 +29,11 @@ type Factory = registry.Factory
 // (internal/registry).
 func Prefetchers() []Factory { return registry.Evaluated() }
 
-// ExtendedPrefetchers returns the evaluated schemes plus extension
-// baselines beyond the paper's roster (AMPM and Markov, which the
-// paper's related-work section discusses but does not evaluate, and
-// the learned Pythia/Gaze baselines).
-func ExtendedPrefetchers() []Factory { return registry.All() }
-
-// GoldenPrefetchers returns the roster pinned by golden/seed.json: the
-// evaluated schemes plus the learned baselines (pythia, gaze), whose
-// determinism the manifest guards cell by cell.
-func GoldenPrefetchers() []Factory { return registry.GoldenRoster() }
-
-// FactoryByName looks up an evaluated or extension scheme in the shared
-// registry.
-func FactoryByName(name string) (Factory, bool) { return registry.ByName(name) }
-
-// ResolveFactory is FactoryByName with the registry's case-insensitive
-// "did you mean" diagnostics: a miss returns the suggestion error
-// verbatim, suitable for surfacing to a remote caller (the simulation
-// service embeds it in HTTP 400 bodies).
-func ResolveFactory(name string) (Factory, error) { return registry.Resolve(name) }
+// GoldenPrefetchers returns the roster pinned by golden/seed.json: every
+// registered scheme, the evaluated roster followed by the learned
+// baselines (pythia, gaze), whose determinism the manifest guards cell
+// by cell.
+func GoldenPrefetchers() []Factory { return registry.All() }
 
 // Options configures a harness run.
 type Options struct {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"cbws/internal/prefetch"
+	"cbws/internal/registry"
 	"cbws/internal/sim"
 	"cbws/internal/workload"
 )
@@ -35,18 +36,12 @@ func TestPrefetcherRoster(t *testing.T) {
 			t.Errorf("factory %q builds %q", f.Name, p.Name())
 		}
 	}
-	if _, ok := FactoryByName("sms"); !ok {
-		t.Error("FactoryByName(sms) missing")
-	}
-	if _, ok := FactoryByName("bogus"); ok {
-		t.Error("FactoryByName(bogus) should miss")
-	}
 }
 
 func TestMatrixMemoizes(t *testing.T) {
 	m := NewMatrix(tinyOptions())
 	spec, _ := workload.ByName("stencil-default")
-	f, _ := FactoryByName("none")
+	f, _ := registry.ByName("none")
 	a, err := m.Get(spec, f)
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +107,7 @@ func TestMatrixFillParallel(t *testing.T) {
 	}
 	fs := []Factory{}
 	for _, n := range []string{"none", "sms"} {
-		f, _ := FactoryByName(n)
+		f, _ := registry.ByName(n)
 		fs = append(fs, f)
 	}
 	if err := m.Fill(specs, fs); err != nil {

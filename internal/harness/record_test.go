@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"cbws/internal/registry"
 	"cbws/internal/sim"
 	"cbws/internal/workload"
 )
@@ -37,7 +38,7 @@ func TestRunRecordRoundTrip(t *testing.T) {
 	m := NewMatrix(opts)
 
 	spec, _ := workload.ByName("stencil-default")
-	f, _ := FactoryByName("ghb-pc/dc")
+	f, _ := registry.ByName("ghb-pc/dc")
 	res, err := m.Get(spec, f)
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +91,7 @@ func TestRunRecordValidateRejects(t *testing.T) {
 	opts.ObsDir = dir
 	m := NewMatrix(opts)
 	spec, _ := workload.ByName("stencil-default")
-	f, _ := FactoryByName("none")
+	f, _ := registry.ByName("none")
 	if _, err := m.Get(spec, f); err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestFillContextAggregatesErrors(t *testing.T) {
 	}
 	var fs []Factory
 	for _, n := range []string{"none", "sms"} {
-		f, _ := FactoryByName(n)
+		f, _ := registry.ByName(n)
 		fs = append(fs, f)
 	}
 	err := m.Fill(specs, fs)
@@ -166,7 +167,7 @@ func TestFillContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	spec, _ := workload.ByName("stencil-default")
-	f, _ := FactoryByName("none")
+	f, _ := registry.ByName("none")
 	err := m.FillContext(ctx, []workload.Spec{spec}, []Factory{f})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -182,7 +183,7 @@ func TestFillContextCancelled(t *testing.T) {
 func TestGetRetriesAfterCancelledOwner(t *testing.T) {
 	m := NewMatrix(tinyOptions())
 	spec, _ := workload.ByName("stencil-default")
-	f, _ := FactoryByName("none")
+	f, _ := registry.ByName("none")
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

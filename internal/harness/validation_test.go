@@ -7,6 +7,7 @@ package harness
 import (
 	"testing"
 
+	"cbws/internal/registry"
 	"cbws/internal/stats"
 	"cbws/internal/workload"
 )
@@ -28,7 +29,7 @@ func metricsFor(t *testing.T, wl, pf string) stats.Metrics {
 	if !ok {
 		t.Fatalf("unknown workload %q", wl)
 	}
-	f, ok := FactoryByName(pf)
+	f, ok := registry.ByName(pf)
 	if !ok {
 		t.Fatalf("unknown prefetcher %q", pf)
 	}
@@ -160,7 +161,7 @@ func TestValidationStorageBudgets(t *testing.T) {
 		"cbws":      8080,
 	}
 	for name, bits := range want {
-		f, _ := FactoryByName(name)
+		f, _ := registry.ByName(name)
 		if got := f.New().StorageBits(); got != bits {
 			t.Errorf("%s: %d bits, want %d", name, got, bits)
 		}

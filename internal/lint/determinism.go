@@ -21,28 +21,33 @@ import (
 //     observation order, so only a total-order comparator is safe and
 //     sort.SliceStable (or a total-order key) is required.
 //
-// The driver scopes it to internal/{sim,harness,report,stats,service},
-// internal/prefetch/learned, internal/trace/corpus, and cmd/figures;
-// fixture tests run it everywhere. internal/service is in scope
+// The driver scopes it to the simulator core that every golden cell
+// runs through — internal/{prefetch,core,cache,engine} (a scope entry
+// covers its subpackages, so the learned baselines are in too) — and to
+// internal/{sim,harness,report,stats,service}, internal/trace/corpus,
+// and cmd/figures; fixture tests run it everywhere. The core is in
+// scope because a map iteration, wall-clock read or unseeded random
+// draw in a prefetcher, cache or the engine changes simulation results
+// and so breaks the pinned manifests. internal/service is in scope
 // because its cached run records are compared byte-for-byte across
 // daemons — the one legitimate wall-clock read (job duration
 // telemetry) carries an explicit waiver. internal/trace/corpus is in
 // scope because corpus files are content-addressed: any nondeterminism
 // in the writer would silently fracture the shared result cache.
-// internal/prefetch/learned is in scope because both learned schemes
-// sit on the golden roster: a map iteration or unseeded random draw in
-// a table dump or replay path would break the pinned manifests.
 var Determinism = &analysis.Analyzer{
 	Name: "determinism",
 	Doc: "flag map-iteration-order leaks, wall-clock reads, unseeded " +
 		"randomness, and unstable sorts in golden-output packages",
 	Scope: []string{
+		"cbws/internal/prefetch",
+		"cbws/internal/core",
+		"cbws/internal/cache",
+		"cbws/internal/engine",
 		"cbws/internal/sim",
 		"cbws/internal/harness",
 		"cbws/internal/report",
 		"cbws/internal/stats",
 		"cbws/internal/service",
-		"cbws/internal/prefetch/learned",
 		"cbws/internal/trace/corpus",
 		"cbws/cmd/figures",
 	},

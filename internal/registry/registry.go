@@ -17,19 +17,16 @@ import (
 // Factory names and constructs one prefetching scheme.
 type Factory struct {
 	Name string
-	// Extension marks schemes beyond the paper's evaluated roster
-	// (related-work baselines); the paper figures exclude them.
-	Extension bool
 	// Learned marks the post-paper learned baselines (Pythia-style RL,
-	// Gaze-style spatial). They are extensions for the paper figures
-	// but join the golden roster so their determinism is pinned.
+	// Gaze-style spatial). The paper figures exclude them; the golden
+	// manifest pins them like every other scheme.
 	Learned bool
 	New     func() prefetch.Prefetcher
 }
 
 // factories lists every registered scheme in the paper's plotting order,
-// evaluated roster first, then the extension baselines, then the
-// learned baselines.
+// evaluated roster first, then the learned baselines. Every scheme here
+// has its cells in golden/seed.json.
 var factories = []Factory{
 	{Name: "none", New: func() prefetch.Prefetcher { return prefetch.NewNone() }},
 	{Name: "stride", New: func() prefetch.Prefetcher { return prefetch.NewStride(prefetch.StrideConfig{}) }},
@@ -40,11 +37,9 @@ var factories = []Factory{
 	{Name: "cbws+sms", New: func() prefetch.Prefetcher {
 		return core.NewComposite(core.New(core.Config{}), prefetch.NewSMS(prefetch.SMSConfig{}))
 	}},
-	{Name: "ampm", Extension: true, New: func() prefetch.Prefetcher { return prefetch.NewAMPM(prefetch.AMPMConfig{}) }},
-	{Name: "markov", Extension: true, New: func() prefetch.Prefetcher { return prefetch.NewMarkov(prefetch.MarkovConfig{}) }},
-	{Name: "pythia", Extension: true, Learned: true,
+	{Name: "pythia", Learned: true,
 		New: func() prefetch.Prefetcher { return learned.NewPythia(learned.PythiaConfig{}) }},
-	{Name: "gaze", Extension: true, Learned: true,
+	{Name: "gaze", Learned: true,
 		New: func() prefetch.Prefetcher { return learned.NewGaze(learned.GazeConfig{}) }},
 }
 
@@ -53,32 +48,18 @@ var factories = []Factory{
 func Evaluated() []Factory {
 	out := make([]Factory, 0, len(factories))
 	for _, f := range factories {
-		if !f.Extension {
+		if !f.Learned {
 			out = append(out, f)
 		}
 	}
 	return out
 }
 
-// All returns every registered scheme: the evaluated roster followed by
-// the extension baselines.
+// All returns every registered scheme, the roster golden/seed.json
+// pins: the evaluated roster followed by the learned baselines.
 func All() []Factory {
 	out := make([]Factory, len(factories))
 	copy(out, factories)
-	return out
-}
-
-// GoldenRoster returns the schemes whose simulation results are pinned
-// in golden/seed.json: the paper's evaluated roster plus the learned
-// baselines, in registration order. The non-learned extensions (AMPM,
-// Markov) stay outside the manifest, matching its pre-growth shape.
-func GoldenRoster() []Factory {
-	out := make([]Factory, 0, len(factories))
-	for _, f := range factories {
-		if !f.Extension || f.Learned {
-			out = append(out, f)
-		}
-	}
 	return out
 }
 

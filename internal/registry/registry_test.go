@@ -31,7 +31,7 @@ func TestRoundTrip(t *testing.T) {
 }
 
 // TestEvaluatedRoster pins the paper's evaluated schemes and their
-// plotting order; extensions stay out of the evaluated set.
+// plotting order; the learned baselines stay out of the evaluated set.
 func TestEvaluatedRoster(t *testing.T) {
 	t.Parallel()
 	want := []string{"none", "stride", "ghb-pc/dc", "ghb-g/dc", "sms", "cbws", "cbws+sms"}
@@ -43,34 +43,28 @@ func TestEvaluatedRoster(t *testing.T) {
 		if f.Name != want[i] {
 			t.Errorf("Evaluated()[%d] = %q, want %q", i, f.Name, want[i])
 		}
-		if f.Extension {
-			t.Errorf("%s marked as extension inside the evaluated roster", f.Name)
+		if f.Learned {
+			t.Errorf("%s marked as learned inside the evaluated roster", f.Name)
 		}
 	}
 	if len(All()) <= len(want) {
-		t.Error("All() should extend the evaluated roster with extension schemes")
+		t.Error("All() should extend the evaluated roster with the learned baselines")
 	}
 }
 
-// TestGoldenRoster pins the golden-manifest roster: the evaluated
-// schemes plus the learned baselines, with the non-learned extensions
-// (AMPM, Markov) excluded.
+// TestGoldenRoster pins the full roster, the one golden/seed.json
+// covers: the evaluated schemes followed by the learned baselines.
 func TestGoldenRoster(t *testing.T) {
 	t.Parallel()
 	want := []string{"none", "stride", "ghb-pc/dc", "ghb-g/dc", "sms", "cbws", "cbws+sms",
 		"pythia", "gaze"}
-	got := GoldenRoster()
-	if len(got) != len(want) {
-		t.Fatalf("GoldenRoster() has %d schemes, want %d", len(got), len(want))
-	}
-	for i, f := range got {
-		if f.Name != want[i] {
-			t.Errorf("GoldenRoster()[%d] = %q, want %q", i, f.Name, want[i])
-		}
+	got := Names()
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("Names() = %v, want %v", got, want)
 	}
 	for _, f := range All() {
-		if f.Learned && !f.Extension {
-			t.Errorf("%s: learned schemes are extensions for the paper figures", f.Name)
+		if f.Learned != (f.Name == "pythia" || f.Name == "gaze") {
+			t.Errorf("%s: Learned = %v", f.Name, f.Learned)
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"cbws/internal/harness"
+	"cbws/internal/registry"
 	"cbws/internal/trace/corpus"
 	"cbws/internal/workload"
 )
@@ -74,7 +75,7 @@ func TestCorpusBackedJob(t *testing.T) {
 
 	// Replayed simulation must be bit-identical to the live generator.
 	spec, _ := workload.ByName("stencil-default")
-	f, _ := harness.FactoryByName("cbws")
+	f, _ := registry.ByName("cbws")
 	direct, err := harness.NewMatrix(harness.Options{Sim: cfg.BaseSim}).Get(spec, f)
 	if err != nil {
 		t.Fatal(err)

@@ -218,7 +218,7 @@ func TestValidateSpec(t *testing.T) {
 	unknownPf := baseSpec()
 	unknownPf.Prefetcher = "CBWS"
 	err := unknownPf.Validate()
-	want := `unknown prefetcher "CBWS" (did you mean "cbws"? valid: none, stride, ghb-pc/dc, ghb-g/dc, sms, cbws, cbws+sms, ampm, markov, pythia, gaze)`
+	want := `unknown prefetcher "CBWS" (did you mean "cbws"? valid: none, stride, ghb-pc/dc, ghb-g/dc, sms, cbws, cbws+sms, pythia, gaze)`
 	if err == nil || err.Error() != want {
 		t.Fatalf("prefetcher suggestion:\n got %v\nwant %s", err, want)
 	}

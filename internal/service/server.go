@@ -11,6 +11,7 @@ import (
 
 	apiv1 "cbws/api/v1"
 	"cbws/internal/debugsrv"
+	"cbws/internal/registry"
 	"cbws/internal/sim"
 	"cbws/internal/workload"
 )
@@ -167,7 +168,7 @@ func (s *Service) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 
 func (s *Service) handlePrefetchers(w http.ResponseWriter, r *http.Request) {
 	var out []apiv1.RosterEntry
-	for _, f := range s.prefetcherRoster() {
+	for _, f := range registry.Names() {
 		out = append(out, apiv1.RosterEntry{Name: f})
 	}
 	writeJSON(w, http.StatusOK, out)

@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"cbws/internal/harness"
+	"cbws/internal/registry"
 	"cbws/internal/sim"
 	"cbws/internal/workload"
 )
@@ -360,7 +361,7 @@ func (s *Service) runJob(j *Job) {
 	if s.cfg.Corpus != nil {
 		spec = s.cfg.Corpus.Override(spec)
 	}
-	f, err := harness.ResolveFactory(j.Spec.Prefetcher)
+	f, err := registry.Resolve(j.Spec.Prefetcher)
 	if err != nil {
 		s.failJob(j, err.Error())
 		return
@@ -454,17 +455,6 @@ func (s *Service) Drain(ctx context.Context) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-// prefetcherRoster lists every scheme the service accepts, evaluated
-// roster plus extensions, in registration order.
-func (s *Service) prefetcherRoster() []string {
-	factories := harness.ExtendedPrefetchers()
-	out := make([]string, len(factories))
-	for i, f := range factories {
-		out[i] = f.Name
-	}
-	return out
 }
 
 // Sentinel submission errors, mapped to HTTP statuses by the server

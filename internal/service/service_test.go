@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"cbws/internal/harness"
+	"cbws/internal/registry"
 	"cbws/internal/sim"
 	"cbws/internal/workload"
 )
@@ -144,7 +145,7 @@ func TestSubmitRunResult(t *testing.T) {
 	// The served metrics must be bit-identical to a direct harness run
 	// of the same cell — the service adds caching, not new semantics.
 	spec, _ := workload.ByName("stencil-default")
-	f, _ := harness.FactoryByName("cbws")
+	f, _ := registry.ByName("cbws")
 	direct, err := harness.NewMatrix(harness.Options{Sim: svc.cfg.BaseSim}).Get(spec, f)
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +200,7 @@ func TestSubmitErrors(t *testing.T) {
 	if code != http.StatusBadRequest {
 		t.Fatalf("unknown prefetcher: %d %v", code, m)
 	}
-	wantMsg := `unknown prefetcher "CBWS" (did you mean "cbws"? valid: none, stride, ghb-pc/dc, ghb-g/dc, sms, cbws, cbws+sms, ampm, markov, pythia, gaze)`
+	wantMsg := `unknown prefetcher "CBWS" (did you mean "cbws"? valid: none, stride, ghb-pc/dc, ghb-g/dc, sms, cbws, cbws+sms, pythia, gaze)`
 	if m["error"] != wantMsg {
 		t.Fatalf("400 body:\n got %v\nwant %s", m["error"], wantMsg)
 	}

@@ -12,7 +12,7 @@ import (
 	"time"
 
 	apiv1 "cbws/api/v1"
-	"cbws/internal/harness"
+	"cbws/internal/registry"
 	"cbws/internal/sim"
 	"cbws/internal/trace"
 	"cbws/internal/workload"
@@ -515,7 +515,7 @@ func (s *Service) runStream(st *Stream) {
 	defer close(st.done)
 	defer st.ten.releaseStream()
 
-	f, err := harness.ResolveFactory(st.Spec.Prefetcher)
+	f, err := registry.Resolve(st.Spec.Prefetcher)
 	if err != nil {
 		// Validated at open; only a roster change mid-flight gets here.
 		s.finishStream(st, "", err.Error())

@@ -12,7 +12,7 @@ import (
 	"time"
 
 	apiv1 "cbws/api/v1"
-	"cbws/internal/harness"
+	"cbws/internal/registry"
 	"cbws/internal/sim"
 )
 
@@ -54,7 +54,7 @@ func (s *Service) parseStreamSpec(req OpenStreamRequest) (JobSpec, error) {
 	if req.Workload == "" {
 		return JobSpec{}, fmt.Errorf("missing workload name")
 	}
-	if _, err := harness.ResolveFactory(req.Prefetcher); err != nil {
+	if _, err := registry.Resolve(req.Prefetcher); err != nil {
 		return JobSpec{}, err
 	}
 	spec := JobSpec{Workload: req.Workload, Prefetcher: req.Prefetcher, Config: s.cfg.BaseSim}

@@ -5,6 +5,7 @@ package trace_test
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"cbws/internal/trace"
@@ -63,6 +64,26 @@ func FuzzTraceRoundTrip(f *testing.F) {
 	f.Add(append([]byte("CBWT\x01\x04fuzz"), 0x00, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01, 0xFF))
 	f.Add(append([]byte("CBWT\x01\x04fuzz"), 0x03, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F, 0xFF))
 	f.Add(append([]byte("CBWT\x01\x04fuzz"), 0x05, 0x00, 0x02, 0xFF))
+	// A bare header, no input at all, and a five-event trace at the
+	// extremes of the PC and address fields.
+	f.Add([]byte("CBWT\x01\x00"))
+	f.Add([]byte{})
+	var buf bytes.Buffer
+	w, err := trace.NewWriter(&buf, "seed")
+	if err != nil {
+		f.Fatal(err)
+	}
+	w.ConsumeBatch([]trace.Event{
+		{Kind: trace.BlockBegin, Block: 1},
+		{Kind: trace.Load, PC: math.MaxUint64, Addr: math.MaxUint64},
+		{Kind: trace.Branch, PC: 0, Taken: true},
+		{Kind: trace.Store, PC: math.MaxUint64 - 4, Addr: 0},
+		{Kind: trace.BlockEnd, Block: 1},
+	})
+	if err := w.Close(); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := trace.NewReader(bytes.NewReader(data))
@@ -73,10 +94,14 @@ func FuzzTraceRoundTrip(f *testing.F) {
 		if err := r.DecodeBatches(first); err != nil {
 			return // body rejected: partial decodes are not re-encodable
 		}
-		// Everything the decoder accepts must respect the field bounds;
+		// Everything the decoder accepts must respect the kind and field
+		// bounds;
 		// anything past them has to surface as ErrBadTrace, never as an
 		// oversized event.
 		for i, e := range first.Events {
+			if e.Kind > trace.Branch {
+				t.Fatalf("event %d: decoded invalid kind %d", i, e.Kind)
+			}
 			if e.N > trace.MaxInstrCount {
 				t.Fatalf("event %d: decoded Instr count %d exceeds cap", i, e.N)
 			}
