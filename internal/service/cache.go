@@ -13,10 +13,20 @@ import (
 )
 
 // cacheEntry is one cached result: the encoded run record and the
-// names read from it.
+// names read from it. While the first writer's file write is in flight
+// the entry is pending: it is not served, and a second writer of the
+// key waits for the outcome.
 type cacheEntry struct {
 	data                 []byte
 	workload, prefetcher string
+	pending              *pendingWrite
+}
+
+// pendingWrite is the outcome of an entry's file write: err is set
+// before done is closed.
+type pendingWrite struct {
+	done chan struct{}
+	err  error
 }
 
 // Cache is the content-addressed result store: encoded run records
@@ -32,6 +42,8 @@ type Cache struct {
 	// quarantined counts the files NewCache set aside as torn or
 	// mis-keyed; fixed once the Cache is built.
 	quarantined int
+	// write stores one entry's file; writeFileAtomic outside tests.
+	write func(dir, name string, data []byte) error
 
 	mu      sync.RWMutex
 	entries map[string]cacheEntry //cbws:guardedby mu
@@ -51,7 +63,7 @@ const quarantineSuffix = ".quarantined"
 func NewCache(dir string) (*Cache, error) {
 	entries := make(map[string]cacheEntry)
 	if dir == "" {
-		return &Cache{entries: entries}, nil
+		return &Cache{write: writeFileAtomic, entries: entries}, nil
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cache: %w", err)
@@ -84,7 +96,7 @@ func NewCache(dir string) (*Cache, error) {
 	}
 	// The map is fully built before the Cache is published, so no lock
 	// is taken here.
-	return &Cache{dir: dir, quarantined: quarantined, entries: entries}, nil
+	return &Cache{dir: dir, quarantined: quarantined, write: writeFileAtomic, entries: entries}, nil
 }
 
 // verifyRecord decodes and validates the run record stored under key,
@@ -107,29 +119,37 @@ func verifyRecord(key string, data []byte) (*harness.RunRecord, error) {
 	return rec, nil
 }
 
-// Get returns the pre-encoded result bytes for key. This is the
-// cache-hit serving path — a repeated sweep is answered entirely from
-// here — and it allocates nothing: the stored bytes are returned as-is
-// and must not be mutated by the caller.
+// Get returns the pre-encoded result bytes for key, unless its file
+// write is still in flight. This is the cache-hit serving path — a
+// repeated sweep is answered entirely from here — and it allocates
+// nothing: the stored bytes are returned as-is and must not be mutated
+// by the caller.
 //
 //cbws:hotpath
 func (c *Cache) Get(key string) ([]byte, bool) {
 	c.mu.RLock()
 	e, ok := c.entries[key]
 	c.mu.RUnlock()
-	return e.data, ok
+	if !ok || e.pending != nil {
+		return nil, false
+	}
+	return e.data, true
 }
 
 // Names returns the workload and prefetcher of the record cached under
-// key.
+// key, unless its file write is still in flight.
 func (c *Cache) Names(key string) (workload, prefetcher string, ok bool) {
 	c.mu.RLock()
 	e, ok := c.entries[key]
 	c.mu.RUnlock()
-	return e.workload, e.prefetcher, ok
+	if !ok || e.pending != nil {
+		return "", "", false
+	}
+	return e.workload, e.prefetcher, true
 }
 
-// Len returns the number of cached results.
+// Len returns the number of cached results, counting any whose file
+// write is still in flight.
 func (c *Cache) Len() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -142,28 +162,45 @@ func (c *Cache) Len() int {
 // to the same key, and the bytes stored first (which include run-local
 // telemetry like wall time) stay authoritative, so every later writer
 // is served those exact bytes. With a directory configured the entry
-// is written through atomically and durably; if that fails it is
-// taken back out, so a result is never served without its file.
+// is written through atomically and durably, and it is served only
+// once that write has succeeded; if the write fails it is taken back
+// out, so a result is never served without its file. A later writer
+// that arrives while the first write is in flight waits for it and
+// returns its error, so no caller reports a result stored that is not.
 func (c *Cache) PutOnce(key string, rec *harness.RunRecord, data []byte) error {
 	c.mu.Lock()
-	if _, ok := c.entries[key]; ok {
+	if e, ok := c.entries[key]; ok {
 		c.mu.Unlock()
-		return nil
+		if e.pending == nil {
+			return nil
+		}
+		<-e.pending.done
+		return e.pending.err
 	}
-	c.entries[key] = cacheEntry{data: data, workload: rec.Workload, prefetcher: rec.Prefetcher}
-	c.mu.Unlock()
+	e := cacheEntry{data: data, workload: rec.Workload, prefetcher: rec.Prefetcher}
 	if c.dir == "" {
+		c.entries[key] = e
+		c.mu.Unlock()
 		return nil
 	}
-	err := writeFileAtomic(c.dir, key+".json", data)
-	if err != nil {
-		// The entry still holds this call's bytes: no other call
-		// replaces an entry, and only the call that stored it removes it.
-		c.mu.Lock()
+	p := &pendingWrite{done: make(chan struct{})}
+	e.pending = p
+	c.entries[key] = e
+	c.mu.Unlock()
+
+	p.err = c.write(c.dir, key+".json", data)
+	// The entry still holds this call's bytes: no other call replaces
+	// an entry, and only the call that stored it settles it.
+	c.mu.Lock()
+	if p.err != nil {
 		delete(c.entries, key)
-		c.mu.Unlock()
+	} else {
+		e.pending = nil
+		c.entries[key] = e
 	}
-	return err
+	c.mu.Unlock()
+	close(p.done)
+	return p.err
 }
 
 // writeFileAtomic writes data to dir/name via a synced temp file and a

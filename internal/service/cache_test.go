@@ -2,9 +2,14 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"cbws/internal/harness"
 	"cbws/internal/sim"
@@ -182,6 +187,80 @@ func TestCacheFailedWriteNotServed(t *testing.T) {
 	if c.Len() != 0 {
 		t.Fatalf("cache has %d entries after a failed write", c.Len())
 	}
+}
+
+// TestCachePutOnceWaitsForInFlightWrite checks that a second PutOnce of
+// a key whose first file write is still in flight neither serves nor
+// reports the entry before that write settles: the entry stays hidden
+// from Get and Names, the second call waits, and when the first write
+// fails both calls report the failure.
+func TestCachePutOnceWaitsForInFlightWrite(t *testing.T) {
+	c, err := NewCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, rec, data := testRecord(t, "w", "p", "test")
+	var writes atomic.Int32
+	entered, fail := make(chan struct{}), make(chan struct{})
+	c.write = func(dir, name string, data []byte) error {
+		if writes.Add(1) == 1 {
+			close(entered)
+			<-fail
+		}
+		return errors.New("disk full")
+	}
+	first := make(chan error, 1)
+	go func() { first <- c.PutOnce(k, rec, data) }()
+	<-entered
+	if _, ok := c.Get(k); ok {
+		t.Error("Get served an entry whose write is in flight")
+	}
+	if _, _, ok := c.Names(k); ok {
+		t.Error("Names reported an entry whose write is in flight")
+	}
+
+	// Fail the first write only once the second call waits on it.
+	second := make(chan error, 1)
+	go func() { second <- c.PutOnce(k, rec, data) }()
+	deadline := time.Now().Add(30 * time.Second)
+	for !parkedIn("(*Cache).PutOnce") {
+		select {
+		case err := <-second:
+			t.Fatalf("second PutOnce returned %v while the first write was in flight", err)
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("second PutOnce never waited for the first write")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(fail)
+	if err := <-first; err == nil {
+		t.Fatal("first PutOnce succeeded with a failing write")
+	}
+	if err := <-second; err == nil {
+		t.Fatal("second PutOnce reported success for a key whose write failed")
+	}
+	if n := writes.Load(); n != 1 {
+		t.Fatalf("%d file writes, want 1", n)
+	}
+	if _, ok := c.Get(k); ok || c.Len() != 0 {
+		t.Fatalf("cache serves %d entries after the failed write", c.Len())
+	}
+}
+
+// parkedIn reports whether some goroutine is blocked on a channel
+// receive with fn as its innermost frame.
+func parkedIn(fn string) bool {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		lines := strings.SplitN(g, "\n", 3)
+		if len(lines) >= 2 && strings.Contains(lines[0], "[chan receive") && strings.Contains(lines[1], fn+"(") {
+			return true
+		}
+	}
+	return false
 }
 
 func TestCacheIgnoresForeignFiles(t *testing.T) {

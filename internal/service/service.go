@@ -74,8 +74,10 @@ type Config struct {
 	// 4 MiB).
 	TenantBurstBytes float64
 	// StreamBufferEvents bounds each stream's decoded-event buffer
-	// between ingest and simulation; chunks that cannot fit are
-	// rejected 413 (default 1<<16 events, ~3 MiB).
+	// between ingest and simulation, in events; chunks that cannot fit
+	// are rejected 413 (default 1<<16). It is a bound, not an
+	// allocation: a stream's buffers grow with the most events it has
+	// held at once.
 	StreamBufferEvents int
 	// StreamIdleTimeout finalizes (cleanly terminated) or cancels
 	// (mid-stream) streams with no chunk for this long (default 2m,

@@ -34,10 +34,20 @@ const (
 	StreamCanceled   = apiv1.StreamCanceled
 )
 
-// streamBatch is the event count handed to the simulator per
-// ConsumeBatch call, matching the trace package's internal batch size
-// so the streamed pipeline has the same batching as a live generator.
-const streamBatch = 256
+// bufEvents is the event capacity of one queue buffer, and so the most
+// events handed to the simulator per ConsumeBatch call. 255 events plus
+// the buffer's count and link fill a 12 KiB allocation exactly; the
+// trace package's 256-event batch would spill into the next size class
+// and waste a tenth of every buffer.
+const bufEvents = 255
+
+// eventBuf is one buffer of the stream's event queue: up to bufEvents
+// decoded events, linked into the queue or onto the free list.
+type eventBuf struct {
+	ev   [bufEvents]trace.Event
+	n    int
+	next *eventBuf
+}
 
 // Counter-commit thresholds: per-stream traffic deltas accumulate
 // stream-locally (under the mutex already held for ingest) and are
@@ -62,11 +72,11 @@ type ingestReject struct {
 func (r *ingestReject) Error() string { return r.msg }
 
 // Stream is one live streaming simulation: the incremental CBWT
-// decoder, the bounded event ring between the HTTP ingest side and the
+// decoder, the bounded event queue between the HTTP ingest side and the
 // simulator, and the lifecycle state machine.
 //
 // Locking: mu guards everything below it; the condition variable is
-// signaled when the ring gains events or the lifecycle advances
+// signaled when the queue gains events or the lifecycle advances
 // (close/abort), which is what the simulator side blocks on. Lock
 // order is Stream.mu before tenant.mu; never the reverse.
 type Stream struct {
@@ -85,17 +95,23 @@ type Stream struct {
 	dec  trace.ChunkDecoder
 	sum  hash.Hash // SHA-256 of the raw stream bytes, for content addressing
 
-	ring  []trace.Event //cbws:guardedby mu — bounded FIFO between ingest and simulation; nil once finished
-	head  int           //cbws:guardedby mu
-	count int           //cbws:guardedby mu
-	// ringCap is the ring's length as allocated, still reported in
-	// chunk acks after finishStream has released the ring.
-	ringCap int
+	// The event queue between ingest and simulation: a FIFO of buffers
+	// from head to tail holding count events, and the buffers the
+	// simulator has handed back, kept on free for reuse. Buffers are
+	// allocated as events arrive, never up front, and all of them are
+	// dropped once the stream is finished.
+	head  *eventBuf //cbws:guardedby mu
+	tail  *eventBuf //cbws:guardedby mu
+	free  *eventBuf //cbws:guardedby mu
+	count int       //cbws:guardedby mu
+	// bound is the most events the queue may hold (StreamBufferEvents),
+	// reported in chunk acks.
+	bound int
 
 	state       StreamState //cbws:guardedby mu
 	errMsg      string      //cbws:guardedby mu
 	resultKey   string      //cbws:guardedby mu
-	inputClosed bool        //cbws:guardedby mu — no more chunks: finalize when the ring drains
+	inputClosed bool        //cbws:guardedby mu — no more chunks: finalize when the queue drains
 	aborted     bool        //cbws:guardedby mu — discard everything; no result
 	budgetDone  bool        //cbws:guardedby mu — the simulator consumed its full instruction budget
 
@@ -123,8 +139,7 @@ func newStream(id string, spec JobSpec, tenantName string, ten *tenant, bufferEv
 		Spec:     spec,
 		ten:      ten,
 		sum:      sha256.New(),
-		ring:     make([]trace.Event, bufferEvents),
-		ringCap:  bufferEvents,
+		bound:    bufferEvents,
 		state:    StreamOpen,
 		lastRecv: now,
 		done:     make(chan struct{}),
@@ -133,54 +148,77 @@ func newStream(id string, spec JobSpec, tenantName string, ten *tenant, bufferEv
 	return st
 }
 
-// ringSink appends decoded batches to the stream's ring. It is only
-// ever invoked from ChunkDecoder.Feed while st.mu is held, and ingest
-// has already reserved enough space, so the append cannot overflow.
-type ringSink struct{ st *Stream }
+// queueSink appends decoded batches to the stream's event queue. It is
+// only ever invoked from ChunkDecoder.Feed while st.mu is held, and
+// ingest has already admitted the events against the bound.
+type queueSink struct{ st *Stream }
 
-func (rs ringSink) ConsumeBatch(batch []trace.Event) bool {
+func (qs queueSink) ConsumeBatch(batch []trace.Event) bool {
 	// ChunkDecoder.Feed only runs from ingest, which already holds
 	// st.mu; the analyzer cannot see through the decoder callback.
 	//lint:ignore cbws/guardedby ConsumeBatch is only reached from ingest with st.mu held
-	rs.st.appendRingLocked(batch)
+	qs.st.enqueueLocked(batch)
 	return true
 }
 
-// appendRingLocked appends batch to the ring. Caller holds st.mu and
-// has reserved space, so the append cannot overflow.
-func (st *Stream) appendRingLocked(batch []trace.Event) {
-	for _, e := range batch {
-		st.ring[(st.head+st.count)%len(st.ring)] = e
-		st.count++
-	}
+// enqueueLocked copies batch into the queue: first into the room left
+// in the tail buffer, then into a buffer off the free list, allocating
+// one only when the free list is empty. Every buffer but the tail is
+// therefore full, so the queue holds at most count/bufEvents+1
+// buffers however the tenant sizes its chunks. Caller holds st.mu and
+// has admitted the events against the bound.
+func (st *Stream) enqueueLocked(batch []trace.Event) {
+	st.count += len(batch)
 	st.events += uint64(len(batch))
 	st.pendEvents += uint64(len(batch))
+	for len(batch) > 0 {
+		b := st.tail
+		if b == nil || b.n == bufEvents {
+			if b = st.free; b != nil {
+				st.free, b.next, b.n = b.next, nil, 0
+			} else {
+				b = new(eventBuf)
+			}
+			if st.tail == nil {
+				st.head = b
+			} else {
+				st.tail.next = b
+			}
+			st.tail = b
+		}
+		k := copy(b.ev[b.n:], batch)
+		b.n += k
+		batch = batch[k:]
+	}
 }
 
-// take copies up to len(buf) ring events into buf, returning the count.
-func (st *Stream) take(buf []trace.Event) int {
+// take recycles done, the buffer the previous take returned, onto the
+// free list and pops the queue's head buffer for the simulator. It
+// returns nil when the queue is empty or the stream is aborted.
+func (st *Stream) take(done *eventBuf) *eventBuf {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.aborted {
-		return 0
+	if done != nil {
+		st.free, done.next = done, st.free
 	}
-	n := st.count
-	if n > len(buf) {
-		n = len(buf)
+	b := st.head
+	if st.aborted || b == nil {
+		return nil
 	}
-	for i := 0; i < n; i++ {
-		buf[i] = st.ring[(st.head+i)%len(st.ring)]
+	st.head, b.next = b.next, nil
+	if st.head == nil {
+		st.tail = nil
 	}
-	st.head = (st.head + n) % len(st.ring)
-	st.count -= n
-	return n
+	st.count -= b.n
+	return b
 }
 
 // ingest admits and decodes one chunk. It is the streaming hot path:
 // in steady state (header parsed, in-quota, space available) it
-// performs no allocation — the decoder's fixed buffers, the
-// preallocated ring, the running SHA-256, and stream-local counter
-// deltas are all in place — which TestStreamIngestZeroAlloc pins.
+// performs no allocation — the decoder's fixed buffers, queue buffers
+// recycled by the simulator, the running SHA-256, and stream-local
+// counter deltas are all in place — which TestStreamIngestZeroAlloc
+// pins.
 func (st *Stream) ingest(chunk []byte, now time.Time) (ChunkAck, *ingestReject) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -205,13 +243,13 @@ func (st *Stream) ingest(chunk []byte, now time.Time) (ChunkAck, *ingestReject) 
 	// (+1 for a pending partial event completed by this chunk). The
 	// bound is conservative but allocation-free and branch-cheap.
 	need := len(chunk)/2 + 1
-	if need > len(st.ring) {
+	if need > st.bound {
 		return ChunkAck{}, &ingestReject{code: 413,
-			msg: fmt.Sprintf("chunk of %d bytes can never fit the %d-event stream buffer; send smaller chunks", len(chunk), len(st.ring))}
+			msg: fmt.Sprintf("chunk of %d bytes can never fit the %d-event stream buffer; send smaller chunks", len(chunk), st.bound)}
 	}
-	if need > len(st.ring)-st.count {
+	if need > st.bound-st.count {
 		return ChunkAck{}, &ingestReject{code: 413, retryAfter: time.Second,
-			msg: fmt.Sprintf("stream buffer full (%d/%d events); the simulator is behind, retry shortly", st.count, len(st.ring))}
+			msg: fmt.Sprintf("stream buffer full (%d/%d events); the simulator is behind, retry shortly", st.count, st.bound)}
 	}
 
 	// Rate admission: bytes are charged against the tenant's token
@@ -235,7 +273,7 @@ func (st *Stream) ingest(chunk []byte, now time.Time) (ChunkAck, *ingestReject) 
 	st.pendBytes += uint64(len(chunk))
 	st.pendChunks++
 	st.lastRecv = now
-	if err := st.dec.Feed(chunk, ringSink{st}); err != nil {
+	if err := st.dec.Feed(chunk, queueSink{st}); err != nil {
 		st.failLocked(fmt.Sprintf("malformed trace chunk: %v", err))
 		return ChunkAck{}, &ingestReject{code: 400, msg: st.errMsg}
 	}
@@ -268,7 +306,7 @@ func (st *Stream) ackLocked() ChunkAck {
 		State:          st.state,
 		BytesIn:        st.bytesIn,
 		BufferedEvents: st.count,
-		BufferCap:      st.ringCap,
+		BufferCap:      st.bound,
 	}
 }
 
@@ -282,9 +320,10 @@ func (st *Stream) failLocked(msg string) {
 	st.cond.Broadcast()
 }
 
-// closeInput declares end of input: the stream finalizes once the ring
-// drains. A stream cut off mid-event is malformed (the byte sequence
-// could never have decoded as a whole trace) and fails instead.
+// closeInput declares end of input: the stream finalizes once the
+// queue drains. A stream cut off mid-event is malformed (the byte
+// sequence could never have decoded as a whole trace) and fails
+// instead.
 func (st *Stream) closeInput() (StreamView, *ingestReject) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -391,14 +430,14 @@ func (p streamProbe) OnSample(s *sim.Sample) {
 	st.mu.Unlock()
 }
 
-// streamGen adapts the stream's event ring to trace.Generator: the
+// streamGen adapts the stream's event queue to trace.Generator: the
 // generator the long-lived sim.RunContext pulls from, wrapped in the
-// scheduler's slotGen like every simulation. While the ring is empty it
-// hands its slot back — an idle stream costs nothing.
+// scheduler's slotGen like every simulation. While the queue is empty
+// it hands its slot back — an idle stream costs nothing.
 type streamGen struct {
 	st    *Stream
 	slots *slotGen
-	buf   [streamBatch]trace.Event
+	held  *eventBuf // the buffer last handed to the simulator
 }
 
 // Name returns the declared workload name: the simulation result (and
@@ -406,9 +445,9 @@ type streamGen struct {
 // like a closed job's would.
 func (g *streamGen) Name() string { return g.st.Spec.Workload }
 
-// waitReadable blocks until the ring has events or the stream's input
+// waitReadable blocks until the queue has events or the stream's input
 // is over. It reports false when generation should end: aborted, or
-// input closed with the ring drained.
+// input closed with the queue drained.
 func (g *streamGen) waitReadable() bool {
 	st := g.st
 	st.mu.Lock()
@@ -419,18 +458,28 @@ func (g *streamGen) waitReadable() bool {
 	return !st.aborted && st.count > 0
 }
 
+// next hands the held buffer back to the queue and returns the
+// queue's next batch in place, nil when the queue is empty.
+func (g *streamGen) next() []trace.Event {
+	g.held = g.st.take(g.held)
+	if g.held == nil {
+		return nil
+	}
+	return g.held.ev[:g.held.n]
+}
+
 // GenerateBatches implements trace.Generator.
 func (g *streamGen) GenerateBatches(sink trace.BatchSink) {
 	for {
-		n := g.st.take(g.buf[:])
-		if n == 0 {
+		batch := g.next()
+		if batch == nil {
 			g.slots.release()
 			if !g.waitReadable() {
 				return
 			}
 			continue
 		}
-		if !sink.ConsumeBatch(g.buf[:n]) {
+		if !sink.ConsumeBatch(batch) {
 			// The simulator's instruction budget is exhausted;
 			// whatever else arrives is irrelevant to the result.
 			g.st.mu.Lock()
@@ -507,7 +556,7 @@ func (s *Service) openStreamCount() int {
 }
 
 // runStream owns one stream's simulation end to end: it drives a
-// long-lived sim.RunContext from the event ring, and on a clean end of
+// long-lived sim.RunContext from the event queue, and on a clean end of
 // input stores the exact run record a closed job would produce in the
 // content-addressed result cache.
 func (s *Service) runStream(st *Stream) {
@@ -585,9 +634,9 @@ func (s *Service) runStream(st *Stream) {
 // finishStream settles the stream's terminal state and counters. With
 // key set the stream is done; with msg set it failed; with neither the
 // state was already terminal (canceled/failed) and is left as is. The
-// runner is past its last ring read and a terminal stream admits no
-// more events, so the ring is released here: the stream stays listed
-// without pinning StreamBufferEvents events.
+// runner is past its last queue read and a terminal stream admits no
+// more events, so every queue buffer is released here: the stream
+// stays listed without pinning any events.
 func (s *Service) finishStream(st *Stream, key, msg string) {
 	st.mu.Lock()
 	switch {
@@ -606,7 +655,7 @@ func (s *Service) finishStream(st *Stream, key, msg string) {
 		s.counters.streamsCanceled.Add(1)
 	}
 	st.commitPendingLocked()
-	st.ring, st.head, st.count = nil, 0, 0
+	st.head, st.tail, st.free, st.count = nil, nil, nil, 0
 	st.mu.Unlock()
 }
 

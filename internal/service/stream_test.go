@@ -7,10 +7,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	apiv1 "cbws/api/v1"
 	"cbws/internal/trace"
@@ -227,7 +230,7 @@ func TestTicketSchedStop(t *testing.T) {
 // encodeWorkloadTrace renders the named registered workload's event
 // stream, truncated at max instructions, as CBWT bytes — exactly what a
 // tenant tracing the same program would stream.
-func encodeWorkloadTrace(t *testing.T, name string, max uint64) []byte {
+func encodeWorkloadTrace(t testing.TB, name string, max uint64) []byte {
 	t.Helper()
 	spec, ok := workload.ByName(name)
 	if !ok {
@@ -248,7 +251,7 @@ func encodeWorkloadTrace(t *testing.T, name string, max uint64) []byte {
 
 // feedChunks sends data to an open stream in 48 KiB pieces, letting the
 // client's backpressure handling absorb retryable 413s while the
-// simulator drains the ring.
+// simulator drains the queue.
 func feedChunks(t *testing.T, c *apiv1.Client, id string, data []byte) {
 	t.Helper()
 	const size = 48 << 10
@@ -538,18 +541,18 @@ func TestStreamBufferBackpressure(t *testing.T) {
 	if _, rej := st.ingest(head, clk.Now()); rej != nil {
 		t.Fatalf("header chunk rejected: %v", rej)
 	}
-	// 50 two-byte Instr events fit the 64-event ring.
+	// 50 two-byte Instr events fit the 64-event buffer.
 	chunk := bytes.Repeat([]byte{byte(trace.Instr), 0x01}, 50)
 	if _, rej := st.ingest(chunk, clk.Now()); rej != nil {
 		t.Fatalf("first event chunk rejected: %v", rej)
 	}
-	// No simulator drains the ring here: the next chunk cannot fit right
+	// No simulator drains the queue here: the next chunk cannot fit right
 	// now, but could after a drain — retryable 413.
 	_, rej := st.ingest(chunk, clk.Now())
 	if rej == nil || rej.code != http.StatusRequestEntityTooLarge || rej.retryAfter <= 0 {
 		t.Fatalf("full-buffer reject = %+v, want retryable 413", rej)
 	}
-	// A chunk bigger than the whole ring can never fit — permanent 413.
+	// A chunk bigger than the whole buffer can never fit — permanent 413.
 	huge := bytes.Repeat([]byte{byte(trace.Instr), 0x01}, 100)
 	_, rej = st.ingest(huge, clk.Now())
 	if rej == nil || rej.code != http.StatusRequestEntityTooLarge || rej.retryAfter != 0 {
@@ -573,29 +576,194 @@ func encodeTestHeader(t *testing.T, name string) []byte {
 }
 
 // TestStreamIngestZeroAlloc pins the chunk ingest hot path at zero
-// allocations per chunk: decoder, ring, hash, admission, and counter
-// coalescing all run on preallocated state.
+// allocations per chunk once the simulator hands buffers back: decoder,
+// event queue, hash, admission, and counter coalescing all run on
+// recycled state. The queue drains through the generator's own
+// take-and-recycle path.
 func TestStreamIngestZeroAlloc(t *testing.T) {
 	clk := newFakeClock()
 	tt := newTenantTable(1<<40, 1<<40)
 	ten := tt.get("t", clk.Now())
 	st := newStream("st-alloc", JobSpec{Workload: "w"}, "t", ten, 1<<12, clk.Now())
+	g := &streamGen{st: st}
 
 	if _, rej := st.ingest(encodeTestHeader(t, "w"), clk.Now()); rej != nil {
 		t.Fatalf("header rejected: %v", rej)
 	}
-	chunk := bytes.Repeat([]byte{byte(trace.Instr), 0x01}, 256)
-	drain := make([]trace.Event, 512)
+	// Three full queue buffers and a partial one per chunk.
+	chunk := bytes.Repeat([]byte{byte(trace.Instr), 0x01}, 3*bufEvents+100)
 	now := clk.Now()
 	allocs := testing.AllocsPerRun(200, func() {
 		if _, rej := st.ingest(chunk, now); rej != nil {
 			t.Fatalf("chunk rejected: %v", rej)
 		}
-		st.take(drain)
+		for g.next() != nil {
+		}
 	})
 	if allocs != 0 {
 		t.Fatalf("ingest allocates %v per chunk, want 0", allocs)
 	}
+}
+
+// TestEventBufFitsSizeClass pins the queue buffer to the 12 KiB
+// allocation size class bufEvents is chosen to fill.
+func TestEventBufFitsSizeClass(t *testing.T) {
+	if n, ev := unsafe.Sizeof(eventBuf{}), unsafe.Sizeof(trace.Event{}); n > 12<<10 || n+ev <= 12<<10 {
+		t.Fatalf("eventBuf is %d bytes with %d-byte events; bufEvents should fill 12 KiB", n, ev)
+	}
+}
+
+// TestOpenStreamCostIndependentOfBound checks that an open allocates
+// nothing in proportion to StreamBufferEvents: a stream with a
+// 1<<20-event bound must cost less than 1 MiB more to open than one
+// with a 256-event bound. Each stream is aborted and its runner
+// awaited inside the measured window, so the runner's simulator
+// set-up, the same for both, cancels out of the difference.
+func TestOpenStreamCostIndependentOfBound(t *testing.T) {
+	openCost := func(bound int) uint64 {
+		t.Helper()
+		cfg := testConfig()
+		cfg.StreamBufferEvents = bound
+		svc, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			if err := svc.Drain(ctx); err != nil {
+				t.Errorf("drain: %v", err)
+			}
+		}()
+		spec, err := svc.parseStreamSpec(OpenStreamRequest{Workload: "stencil-default", Prefetcher: "none"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		view, err := svc.OpenStream("acme", spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, _ := svc.Stream(view.ID)
+		st.abort("test")
+		<-st.Done()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	small, large := openCost(256), openCost(1<<20)
+	if large > small+1<<20 {
+		t.Fatalf("opening a 1<<20-event stream allocates %d bytes, %d more than a 256-event one; want < 1 MiB more",
+			large, large-small)
+	}
+}
+
+// FuzzStreamQueue drives a stream's ingest and the generator's
+// take-and-recycle path with fuzzed chunk sizes and take points over a
+// real workload capture, against a flat-slice reference fed by its own
+// decoder. Every admission decision (accept, retryable 413, permanent
+// 413), every ack's BufferedEvents, and the order of every event taken
+// must match; the queue may never hold more buffers than its events
+// need.
+func FuzzStreamQueue(f *testing.F) {
+	data := encodeWorkloadTrace(f, "stencil-default", 4000)
+	// An odd op ingests the next 1+(op>>1)*(bound/32+1) bytes, an even
+	// one takes a batch. The seeds walk a whole capture through tiny,
+	// mid-sized and whole-buffer chunks, each hitting full buffers and
+	// chunks that can never fit.
+	seed := func(boundSel uint8, rounds int, round ...byte) {
+		f.Add(boundSel, bytes.Repeat(round, rounds))
+	}
+	seed(2, 200, append(bytes.Repeat([]byte{0x05}, 14), 0x41, 0x00)...)
+	seed(9, 100, append(bytes.Repeat([]byte{0x07}, 16), 0x00)...)
+	seed(60, 60, 0x3f, 0x3f, 0x3f, 0xff, 0x00, 0x00, 0x00)
+	seed(255, 40, 0xff, 0x1f, 0x1f, 0x1f, 0x1f, 0x1f, 0x00, 0x00, 0x00, 0x00)
+	f.Fuzz(func(t *testing.T, boundSel uint8, ops []byte) {
+		clk := newFakeClock()
+		ten := newTenantTable(1<<40, 1<<40).get("t", clk.Now())
+		bound := 4 + int(boundSel)*4
+		st := newStream("st-fuzz", JobSpec{Workload: "w"}, "t", ten, bound, clk.Now())
+		g := &streamGen{st: st}
+
+		var ref []trace.Event
+		var refDec trace.ChunkDecoder
+		refSink := appendSink{&ref}
+		off := 0
+		take := func() {
+			batch := g.next()
+			if len(batch) == 0 {
+				if len(ref) != 0 {
+					t.Fatalf("take returned nothing with %d events buffered", len(ref))
+				}
+				return
+			}
+			if len(batch) > len(ref) || len(batch) > bufEvents {
+				t.Fatalf("took %d events with %d buffered", len(batch), len(ref))
+			}
+			if !slices.Equal(batch, ref[:len(batch)]) {
+				t.Fatalf("took %v, reference %v", batch, ref[:len(batch)])
+			}
+			ref = ref[len(batch):]
+		}
+		for _, op := range ops {
+			if op&1 == 0 {
+				take()
+				continue
+			}
+			if off == len(data) {
+				continue
+			}
+			n := min(1+int(op>>1)*(bound/32+1), len(data)-off)
+			chunk := data[off : off+n]
+			need := n/2 + 1
+			ack, rej := st.ingest(chunk, clk.Now())
+			switch {
+			case need > bound:
+				if rej == nil || rej.code != http.StatusRequestEntityTooLarge || rej.retryAfter != 0 {
+					t.Fatalf("%d-byte chunk, bound %d: reject %+v, want permanent 413", n, bound, rej)
+				}
+			case need > bound-len(ref):
+				if rej == nil || rej.code != http.StatusRequestEntityTooLarge || rej.retryAfter <= 0 {
+					t.Fatalf("%d-byte chunk, %d/%d buffered: reject %+v, want retryable 413", n, len(ref), bound, rej)
+				}
+			default:
+				if rej != nil {
+					t.Fatalf("%d-byte chunk, %d/%d buffered: rejected %+v", n, len(ref), bound, rej)
+				}
+				if err := refDec.Feed(chunk, refSink); err != nil {
+					t.Fatalf("reference decode: %v", err)
+				}
+				off += n
+				if ack.BufferedEvents != len(ref) || ack.BufferCap != bound {
+					t.Fatalf("ack %d/%d events, reference %d/%d", ack.BufferedEvents, ack.BufferCap, len(ref), bound)
+				}
+			}
+			st.mu.Lock()
+			bufs := 0
+			for b := st.head; b != nil; b = b.next {
+				bufs++
+			}
+			count := st.count
+			st.mu.Unlock()
+			if count != len(ref) || bufs > count/bufEvents+1 {
+				t.Fatalf("queue holds %d events in %d buffers, reference %d events", count, bufs, len(ref))
+			}
+		}
+		for len(ref) > 0 {
+			take()
+		}
+		if batch := g.next(); batch != nil {
+			t.Fatalf("drained queue still returned %d events", len(batch))
+		}
+	})
+}
+
+// appendSink collects a decoder's batches into a flat slice.
+type appendSink struct{ events *[]trace.Event }
+
+func (s appendSink) ConsumeBatch(batch []trace.Event) bool {
+	*s.events = append(*s.events, batch...)
+	return true
 }
 
 // TestStreamMalformedChunk checks a bad chunk fails the stream with 400
@@ -735,12 +903,12 @@ func TestStreamOpenValidation(t *testing.T) {
 	}
 }
 
-// TestFinishedStreamsReleaseRing checks every terminal path — done
+// TestFinishedStreamsReleaseQueue checks every terminal path — done
 // (closed under budget, or stopped by the exhausted budget), failed and
-// canceled — drops the stream's event ring once the runner settles it,
-// while a late chunk gets the status it always got and acks keep
-// reporting the ring's capacity.
-func TestFinishedStreamsReleaseRing(t *testing.T) {
+// canceled — drops the stream's event queue buffers once the runner
+// settles it, while a late chunk gets the status it always got and
+// acks keep reporting the buffer bound.
+func TestFinishedStreamsReleaseQueue(t *testing.T) {
 	const wl = "stencil-default"
 	cfg := testConfig()
 	svc, ts := newTestService(t, cfg)
@@ -762,13 +930,14 @@ func TestFinishedStreamsReleaseRing(t *testing.T) {
 		}
 		<-st.done
 		st.mu.Lock()
-		state, ring, count := st.state, st.ring, st.count
+		state, count := st.state, st.count
+		holds := st.head != nil || st.tail != nil || st.free != nil
 		st.mu.Unlock()
 		if state != want {
 			t.Fatalf("%s: state %s, want %s", name, state, want)
 		}
-		if ring != nil || count != 0 {
-			t.Errorf("%s: finished stream still holds a %d-event ring (%d buffered)", name, len(ring), count)
+		if holds || count != 0 {
+			t.Errorf("%s: finished stream still holds event buffers (%d buffered)", name, count)
 		}
 	}
 	late := []byte{byte(trace.Instr), 0x01}
@@ -781,7 +950,7 @@ func TestFinishedStreamsReleaseRing(t *testing.T) {
 	}
 
 	// Done because the budget ran out: late input is accepted and
-	// discarded, and the ack still reports the ring's capacity.
+	// discarded, and the ack still reports the buffer bound.
 	full := open()
 	feedChunks(t, client, full, encodeWorkloadTrace(t, wl, 2*cfg.BaseSim.MaxInstructions))
 	if _, err := client.WaitStream(full); err != nil {
