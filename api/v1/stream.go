@@ -82,8 +82,9 @@ type StreamView struct {
 type ChunkAck struct {
 	State   StreamState `json:"state"`
 	BytesIn uint64      `json:"bytes_in"`
-	// BufferedEvents/BufferCap expose the stream's bounded event queue;
-	// feeders seeing Buffered approach Cap should expect 413s next.
+	// BufferedEvents/BufferCap expose the stream's bounded queue, in
+	// events decoded at ingest and not yet simulated; feeders seeing
+	// Buffered approach Cap should expect 413s next.
 	BufferedEvents int `json:"buffered_events"`
 	BufferCap      int `json:"buffer_cap"`
 }

@@ -85,7 +85,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	tenantStreams := fs.Int("tenant-streams", 0, "per-tenant concurrent-stream quota (0: default 4, -1: unlimited)")
 	tenantRate := fs.Float64("tenant-rate", 0, "per-tenant sustained chunk-ingest rate in bytes/second (0: default 8 MiB/s)")
 	tenantBurst := fs.Float64("tenant-burst", 0, "per-tenant token-bucket burst in bytes; also the largest admissible chunk (0: default 4 MiB)")
-	streamBuffer := fs.Int("stream-buffer", 0, "per-stream bound on decoded events buffered ahead of the simulator; a bound, not an allocation (0: default 65536)")
+	streamBuffer := fs.Int("stream-buffer", 0, "per-stream bound on events buffered ahead of the simulator, held as CBWT bytes (at most 21 per event, ~3.5 typical); a bound, not an allocation (0: default 65536)")
 	streamIdle := fs.Duration("stream-idle-timeout", 0, "finalize or cancel a stream after this long without a chunk (0: default 2m, <0: never)")
 	if err := fs.Parse(args); err != nil {
 		return cli.ExitUsage

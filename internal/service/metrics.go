@@ -55,13 +55,18 @@ type Vars struct {
 	Workers       int     `json:"workers"`
 	Draining      bool    `json:"draining"`
 
-	StreamsOpen     int          `json:"streams_open"`
-	StreamsOpened   int64        `json:"streams_opened"`
-	StreamsDone     int64        `json:"streams_done"`
-	StreamsFailed   int64        `json:"streams_failed"`
-	StreamsCanceled int64        `json:"streams_canceled"`
-	StreamsRejected int64        `json:"streams_rejected_429"`
-	Tenants         []TenantVars `json:"tenants,omitempty"`
+	StreamsOpen     int   `json:"streams_open"`
+	StreamsOpened   int64 `json:"streams_opened"`
+	StreamsDone     int64 `json:"streams_done"`
+	StreamsFailed   int64 `json:"streams_failed"`
+	StreamsCanceled int64 `json:"streams_canceled"`
+	StreamsRejected int64 `json:"streams_rejected_429"`
+	// StreamsBufferedEvents and StreamsBufferedBytes sum, over open
+	// streams, the events decoded at ingest and not yet handed to the
+	// simulator, and the CBWT bytes queued for it.
+	StreamsBufferedEvents int          `json:"streams_buffered_events"`
+	StreamsBufferedBytes  int          `json:"streams_buffered_bytes"`
+	Tenants               []TenantVars `json:"tenants,omitempty"`
 }
 
 func (s *Service) vars() Vars {
@@ -71,6 +76,7 @@ func (s *Service) vars() Vars {
 	if hits+misses > 0 {
 		ratio = float64(hits) / float64(hits+misses)
 	}
+	open, bufferedEvents, bufferedBytes := s.streamGauges()
 	return Vars{
 		JobsQueued:    c.jobsQueued.Load(),
 		JobsRunning:   c.jobsRunning.Load(),
@@ -92,13 +98,15 @@ func (s *Service) vars() Vars {
 		Workers:       s.cfg.Workers,
 		Draining:      s.Draining(),
 
-		StreamsOpen:     s.openStreamCount(),
-		StreamsOpened:   c.streamsOpened.Load(),
-		StreamsDone:     c.streamsDone.Load(),
-		StreamsFailed:   c.streamsFailed.Load(),
-		StreamsCanceled: c.streamsCanceled.Load(),
-		StreamsRejected: c.streamsRejected.Load(),
-		Tenants:         s.tenantVars(),
+		StreamsOpen:           open,
+		StreamsOpened:         c.streamsOpened.Load(),
+		StreamsDone:           c.streamsDone.Load(),
+		StreamsFailed:         c.streamsFailed.Load(),
+		StreamsCanceled:       c.streamsCanceled.Load(),
+		StreamsRejected:       c.streamsRejected.Load(),
+		StreamsBufferedEvents: bufferedEvents,
+		StreamsBufferedBytes:  bufferedBytes,
+		Tenants:               s.tenantVars(),
 	}
 }
 

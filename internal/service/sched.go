@@ -116,7 +116,7 @@ func (ts *ticketSched) waiting() int {
 // slotGen runs a generator's batches under the scheduler: the run holds
 // a slot while it simulates and yields it every quantum batches. A
 // closed job enters holding the slot of its first grant; a stream
-// acquires on its first batch and releases whenever its ring runs dry.
+// acquires on its first batch and releases whenever its queue runs dry.
 type slotGen struct {
 	gen     trace.Generator
 	sched   *ticketSched

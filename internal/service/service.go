@@ -73,10 +73,12 @@ type Config struct {
 	// largest admissible chunk and the instantaneous burst (default
 	// 4 MiB).
 	TenantBurstBytes float64
-	// StreamBufferEvents bounds each stream's decoded-event buffer
-	// between ingest and simulation, in events; chunks that cannot fit
-	// are rejected 413 (default 1<<16). It is a bound, not an
-	// allocation: a stream's buffers grow with the most events it has
+	// StreamBufferEvents bounds each stream's buffer between ingest
+	// and simulation, in events decoded at ingest and not yet
+	// simulated; chunks that cannot fit are rejected 413 (default
+	// 1<<16). The buffer holds the events' CBWT bytes, at most 21 per
+	// event (~3.5 typical) plus one chunk. It is a bound, not an
+	// allocation: a stream's buffers grow with the most bytes it has
 	// held at once.
 	StreamBufferEvents int
 	// StreamIdleTimeout finalizes (cleanly terminated) or cancels
@@ -401,15 +403,18 @@ func (s *Service) newSeries(cfg sim.Config) *sim.TimeSeries {
 // First write wins: when the key is already cached (a full-budget
 // stream adopting a closed job's key races that job), the existing
 // bytes stay authoritative; the two differ only in wall-clock
-// telemetry.
+// telemetry. The cache keeps the bytes for the daemon's life, so they
+// are copied out of MarshalIndent's buffer, which is sized for growth
+// at up to twice the record, into an exact-length one.
 func (s *Service) storeRecord(key string, spec JobSpec, res sim.Result, points []sim.SamplePoint, start time.Time) error {
 	rec := harness.NewRunRecord(spec.Config, res, s.cfg.SampleInterval, points, s.cfg.Clock().Sub(start))
 	rec.CodeVersion, rec.WorkloadHash = s.cfg.CodeVersion, spec.WorkloadHash
-	data, err := json.MarshalIndent(rec, "", "  ")
+	enc, err := json.MarshalIndent(rec, "", "  ")
 	if err != nil {
 		return fmt.Errorf("encoding result: %w", err)
 	}
-	data = append(data, '\n')
+	data := make([]byte, len(enc)+1)
+	data[copy(data, enc)] = '\n'
 	if err := s.cache.PutOnce(key, rec, data); err != nil {
 		return fmt.Errorf("caching result: %w", err)
 	}

@@ -19,6 +19,7 @@ import (
 	"cbws/internal/harness"
 	"cbws/internal/registry"
 	"cbws/internal/sim"
+	"cbws/internal/trace"
 	"cbws/internal/workload"
 )
 
@@ -480,6 +481,50 @@ func TestJobTimeout(t *testing.T) {
 	}
 }
 
+// TestStoredRecordsAreExactLength checks that every record written
+// through storeRecord — a closed job's and a stream's — is cached in
+// an exact-length buffer, not in MarshalIndent's growth buffer: the
+// cache keeps it for the daemon's life.
+func TestStoredRecordsAreExactLength(t *testing.T) {
+	const wl = "stencil-default"
+	svc, _ := newTestService(t, testConfig())
+	view, err := svc.Submit(mustSpec(t, svc, wl, "none"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitStatus(t, svc, view.Key, StatusDone)
+	spec, err := svc.parseStreamSpec(OpenStreamRequest{Workload: wl, Prefetcher: "none"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sv, err := svc.OpenStream("acme", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, _ := svc.Stream(sv.ID)
+	if _, rej := st.ingest(encodeWorkloadTrace(t, wl, 2000), svc.cfg.Clock()); rej != nil {
+		t.Fatalf("trace rejected: %v", rej)
+	}
+	if _, rej := st.closeInput(); rej != nil {
+		t.Fatalf("close: %v", rej)
+	}
+	<-st.Done()
+	if v := st.View(); v.State != StreamDone {
+		t.Fatalf("stream: %s %s, want done", v.State, v.Error)
+	}
+
+	svc.cache.mu.RLock()
+	defer svc.cache.mu.RUnlock()
+	if len(svc.cache.entries) != 2 {
+		t.Fatalf("cache holds %d records, want the job's and the stream's", len(svc.cache.entries))
+	}
+	for key, e := range svc.cache.entries {
+		if cap(e.data) != len(e.data) {
+			t.Errorf("record %.12s: %d bytes in a %d-byte buffer", key, len(e.data), cap(e.data))
+		}
+	}
+}
+
 func TestCachePersistenceAcrossServices(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testConfig()
@@ -562,7 +607,7 @@ func TestRestartWithoutDrainKeepsNames(t *testing.T) {
 }
 
 func TestHealthzAndRosters(t *testing.T) {
-	_, ts := newTestService(t, testConfig())
+	svc, ts := newTestService(t, testConfig())
 	code, raw := getJSON(t, ts.URL+"/healthz")
 	if code != http.StatusOK || !bytes.Contains(raw, []byte(`"status": "ok"`)) {
 		t.Fatalf("healthz: %d %s", code, raw)
@@ -578,5 +623,52 @@ func TestHealthzAndRosters(t *testing.T) {
 	code, raw = getJSON(t, ts.URL+"/debug/vars")
 	if code != http.StatusOK || !bytes.Contains(raw, []byte("cbwsd")) {
 		t.Fatalf("expvar not mounted on service mux: %d %.120s", code, raw)
+	}
+
+	// The stream gauges: a stream with one of its queue buffers taken
+	// by the simulator side reports what is still buffered, and a
+	// finished one reports nothing.
+	vars := func() Vars {
+		t.Helper()
+		code, raw := getJSON(t, ts.URL+"/debug/vars")
+		var v struct {
+			Cbwsd Vars `json:"cbwsd"`
+		}
+		if err := json.Unmarshal(raw, &v); code != http.StatusOK || err != nil {
+			t.Fatalf("expvar: %d %v", code, err)
+		}
+		return v.Cbwsd
+	}
+	now := svc.cfg.Clock()
+	st := newStream("st-vars", JobSpec{Workload: "w"}, "t", svc.tenants.get("t", now), 1<<16, now)
+	svc.mu.Lock()
+	svc.streams[st.ID] = st
+	svc.mu.Unlock()
+	if _, rej := st.ingest(encodeTestHeader(t, "w"), now); rej != nil {
+		t.Fatalf("header rejected: %v", rej)
+	}
+	chunk := bytes.Repeat([]byte{byte(trace.Instr), 0x01}, bufBytes)
+	if _, rej := st.ingest(chunk, now); rej != nil {
+		t.Fatalf("chunk rejected: %v", rej)
+	}
+	g := &streamGen{st: st, sink: discardSink{}}
+	if !g.next() {
+		t.Fatal("nothing to take from the queue")
+	}
+	st.mu.Lock()
+	events, queued := st.count, st.queuedBytesLocked()
+	st.mu.Unlock()
+	if events == 0 || events == bufBytes || queued == 0 {
+		t.Fatalf("after one take: %d events in %d bytes buffered, want a partly drained queue", events, queued)
+	}
+	if v := vars(); v.StreamsBufferedEvents != events || v.StreamsBufferedBytes != queued {
+		t.Fatalf("partly drained stream: vars report %d events in %d bytes, queue holds %d in %d",
+			v.StreamsBufferedEvents, v.StreamsBufferedBytes, events, queued)
+	}
+	st.abort("test")
+	svc.finishStream(st, "", "")
+	if v := vars(); v.StreamsBufferedEvents != 0 || v.StreamsBufferedBytes != 0 {
+		t.Fatalf("finished stream: vars report %d events in %d bytes, want 0 and 0",
+			v.StreamsBufferedEvents, v.StreamsBufferedBytes)
 	}
 }

@@ -34,19 +34,20 @@ const (
 	StreamCanceled   = apiv1.StreamCanceled
 )
 
-// bufEvents is the event capacity of one queue buffer, and so the most
-// events handed to the simulator per ConsumeBatch call. 255 events plus
-// the buffer's count and link fill a 12 KiB allocation exactly; the
-// trace package's 256-event batch would spill into the next size class
-// and waste a tenth of every buffer.
-const bufEvents = 255
+// bufBytes is the capacity of one queue buffer in CBWT bytes. With
+// the buffer's link and fill count, and the 8-byte header the Go
+// allocator puts in front of every small object holding a pointer, a
+// buffer fills one 16 KiB allocation exactly
+// (TestByteBufFitsSizeClass).
+const bufBytes = 16<<10 - 24
 
-// eventBuf is one buffer of the stream's event queue: up to bufEvents
-// decoded events, linked into the queue or onto the free list.
-type eventBuf struct {
-	ev   [bufEvents]trace.Event
+// byteBuf is one buffer of the stream's byte queue: up to bufBytes raw
+// chunk bytes, linked into the queue or onto the free list. The link
+// comes first so the collector scans one word of it.
+type byteBuf struct {
+	next *byteBuf
 	n    int
-	next *eventBuf
+	b    [bufBytes]byte
 }
 
 // Counter-commit thresholds: per-stream traffic deltas accumulate
@@ -71,14 +72,18 @@ type ingestReject struct {
 
 func (r *ingestReject) Error() string { return r.msg }
 
-// Stream is one live streaming simulation: the incremental CBWT
-// decoder, the bounded event queue between the HTTP ingest side and the
-// simulator, and the lifecycle state machine.
+// Stream is one streaming simulation: the incremental CBWT decoder
+// that validates and counts every chunk, the bounded queue of chunk
+// bytes between the HTTP ingest side and the simulator, and the
+// lifecycle state machine. The stream table lists a stream for the
+// daemon's life, so what only an unfinished stream needs sits in live,
+// which finishStream drops whole.
 //
-// Locking: mu guards everything below it; the condition variable is
-// signaled when the queue gains events or the lifecycle advances
-// (close/abort), which is what the simulator side blocks on. Lock
-// order is Stream.mu before tenant.mu; never the reverse.
+// Locking: mu guards everything below it, live's fields included; the
+// condition variable is signaled when the queue gains bytes or the
+// lifecycle advances (close/abort), which is what the simulator side
+// blocks on. Lock order is Stream.mu before tenant.mu; never the
+// reverse.
 type Stream struct {
 	ID     string
 	Tenant string
@@ -91,19 +96,11 @@ type Stream struct {
 	progress atomic.Uint64
 
 	mu   sync.Mutex
-	cond sync.Cond
-	dec  trace.ChunkDecoder
-	sum  hash.Hash // SHA-256 of the raw stream bytes, for content addressing
+	live *streamLive //cbws:guardedby mu — nil once the stream is finished
 
-	// The event queue between ingest and simulation: a FIFO of buffers
-	// from head to tail holding count events, and the buffers the
-	// simulator has handed back, kept on free for reuse. Buffers are
-	// allocated as events arrive, never up front, and all of them are
-	// dropped once the stream is finished.
-	head  *eventBuf //cbws:guardedby mu
-	tail  *eventBuf //cbws:guardedby mu
-	free  *eventBuf //cbws:guardedby mu
-	count int       //cbws:guardedby mu
+	// count is the events the queued bytes decoded to at ingest and the
+	// simulator has not yet been handed.
+	count int //cbws:guardedby mu
 	// bound is the most events the queue may hold (StreamBufferEvents),
 	// reported in chunk acks.
 	bound int
@@ -115,15 +112,9 @@ type Stream struct {
 	aborted     bool        //cbws:guardedby mu — discard everything; no result
 	budgetDone  bool        //cbws:guardedby mu — the simulator consumed its full instruction budget
 
-	bytesIn  uint64    //cbws:guardedby mu
-	chunks   uint64    //cbws:guardedby mu
-	events   uint64    //cbws:guardedby mu
-	lastRecv time.Time //cbws:guardedby mu
-
-	// Uncommitted tenant-counter deltas (see counterCommitBytes).
-	pendBytes  uint64 //cbws:guardedby mu
-	pendChunks uint64 //cbws:guardedby mu
-	pendEvents uint64 //cbws:guardedby mu
+	bytesIn uint64 //cbws:guardedby mu
+	chunks  uint64 //cbws:guardedby mu
+	events  uint64 //cbws:guardedby mu
 
 	// Latest probe sample, copied out of the simulator's reused Sample.
 	sampleCount int             //cbws:guardedby mu
@@ -132,93 +123,136 @@ type Stream struct {
 	done chan struct{} // closed when the runner goroutine exits
 }
 
+// streamLive is the part of a Stream that only an unfinished stream
+// needs. Stream.mu guards all of it.
+type streamLive struct {
+	cond sync.Cond
+	// dec validates and counts the chunks at ingest; sum is the SHA-256
+	// of the raw stream bytes, for content addressing.
+	dec trace.ChunkDecoder
+	sum hash.Hash
+
+	// The byte queue between ingest and simulation: a FIFO of buffers
+	// from head to tail holding the accepted chunks' raw CBWT bytes,
+	// and the buffers the simulator has handed back, kept on free for
+	// reuse. Buffers are allocated as bytes arrive, never up front.
+	head, tail, free *byteBuf
+
+	lastRecv time.Time
+
+	// Uncommitted tenant-counter deltas (see counterCommitBytes).
+	pendBytes, pendChunks, pendEvents uint64
+}
+
 func newStream(id string, spec JobSpec, tenantName string, ten *tenant, bufferEvents int, now time.Time) *Stream {
+	live := &streamLive{sum: sha256.New(), lastRecv: now}
 	st := &Stream{
-		ID:       id,
-		Tenant:   tenantName,
-		Spec:     spec,
-		ten:      ten,
-		sum:      sha256.New(),
-		bound:    bufferEvents,
-		state:    StreamOpen,
-		lastRecv: now,
-		done:     make(chan struct{}),
+		ID:     id,
+		Tenant: tenantName,
+		Spec:   spec,
+		ten:    ten,
+		live:   live,
+		bound:  bufferEvents,
+		state:  StreamOpen,
+		done:   make(chan struct{}),
 	}
-	st.cond.L = &st.mu
+	live.cond.L = &st.mu
 	return st
 }
 
-// queueSink appends decoded batches to the stream's event queue. It is
-// only ever invoked from ChunkDecoder.Feed while st.mu is held, and
-// ingest has already admitted the events against the bound.
-type queueSink struct{ st *Stream }
+// countSink counts the events the ingest decoder finds in a chunk.
+// It is only ever invoked from ChunkDecoder.Feed while st.mu is held,
+// and ingest has already admitted the events against the bound.
+type countSink struct{ st *Stream }
 
-func (qs queueSink) ConsumeBatch(batch []trace.Event) bool {
+func (cs countSink) ConsumeBatch(batch []trace.Event) bool {
 	// ChunkDecoder.Feed only runs from ingest, which already holds
 	// st.mu; the analyzer cannot see through the decoder callback.
 	//lint:ignore cbws/guardedby ConsumeBatch is only reached from ingest with st.mu held
-	qs.st.enqueueLocked(batch)
+	cs.st.countLocked(len(batch))
 	return true
 }
 
-// enqueueLocked copies batch into the queue: first into the room left
+// countLocked adds n events decoded at ingest to the buffered count and
+// the traffic counters. Caller holds st.mu.
+func (st *Stream) countLocked(n int) {
+	st.count += n
+	st.events += uint64(n)
+	st.live.pendEvents += uint64(n)
+}
+
+// enqueueLocked copies chunk into the queue: first into the room left
 // in the tail buffer, then into a buffer off the free list, allocating
 // one only when the free list is empty. Every buffer but the tail is
-// therefore full, so the queue holds at most count/bufEvents+1
-// buffers however the tenant sizes its chunks. Caller holds st.mu and
-// has admitted the events against the bound.
-func (st *Stream) enqueueLocked(batch []trace.Event) {
-	st.count += len(batch)
-	st.events += uint64(len(batch))
-	st.pendEvents += uint64(len(batch))
-	for len(batch) > 0 {
-		b := st.tail
-		if b == nil || b.n == bufEvents {
-			if b = st.free; b != nil {
-				st.free, b.next, b.n = b.next, nil, 0
+// therefore full, so the queue holds at most bytes/bufBytes+1 buffers
+// however the tenant sizes its chunks. Caller holds st.mu.
+func (st *Stream) enqueueLocked(chunk []byte) {
+	l := st.live
+	for len(chunk) > 0 {
+		b := l.tail
+		if b == nil || b.n == bufBytes {
+			if b = l.free; b != nil {
+				l.free, b.next, b.n = b.next, nil, 0
 			} else {
-				b = new(eventBuf)
+				b = new(byteBuf)
 			}
-			if st.tail == nil {
-				st.head = b
+			if l.tail == nil {
+				l.head = b
 			} else {
-				st.tail.next = b
+				l.tail.next = b
 			}
-			st.tail = b
+			l.tail = b
 		}
-		k := copy(b.ev[b.n:], batch)
+		k := copy(b.b[b.n:], chunk)
 		b.n += k
-		batch = batch[k:]
+		chunk = chunk[k:]
 	}
+}
+
+// queuedBytesLocked sums the bytes waiting in the queue. Caller holds
+// st.mu.
+func (st *Stream) queuedBytesLocked() int {
+	n := 0
+	for b := st.live.head; b != nil; b = b.next {
+		n += b.n
+	}
+	return n
 }
 
 // take recycles done, the buffer the previous take returned, onto the
 // free list and pops the queue's head buffer for the simulator. It
 // returns nil when the queue is empty or the stream is aborted.
-func (st *Stream) take(done *eventBuf) *eventBuf {
+func (st *Stream) take(done *byteBuf) *byteBuf {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	l := st.live
 	if done != nil {
-		st.free, done.next = done, st.free
+		l.free, done.next = done, l.free
 	}
-	b := st.head
+	b := l.head
 	if st.aborted || b == nil {
 		return nil
 	}
-	st.head, b.next = b.next, nil
-	if st.head == nil {
-		st.tail = nil
+	l.head, b.next = b.next, nil
+	if l.head == nil {
+		l.tail = nil
 	}
-	st.count -= b.n
 	return b
 }
 
-// ingest admits and decodes one chunk. It is the streaming hot path:
-// in steady state (header parsed, in-quota, space available) it
-// performs no allocation — the decoder's fixed buffers, queue buffers
-// recycled by the simulator, the running SHA-256, and stream-local
-// counter deltas are all in place — which TestStreamIngestZeroAlloc
-// pins.
+// ingest admits, validates and queues one chunk. It is the streaming
+// hot path: in steady state (header parsed, in-quota, space available)
+// it performs no allocation — the decoder's fixed buffers, queue
+// buffers recycled by the simulator, the running SHA-256, and
+// stream-local counter deltas are all in place — which
+// TestStreamIngestZeroAlloc pins.
+//
+// The decoder runs over every chunk, so a malformed one fails the
+// stream synchronously, and only counts its events; the simulator
+// decodes the queued bytes again as it reads them. A chunk that
+// arrives after the trace's terminator decodes to nothing and is
+// acked without being queued: it would pass admission at zero events,
+// so queueing it would let a tenant pin unbounded bytes.
 func (st *Stream) ingest(chunk []byte, now time.Time) (ChunkAck, *ingestReject) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -267,37 +301,42 @@ func (st *Stream) ingest(chunk []byte, now time.Time) (ChunkAck, *ingestReject) 
 			msg: fmt.Sprintf("tenant %q over byte rate; retry after %s", st.Tenant, wait.Round(time.Second))}
 	}
 
-	st.sum.Write(chunk)
+	st.live.sum.Write(chunk)
 	st.bytesIn += uint64(len(chunk))
 	st.chunks++
-	st.pendBytes += uint64(len(chunk))
-	st.pendChunks++
-	st.lastRecv = now
-	if err := st.dec.Feed(chunk, queueSink{st}); err != nil {
+	st.live.pendBytes += uint64(len(chunk))
+	st.live.pendChunks++
+	st.live.lastRecv = now
+	terminated := st.live.dec.Terminated()
+	if err := st.live.dec.Feed(chunk, countSink{st}); err != nil {
 		st.failLocked(fmt.Sprintf("malformed trace chunk: %v", err))
 		return ChunkAck{}, &ingestReject{code: 400, msg: st.errMsg}
 	}
-	if st.pendBytes >= counterCommitBytes || st.pendChunks >= counterCommitChunks {
+	if !terminated {
+		st.enqueueLocked(chunk)
+	}
+	if st.live.pendBytes >= counterCommitBytes || st.live.pendChunks >= counterCommitChunks {
 		st.commitPendingLocked()
 	}
-	st.cond.Broadcast()
+	st.live.cond.Broadcast()
 	return st.ackLocked(), nil
 }
 
 // commitPendingLocked flushes the stream-local counter deltas to the
 // tenant's shared atomics. Caller holds st.mu.
 func (st *Stream) commitPendingLocked() {
-	if st.pendBytes > 0 {
-		st.ten.bytesIn.Add(st.pendBytes)
-		st.pendBytes = 0
+	l := st.live
+	if l.pendBytes > 0 {
+		st.ten.bytesIn.Add(l.pendBytes)
+		l.pendBytes = 0
 	}
-	if st.pendChunks > 0 {
-		st.ten.chunksIn.Add(st.pendChunks)
-		st.pendChunks = 0
+	if l.pendChunks > 0 {
+		st.ten.chunksIn.Add(l.pendChunks)
+		l.pendChunks = 0
 	}
-	if st.pendEvents > 0 {
-		st.ten.eventsIn.Add(st.pendEvents)
-		st.pendEvents = 0
+	if l.pendEvents > 0 {
+		st.ten.eventsIn.Add(l.pendEvents)
+		l.pendEvents = 0
 	}
 }
 
@@ -317,7 +356,7 @@ func (st *Stream) failLocked(msg string) {
 	st.errMsg = msg
 	st.aborted = true
 	st.commitPendingLocked()
-	st.cond.Broadcast()
+	st.live.cond.Broadcast()
 }
 
 // closeInput declares end of input: the stream finalizes once the
@@ -334,14 +373,14 @@ func (st *Stream) closeInput() (StreamView, *ingestReject) {
 	default:
 		return StreamView{}, &ingestReject{code: 409, msg: fmt.Sprintf("stream %s is %s: %s", st.ID, st.state, st.errMsg)}
 	}
-	if !st.dec.AtEventBoundary() {
+	if !st.live.dec.AtEventBoundary() {
 		st.failLocked("stream closed mid-event: truncated trace")
 		return StreamView{}, &ingestReject{code: 400, msg: st.errMsg}
 	}
 	st.inputClosed = true
 	st.state = StreamFinalizing
 	st.commitPendingLocked()
-	st.cond.Broadcast()
+	st.live.cond.Broadcast()
 	return st.viewLocked(), nil
 }
 
@@ -356,7 +395,7 @@ func (st *Stream) abort(reason string) StreamView {
 	st.errMsg = reason
 	st.aborted = true
 	st.commitPendingLocked()
-	st.cond.Broadcast()
+	st.live.cond.Broadcast()
 	return st.viewLocked()
 }
 
@@ -430,14 +469,21 @@ func (p streamProbe) OnSample(s *sim.Sample) {
 	st.mu.Unlock()
 }
 
-// streamGen adapts the stream's event queue to trace.Generator: the
+// streamGen adapts the stream's byte queue to trace.Generator: the
 // generator the long-lived sim.RunContext pulls from, wrapped in the
-// scheduler's slotGen like every simulation. While the queue is empty
-// it hands its slot back — an idle stream costs nothing.
+// scheduler's slotGen like every simulation. It decodes each queued
+// buffer with its own ChunkDecoder straight into the simulator's sink.
+// While the queue is empty it hands its slot back — an idle stream
+// costs nothing.
 type streamGen struct {
 	st    *Stream
 	slots *slotGen
-	held  *eventBuf // the buffer last handed to the simulator
+	dec   trace.ChunkDecoder
+	sink  trace.BatchSink // the simulator's sink
+	held  *byteBuf        // the buffer last fed to dec
+	// stopped is set once the sink refuses a batch or the queued bytes
+	// fail to decode: generation is over.
+	stopped bool
 }
 
 // Name returns the declared workload name: the simulation result (and
@@ -445,47 +491,66 @@ type streamGen struct {
 // like a closed job's would.
 func (g *streamGen) Name() string { return g.st.Spec.Workload }
 
-// waitReadable blocks until the queue has events or the stream's input
+// waitReadable blocks until the queue has bytes or the stream's input
 // is over. It reports false when generation should end: aborted, or
 // input closed with the queue drained.
 func (g *streamGen) waitReadable() bool {
 	st := g.st
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	for st.count == 0 && !st.inputClosed && !st.aborted {
-		st.cond.Wait()
+	for st.live.head == nil && !st.inputClosed && !st.aborted {
+		st.live.cond.Wait()
 	}
-	return !st.aborted && st.count > 0
+	return !st.aborted && st.live.head != nil
 }
 
-// next hands the held buffer back to the queue and returns the
-// queue's next batch in place, nil when the queue is empty.
-func (g *streamGen) next() []trace.Event {
+// next hands the held buffer back to the queue and decodes the queue's
+// head buffer into the sink. It reports false when the queue is empty.
+func (g *streamGen) next() bool {
 	g.held = g.st.take(g.held)
 	if g.held == nil {
-		return nil
+		return false
 	}
-	return g.held.ev[:g.held.n]
+	if err := g.dec.Feed(g.held.b[:g.held.n], g); err != nil {
+		// Ingest decoded these same bytes without error; a decoder
+		// that disagrees with itself fails the stream rather than
+		// simulating a different trace.
+		g.st.mu.Lock()
+		g.st.failLocked(fmt.Sprintf("decoding queued bytes: %v", err))
+		g.st.mu.Unlock()
+		g.stopped = true
+	}
+	return true
+}
+
+// ConsumeBatch takes one decoded batch off the stream's buffered count
+// and hands it to the simulator.
+func (g *streamGen) ConsumeBatch(batch []trace.Event) bool {
+	st := g.st
+	st.mu.Lock()
+	st.count -= len(batch)
+	st.mu.Unlock()
+	if !g.sink.ConsumeBatch(batch) {
+		// The simulator's instruction budget is exhausted; whatever
+		// else arrives is irrelevant to the result.
+		st.mu.Lock()
+		st.budgetDone = true
+		st.mu.Unlock()
+		g.stopped = true
+		return false
+	}
+	return true
 }
 
 // GenerateBatches implements trace.Generator.
 func (g *streamGen) GenerateBatches(sink trace.BatchSink) {
-	for {
-		batch := g.next()
-		if batch == nil {
+	g.sink = sink
+	for !g.stopped {
+		if !g.next() {
 			g.slots.release()
 			if !g.waitReadable() {
 				return
 			}
-			continue
-		}
-		if !sink.ConsumeBatch(batch) {
-			// The simulator's instruction budget is exhausted;
-			// whatever else arrives is irrelevant to the result.
-			g.st.mu.Lock()
-			g.st.budgetDone = true
-			g.st.mu.Unlock()
-			return
 		}
 	}
 }
@@ -540,23 +605,26 @@ func (s *Service) Stream(id string) (*Stream, bool) {
 	return st, ok
 }
 
-// openStreamCount counts non-terminal streams (the streams_open gauge).
-func (s *Service) openStreamCount() int {
+// streamGauges sums the stream gauges over non-terminal streams:
+// how many are open (streams_open), and the events and wire bytes
+// their queues buffer ahead of the simulator.
+func (s *Service) streamGauges() (open, events, bytes int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := 0
 	for _, st := range s.streams {
 		st.mu.Lock()
 		if !st.state.Terminal() {
-			n++
+			open++
+			events += st.count
+			bytes += st.queuedBytesLocked()
 		}
 		st.mu.Unlock()
 	}
-	return n
+	return open, events, bytes
 }
 
 // runStream owns one stream's simulation end to end: it drives a
-// long-lived sim.RunContext from the event queue, and on a clean end of
+// long-lived sim.RunContext from the byte queue, and on a clean end of
 // input stores the exact run record a closed job would produce in the
 // content-addressed result cache.
 func (s *Service) runStream(st *Stream) {
@@ -617,7 +685,7 @@ func (s *Service) runStream(st *Stream) {
 		spec.WorkloadHash = func() string {
 			st.mu.Lock()
 			defer st.mu.Unlock()
-			return hex.EncodeToString(st.sum.Sum(nil))
+			return hex.EncodeToString(st.live.sum.Sum(nil))
 		}()
 	}
 	key := spec.Key(s.cfg.CodeVersion)
@@ -634,9 +702,10 @@ func (s *Service) runStream(st *Stream) {
 // finishStream settles the stream's terminal state and counters. With
 // key set the stream is done; with msg set it failed; with neither the
 // state was already terminal (canceled/failed) and is left as is. The
-// runner is past its last queue read and a terminal stream admits no
-// more events, so every queue buffer is released here: the stream
-// stays listed without pinning any events.
+// runner is past its last queue read and its content address, and a
+// terminal stream admits no more bytes, so the live state — every
+// queue buffer, the ingest decoder and the hash state — is released
+// here: the stream stays listed without pinning any of it.
 func (s *Service) finishStream(st *Stream, key, msg string) {
 	st.mu.Lock()
 	switch {
@@ -655,7 +724,7 @@ func (s *Service) finishStream(st *Stream, key, msg string) {
 		s.counters.streamsCanceled.Add(1)
 	}
 	st.commitPendingLocked()
-	st.head, st.tail, st.free, st.count = nil, nil, nil, 0
+	st.live, st.count = nil, 0
 	st.mu.Unlock()
 }
 
@@ -670,8 +739,8 @@ func (s *Service) reapIdleStreams(now time.Time) {
 	}
 	for _, st := range s.streamsByID() {
 		st.mu.Lock()
-		expired := st.state == StreamOpen && now.Sub(st.lastRecv) > s.cfg.StreamIdleTimeout
-		terminated := st.dec.Terminated()
+		expired := st.state == StreamOpen && now.Sub(st.live.lastRecv) > s.cfg.StreamIdleTimeout
+		terminated := expired && st.live.dec.Terminated()
 		st.mu.Unlock()
 		if !expired {
 			continue
@@ -727,7 +796,7 @@ func settleStreams(live []*Stream) {
 	for _, st := range live {
 		st.mu.Lock()
 		open := st.state == StreamOpen
-		terminated := st.dec.Terminated()
+		terminated := open && st.live.dec.Terminated()
 		st.mu.Unlock()
 		if !open {
 			continue

@@ -25,7 +25,7 @@ const streamCellChunk = 64 << 10
 // handler, with no sockets: open, 64 KiB chunks, close, until the
 // stream is done. The stream buffer holds the whole trace plus one
 // chunk, as cbwsbench sizes it, so no chunk is refused. B/op is the
-// daemon's cost of one streamed cell: HTTP handling, decode, the event
+// daemon's cost of one streamed cell: HTTP handling, decode, the byte
 // queue and the simulation. The last stream's served record must match
 // the manifest's stencil-default/none cell.
 //

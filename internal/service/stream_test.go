@@ -577,27 +577,27 @@ func encodeTestHeader(t *testing.T, name string) []byte {
 
 // TestStreamIngestZeroAlloc pins the chunk ingest hot path at zero
 // allocations per chunk once the simulator hands buffers back: decoder,
-// event queue, hash, admission, and counter coalescing all run on
+// byte queue, hash, admission, and counter coalescing all run on
 // recycled state. The queue drains through the generator's own
-// take-and-recycle path.
+// take-decode-recycle path.
 func TestStreamIngestZeroAlloc(t *testing.T) {
 	clk := newFakeClock()
 	tt := newTenantTable(1<<40, 1<<40)
 	ten := tt.get("t", clk.Now())
-	st := newStream("st-alloc", JobSpec{Workload: "w"}, "t", ten, 1<<12, clk.Now())
-	g := &streamGen{st: st}
+	st := newStream("st-alloc", JobSpec{Workload: "w"}, "t", ten, 1<<16, clk.Now())
+	g := &streamGen{st: st, sink: discardSink{}}
 
 	if _, rej := st.ingest(encodeTestHeader(t, "w"), clk.Now()); rej != nil {
 		t.Fatalf("header rejected: %v", rej)
 	}
 	// Three full queue buffers and a partial one per chunk.
-	chunk := bytes.Repeat([]byte{byte(trace.Instr), 0x01}, 3*bufEvents+100)
+	chunk := bytes.Repeat([]byte{byte(trace.Instr), 0x01}, (3*bufBytes+100)/2)
 	now := clk.Now()
 	allocs := testing.AllocsPerRun(200, func() {
 		if _, rej := st.ingest(chunk, now); rej != nil {
 			t.Fatalf("chunk rejected: %v", rej)
 		}
-		for g.next() != nil {
+		for g.next() {
 		}
 	})
 	if allocs != 0 {
@@ -605,11 +605,105 @@ func TestStreamIngestZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestEventBufFitsSizeClass pins the queue buffer to the 12 KiB
-// allocation size class bufEvents is chosen to fill.
-func TestEventBufFitsSizeClass(t *testing.T) {
-	if n, ev := unsafe.Sizeof(eventBuf{}), unsafe.Sizeof(trace.Event{}); n > 12<<10 || n+ev <= 12<<10 {
-		t.Fatalf("eventBuf is %d bytes with %d-byte events; bufEvents should fill 12 KiB", n, ev)
+// discardSink accepts and drops every batch.
+type discardSink struct{}
+
+func (discardSink) ConsumeBatch([]trace.Event) bool { return true }
+
+// TestByteBufFitsSizeClass pins the queue buffer to the 16 KiB
+// allocation size class bufBytes is chosen to fill: one buffer
+// allocates 16 KiB, and its struct leaves room for nothing but the
+// allocator's 8-byte header.
+func TestByteBufFitsSizeClass(t *testing.T) {
+	bufs := make([]*byteBuf, 64)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range bufs {
+		bufs[i] = new(byteBuf)
+	}
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(bufs)
+	// Stray allocations elsewhere can only add to the total; the next
+	// size class up is 18 KiB.
+	if per := (after.TotalAlloc - before.TotalAlloc) / uint64(len(bufs)); per < 16<<10 || per >= 17<<10 {
+		t.Fatalf("a byteBuf allocates %d bytes, want one 16 KiB size class", per)
+	}
+	if slack := 16<<10 - unsafe.Sizeof(byteBuf{}); slack != 8 {
+		t.Fatalf("byteBuf leaves %d bytes of its 16 KiB, want just the 8-byte allocation header", slack)
+	}
+}
+
+// TestStreamQueueHoldsWireBytes checks what a stream costs while its
+// feeder runs ahead of the simulator: with a whole capture buffered
+// and nothing drained, the stream's heap grows by at most the capture's
+// CBWT bytes, plus 1/64 for buffer headers and heap noise, plus one
+// partly filled buffer — not by a decoded event per event.
+func TestStreamQueueHoldsWireBytes(t *testing.T) {
+	const chunkSize = 64 << 10
+	data := encodeWorkloadTrace(t, "stencil-default", 400_000)
+	clk := newFakeClock()
+	ten := newTenantTable(1<<40, 1<<40).get("t", clk.Now())
+	st := newStream("st-mem", JobSpec{Workload: "w"}, "t", ten, len(data), clk.Now())
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	var ack ChunkAck
+	for off := 0; off < len(data); off += chunkSize {
+		var rej *ingestReject
+		if ack, rej = st.ingest(data[off:min(off+chunkSize, len(data))], clk.Now()); rej != nil {
+			t.Fatalf("chunk at %d rejected: %v", off, rej)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(st)
+	runtime.KeepAlive(data)
+
+	held := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	limit := int64(len(data) + len(data)/64 + int(unsafe.Sizeof(byteBuf{})))
+	if held > limit {
+		t.Fatalf("%d buffered events (%d CBWT bytes) hold %d heap bytes (%.1f B/event), want <= %d",
+			ack.BufferedEvents, len(data), held, float64(held)/float64(ack.BufferedEvents), limit)
+	}
+}
+
+// TestStreamChunkAfterTerminator checks that bytes sent after a trace's
+// terminator are acked but never queued: the queue, its buffered
+// events and its buffers stay exactly as the terminator left them.
+func TestStreamChunkAfterTerminator(t *testing.T) {
+	clk := newFakeClock()
+	ten := newTenantTable(1<<40, 1<<40).get("t", clk.Now())
+	st := newStream("st-term", JobSpec{Workload: "w"}, "t", ten, 1<<16, clk.Now())
+	data := encodeWorkloadTrace(t, "stencil-default", 2000)
+	if _, rej := st.ingest(data, clk.Now()); rej != nil {
+		t.Fatalf("trace rejected: %v", rej)
+	}
+	snapshot := func() (events, queued int, bufs []*byteBuf) {
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		for b := st.live.head; b != nil; b = b.next {
+			bufs = append(bufs, b)
+		}
+		return st.count, st.queuedBytesLocked(), bufs
+	}
+	events, queued, bufs := snapshot()
+	if queued != len(data) {
+		t.Fatalf("trace queued %d bytes, want all %d", queued, len(data))
+	}
+	late := bytes.Repeat([]byte{byte(trace.Instr), 0x01}, 1000)
+	ack, rej := st.ingest(late, clk.Now())
+	if rej != nil {
+		t.Fatalf("chunk after the terminator rejected: %v", rej)
+	}
+	if ack.BufferedEvents != events || ack.BytesIn != uint64(len(data)+len(late)) {
+		t.Fatalf("late ack: %d events buffered, %d bytes in; want %d, %d",
+			ack.BufferedEvents, ack.BytesIn, events, len(data)+len(late))
+	}
+	gotEvents, gotQueued, gotBufs := snapshot()
+	if gotEvents != events || gotQueued != queued || !slices.Equal(gotBufs, bufs) {
+		t.Fatalf("late chunk moved the queue: %d events in %d bytes (%d buffers), was %d in %d (%d)",
+			gotEvents, gotQueued, len(gotBufs), events, queued, len(bufs))
 	}
 }
 
@@ -659,101 +753,114 @@ func TestOpenStreamCostIndependentOfBound(t *testing.T) {
 }
 
 // FuzzStreamQueue drives a stream's ingest and the generator's
-// take-and-recycle path with fuzzed chunk sizes and take points over a
-// real workload capture, against a flat-slice reference fed by its own
-// decoder. Every admission decision (accept, retryable 413, permanent
-// 413), every ack's BufferedEvents, and the order of every event taken
-// must match; the queue may never hold more buffers than its events
-// need.
+// take-decode-recycle path with fuzzed chunk splits (any byte offset,
+// so events, varints and the header split anywhere) and take points
+// over a real workload capture followed by bytes past its terminator,
+// against a flat reference: a decoder of its own for the events and a
+// byte slice for the queue. Every admission decision (accept,
+// retryable 413, permanent 413), every ack's BufferedEvents, the bytes
+// of every buffer taken and the order of every event decoded from it
+// must match; chunks after the terminator are never queued, and the
+// queue may never hold more buffers than its bytes need.
 func FuzzStreamQueue(f *testing.F) {
-	data := encodeWorkloadTrace(f, "stencil-default", 4000)
+	data := append(encodeWorkloadTrace(f, "stencil-default", 40_000), bytes.Repeat([]byte{0xff}, 600)...)
 	// An odd op ingests the next 1+(op>>1)*(bound/32+1) bytes, an even
-	// one takes a batch. The seeds walk a whole capture through tiny,
-	// mid-sized and whole-buffer chunks, each hitting full buffers and
-	// chunks that can never fit.
+	// one takes a buffer. The seeds walk the whole capture through
+	// tiny, mid-sized and multi-buffer chunks, each hitting full queues
+	// and chunks that can never fit.
 	seed := func(boundSel uint8, rounds int, round ...byte) {
 		f.Add(boundSel, bytes.Repeat(round, rounds))
 	}
-	seed(2, 200, append(bytes.Repeat([]byte{0x05}, 14), 0x41, 0x00)...)
-	seed(9, 100, append(bytes.Repeat([]byte{0x07}, 16), 0x00)...)
+	seed(1, 800, append(bytes.Repeat([]byte{0x05}, 14), 0xff, 0x41, 0x00)...)
+	seed(4, 200, append(bytes.Repeat([]byte{0x21}, 6), 0xff, 0x00)...)
 	seed(60, 60, 0x3f, 0x3f, 0x3f, 0xff, 0x00, 0x00, 0x00)
-	seed(255, 40, 0xff, 0x1f, 0x1f, 0x1f, 0x1f, 0x1f, 0x00, 0x00, 0x00, 0x00)
+	seed(255, 20, append(append([]byte{0xff}, bytes.Repeat([]byte{0x1f}, 8)...), 0x00, 0x00, 0x00, 0x00)...)
 	f.Fuzz(func(t *testing.T, boundSel uint8, ops []byte) {
 		clk := newFakeClock()
 		ten := newTenantTable(1<<40, 1<<40).get("t", clk.Now())
-		bound := 4 + int(boundSel)*4
+		bound := 4 + int(boundSel)*64
 		st := newStream("st-fuzz", JobSpec{Workload: "w"}, "t", ten, bound, clk.Now())
-		g := &streamGen{st: st}
+		var got []trace.Event
+		g := &streamGen{st: st, sink: appendSink{&got}}
 
-		var ref []trace.Event
-		var refDec trace.ChunkDecoder
+		var (
+			ref    []trace.Event // decoded at ingest, not yet delivered
+			refDec trace.ChunkDecoder
+			queued []byte // accepted for the queue, not yet taken
+		)
 		refSink := appendSink{&ref}
 		off := 0
 		take := func() {
-			batch := g.next()
-			if len(batch) == 0 {
-				if len(ref) != 0 {
-					t.Fatalf("take returned nothing with %d events buffered", len(ref))
+			got = got[:0]
+			if !g.next() {
+				if len(queued) != 0 {
+					t.Fatalf("take returned nothing with %d bytes queued", len(queued))
 				}
 				return
 			}
-			if len(batch) > len(ref) || len(batch) > bufEvents {
-				t.Fatalf("took %d events with %d buffered", len(batch), len(ref))
+			b := g.held.b[:g.held.n]
+			if len(b) == 0 || len(b) > len(queued) || !bytes.Equal(b, queued[:len(b)]) {
+				t.Fatalf("took a %d-byte buffer that is not the front of the %d queued bytes", len(b), len(queued))
 			}
-			if !slices.Equal(batch, ref[:len(batch)]) {
-				t.Fatalf("took %v, reference %v", batch, ref[:len(batch)])
+			queued = queued[len(b):]
+			if len(got) > len(ref) || !slices.Equal(got, ref[:len(got)]) {
+				t.Fatalf("decoded %d events with %d buffered, or out of order", len(got), len(ref))
 			}
-			ref = ref[len(batch):]
+			ref = ref[len(got):]
 		}
 		for _, op := range ops {
 			if op&1 == 0 {
 				take()
-				continue
-			}
-			if off == len(data) {
-				continue
-			}
-			n := min(1+int(op>>1)*(bound/32+1), len(data)-off)
-			chunk := data[off : off+n]
-			need := n/2 + 1
-			ack, rej := st.ingest(chunk, clk.Now())
-			switch {
-			case need > bound:
-				if rej == nil || rej.code != http.StatusRequestEntityTooLarge || rej.retryAfter != 0 {
-					t.Fatalf("%d-byte chunk, bound %d: reject %+v, want permanent 413", n, bound, rej)
-				}
-			case need > bound-len(ref):
-				if rej == nil || rej.code != http.StatusRequestEntityTooLarge || rej.retryAfter <= 0 {
-					t.Fatalf("%d-byte chunk, %d/%d buffered: reject %+v, want retryable 413", n, len(ref), bound, rej)
-				}
-			default:
-				if rej != nil {
-					t.Fatalf("%d-byte chunk, %d/%d buffered: rejected %+v", n, len(ref), bound, rej)
-				}
-				if err := refDec.Feed(chunk, refSink); err != nil {
-					t.Fatalf("reference decode: %v", err)
-				}
-				off += n
-				if ack.BufferedEvents != len(ref) || ack.BufferCap != bound {
-					t.Fatalf("ack %d/%d events, reference %d/%d", ack.BufferedEvents, ack.BufferCap, len(ref), bound)
+			} else if off < len(data) {
+				n := min(1+int(op>>1)*(bound/32+1), len(data)-off)
+				chunk := data[off : off+n]
+				need := n/2 + 1
+				ack, rej := st.ingest(chunk, clk.Now())
+				switch {
+				case need > bound:
+					if rej == nil || rej.code != http.StatusRequestEntityTooLarge || rej.retryAfter != 0 {
+						t.Fatalf("%d-byte chunk, bound %d: reject %+v, want permanent 413", n, bound, rej)
+					}
+				case need > bound-len(ref):
+					if rej == nil || rej.code != http.StatusRequestEntityTooLarge || rej.retryAfter <= 0 {
+						t.Fatalf("%d-byte chunk, %d/%d buffered: reject %+v, want retryable 413", n, len(ref), bound, rej)
+					}
+				default:
+					if rej != nil {
+						t.Fatalf("%d-byte chunk, %d/%d buffered: rejected %+v", n, len(ref), bound, rej)
+					}
+					if !refDec.Terminated() {
+						queued = append(queued, chunk...)
+					}
+					if err := refDec.Feed(chunk, refSink); err != nil {
+						t.Fatalf("reference decode: %v", err)
+					}
+					off += n
+					if ack.BufferedEvents != len(ref) || ack.BufferCap != bound {
+						t.Fatalf("ack %d/%d events, reference %d/%d", ack.BufferedEvents, ack.BufferCap, len(ref), bound)
+					}
 				}
 			}
 			st.mu.Lock()
 			bufs := 0
-			for b := st.head; b != nil; b = b.next {
+			for b := st.live.head; b != nil; b = b.next {
 				bufs++
 			}
-			count := st.count
+			count, qbytes := st.count, st.queuedBytesLocked()
 			st.mu.Unlock()
-			if count != len(ref) || bufs > count/bufEvents+1 {
-				t.Fatalf("queue holds %d events in %d buffers, reference %d events", count, bufs, len(ref))
+			if count != len(ref) || qbytes != len(queued) || bufs > qbytes/bufBytes+1 {
+				t.Fatalf("queue holds %d events in %d bytes (%d buffers), reference %d events in %d bytes",
+					count, qbytes, bufs, len(ref), len(queued))
 			}
 		}
-		for len(ref) > 0 {
+		for len(queued) > 0 {
 			take()
 		}
-		if batch := g.next(); batch != nil {
-			t.Fatalf("drained queue still returned %d events", len(batch))
+		if len(ref) != 0 {
+			t.Fatalf("drained queue left %d events undelivered", len(ref))
+		}
+		if g.next() {
+			t.Fatal("drained queue still returned a buffer")
 		}
 	})
 }
@@ -905,9 +1012,9 @@ func TestStreamOpenValidation(t *testing.T) {
 
 // TestFinishedStreamsReleaseQueue checks every terminal path — done
 // (closed under budget, or stopped by the exhausted budget), failed and
-// canceled — drops the stream's event queue buffers once the runner
-// settles it, while a late chunk gets the status it always got and
-// acks keep reporting the buffer bound.
+// canceled — drops the stream's queue buffers, ingest decoder and hash
+// state once the runner settles it, while a late chunk gets the status
+// it always got and acks keep reporting the buffer bound.
 func TestFinishedStreamsReleaseQueue(t *testing.T) {
 	const wl = "stencil-default"
 	cfg := testConfig()
@@ -930,14 +1037,13 @@ func TestFinishedStreamsReleaseQueue(t *testing.T) {
 		}
 		<-st.done
 		st.mu.Lock()
-		state, count := st.state, st.count
-		holds := st.head != nil || st.tail != nil || st.free != nil
+		state, count, live := st.state, st.count, st.live
 		st.mu.Unlock()
 		if state != want {
 			t.Fatalf("%s: state %s, want %s", name, state, want)
 		}
-		if holds || count != 0 {
-			t.Errorf("%s: finished stream still holds event buffers (%d buffered)", name, count)
+		if live != nil || count != 0 {
+			t.Errorf("%s: finished stream still holds its queue, decoder or hash state (%d events buffered)", name, count)
 		}
 	}
 	late := []byte{byte(trace.Instr), 0x01}
@@ -1064,5 +1170,56 @@ func TestOneSlotInterleavesJobAndStream(t *testing.T) {
 	svc.sched.mu.Unlock()
 	if free != 1 || waiting != 0 {
 		t.Fatalf("scheduler after every run ended: %d free, %d waiting; want 1, 0", free, waiting)
+	}
+}
+
+// TestFinishedStreamsRetainLittle checks what a finished stream keeps
+// for the rest of the daemon's life: the stream table lists every
+// stream ever served, so each finished one must shed its ingest
+// decoder (12 KiB of batch) and hash state. After 200 streamed and
+// finished traces — the same bytes each time, so they share one cached
+// record — the retained heap must stay under 1 KiB per stream.
+func TestFinishedStreamsRetainLittle(t *testing.T) {
+	const wl, streams = "stencil-default", 200
+	svc, _ := newTestService(t, testConfig())
+	spec, err := svc.parseStreamSpec(OpenStreamRequest{Workload: wl, Prefetcher: "none"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := encodeWorkloadTrace(t, wl, 2000)
+	run := func() {
+		t.Helper()
+		view, err := svc.OpenStream("acme", spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, _ := svc.Stream(view.ID)
+		if _, rej := st.ingest(data, svc.cfg.Clock()); rej != nil {
+			t.Fatalf("trace rejected: %v", rej)
+		}
+		if _, rej := st.closeInput(); rej != nil {
+			t.Fatalf("close: %v", rej)
+		}
+		<-st.Done()
+		if v := st.View(); v.State != StreamDone {
+			t.Fatalf("stream %s: %s %s, want done", v.ID, v.State, v.Error)
+		}
+	}
+	run() // caches the record every later stream shares
+
+	// Two collections before each reading: the first moves what
+	// sync.Pools hold into their victim caches, the second frees it.
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for range streams {
+		run()
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / streams; per >= 1<<10 {
+		t.Fatalf("each finished stream retains %d heap bytes, want < 1 KiB", per)
 	}
 }
