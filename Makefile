@@ -105,8 +105,8 @@ golden:
 	cmp /tmp/cbws-golden-parallel.json golden/seed.json
 
 # Checked-build golden fill: the same matrix with the cbwscheck
-# invariant hooks compiled in (cache MSHR and tag-array coherence, ROB
-# order, CBWS vector bounds), so every golden cell runs under them, and
+# invariant hooks compiled in (cache MSHR bounds, ROB order, CBWS
+# vector bounds), so every golden cell runs under them, and
 # the manifest must still match golden/seed.json byte for byte.
 golden-check:
 	$(GO) build -tags cbwscheck -o /tmp/cbws-figures-checked ./cmd/figures
@@ -167,9 +167,16 @@ BENCH_GATED = BenchmarkPipelineEventsPerSec$$|BenchmarkCBWSOnAccess$$|BenchmarkC
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
+# Two passes over the gated benchmarks. The timing pass (-count 3,
+# default GC) supplies ns/op. The alloc pass alone supplies the exact
+# allocs/op pin: Go counts allocations process-wide, and GOGC=off keeps
+# the runtime's own allocations after a collection out of the count,
+# while a fixed iteration count bounds the uncollected heap.
 bench-gate:
 	$(GO) test -run '^$$' -bench '$(BENCH_GATED)' -count 3 . | tee /tmp/cbws-bench.out
-	$(GO) run ./cmd/benchgate $(BENCHGATE_FLAGS) -input /tmp/cbws-bench.out
+	$(GO) test -c -o /tmp/cbws-bench.test .
+	GOGC=off /tmp/cbws-bench.test -test.run '^$$' -test.bench '$(BENCH_GATED)' -test.benchtime 20x -test.benchmem | tee /tmp/cbws-bench-allocs.out
+	$(GO) run ./cmd/benchgate $(BENCHGATE_FLAGS) -input /tmp/cbws-bench.out -allocs /tmp/cbws-bench-allocs.out
 
 # Paired A/B gate over the same benchmarks: the merge-base with main
 # against the working tree, alternated for 10 rounds; fails when a

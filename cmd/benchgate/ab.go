@@ -32,6 +32,11 @@ const (
 	abRounds = 10
 	// abBenchtime is each benchmark's -test.benchtime in each round.
 	abBenchtime = "200ms"
+	// abAllocBenchtime is the fixed iteration count of each side's
+	// alloc pass, run once under GOGC=off. The reported allocs/op come
+	// from that pass alone: a collection inside a timed round would add
+	// the runtime's own allocations to the count.
+	abAllocBenchtime = "20x"
 )
 
 // abResult is one benchmark's paired comparison. Ratios are
@@ -195,6 +200,17 @@ func runAB(cfg abConfig, stdout, stderr io.Writer) int {
 		}
 	}
 
+	allocs := make([]map[string]Measurement, 2)
+	for i, s := range sides {
+		out, err := runBench(s, cfg.bench, abAllocBenchtime, "GOGC=off")
+		if err != nil {
+			return fail("alloc pass, %s: %v\n%s", s.name, err, out)
+		}
+		if allocs[i], err = parseBench(bytes.NewReader(out), true); err != nil {
+			return fail("alloc pass, %s: %v", s.name, err)
+		}
+	}
+
 	results := make([][]map[string]Measurement, 2)
 	for r := 0; r < abRounds; r++ {
 		order := []int{0, 1}
@@ -203,18 +219,15 @@ func runAB(cfg abConfig, stdout, stderr io.Writer) int {
 		}
 		for _, i := range order {
 			s := sides[i]
-			cmd := exec.Command(s.bin, "-test.run", "^$", "-test.bench", cfg.bench,
-				"-test.count", "1", "-test.benchtime", abBenchtime, "-test.benchmem")
-			cmd.Dir = s.dir
-			var out bytes.Buffer
-			cmd.Stdout, cmd.Stderr = &out, &out
-			if err := cmd.Run(); err != nil {
-				return fail("round %d, %s: %v\n%s", r+1, s.name, err, out.String())
+			out, err := runBench(s, cfg.bench, abBenchtime)
+			if err != nil {
+				return fail("round %d, %s: %v\n%s", r+1, s.name, err, out)
 			}
-			got, err := parseBench(&out)
+			got, err := parseBench(bytes.NewReader(out), false)
 			if err != nil {
 				return fail("round %d, %s: %v", r+1, s.name, err)
 			}
+			withAllocs(got, allocs[i])
 			results[i] = append(results[i], got)
 		}
 		fmt.Fprintf(stderr, "benchgate: round %d/%d done\n", r+1, abRounds)
@@ -241,6 +254,17 @@ func runAB(cfg abConfig, stdout, stderr io.Writer) int {
 			r.Name, r.BaseNs, r.HeadNs, r.Ratio, r.Lo, r.Hi, r.BaseAlloc, r.HeadAlloc, verdict)
 	}
 	return code
+}
+
+// runBench runs one -test.count 1 pass of side s's benchmarks matching
+// bench at the given -test.benchtime, with env added to the process
+// environment, and returns the combined output.
+func runBench(s abSide, bench, benchtime string, env ...string) ([]byte, error) {
+	cmd := exec.Command(s.bin, "-test.run", "^$", "-test.bench", bench,
+		"-test.count", "1", "-test.benchtime", benchtime, "-test.benchmem")
+	cmd.Dir = s.dir
+	cmd.Env = append(os.Environ(), env...)
+	return cmd.CombinedOutput()
 }
 
 // gitOut runs git in dir and returns its trimmed standard output.

@@ -9,7 +9,15 @@
 //
 //	go test -bench 'Pipeline|CBWS' -run '^$' . | benchgate -baseline BENCH_baseline.json
 //	go test -bench ... | benchgate -write BENCH_baseline.json
+//	benchgate -baseline BENCH_baseline.json -input times.out -allocs allocs.out
 //	benchgate -ab -bench 'OnAccess$' [-overlay bench_test.go]
+//
+// Go counts allocations process-wide, so a garbage collection that
+// lands inside a benchmark adds the runtime's own allocations to that
+// benchmark's allocs/op: linking in one more package can move a pin.
+// -allocs names the output of a separate alloc pass, run with GOGC=off
+// at a fixed -benchtime Nx (see make bench-gate); the exact allocs/op
+// pin then reads only that pass, and -input supplies only ns/op.
 //
 // The -ab mode is a paired A/B gate that slow host phases cannot fool.
 // It checks out the merge-base of HEAD and main in a temporary git
@@ -99,15 +107,19 @@ func parseLine(line string) (Measurement, bool) {
 }
 
 // parseBench folds all benchmark lines of r into per-name measurements,
-// taking min(ns/op) over repeated runs; allocs/op must agree exactly
-// across repeats.
-func parseBench(r io.Reader) (map[string]Measurement, error) {
+// taking min(ns/op) over repeated runs. With allocs set, allocs/op must
+// agree exactly across repeats; without it allocs/op are dropped, as
+// for a timing pass whose allocation counts the gate does not read.
+func parseBench(r io.Reader, allocs bool) (map[string]Measurement, error) {
 	out := make(map[string]Measurement)
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		m, ok := parseLine(sc.Text())
 		if !ok {
 			continue
+		}
+		if !allocs {
+			m.AllocsPerOp, m.HasAllocs = 0, false
 		}
 		prev, seen := out[m.Name]
 		if !seen {
@@ -125,6 +137,17 @@ func parseBench(r io.Reader) (map[string]Measurement, error) {
 		out[m.Name] = prev
 	}
 	return out, sc.Err()
+}
+
+// withAllocs replaces the allocs/op of every measurement in times with
+// the alloc pass's reading of the same benchmark. A benchmark the alloc
+// pass did not run is left without allocs/op.
+func withAllocs(times, allocs map[string]Measurement) {
+	for name, m := range times {
+		a, ok := allocs[name]
+		m.AllocsPerOp, m.HasAllocs = a.AllocsPerOp, ok && a.HasAllocs
+		times[name] = m
+	}
 }
 
 // gate checks measurements against the baseline and returns one line
@@ -152,7 +175,7 @@ func gate(base Baseline, got map[string]Measurement, defaultRatio float64) []str
 				name, m.NsPerOp, ratio, want.NsPerOp, limit))
 		}
 		if !m.HasAllocs {
-			bad = append(bad, fmt.Sprintf("%s: input has no allocs/op (run benchmarks with -benchmem or b.ReportAllocs)", name))
+			bad = append(bad, fmt.Sprintf("%s: no allocs/op measured (run the benchmark with -benchmem or b.ReportAllocs, in the alloc pass if -allocs is set)", name))
 		} else if m.AllocsPerOp != want.AllocsPerOp {
 			bad = append(bad, fmt.Sprintf("%s: %d allocs/op, baseline pins exactly %d",
 				name, m.AllocsPerOp, want.AllocsPerOp))
@@ -193,6 +216,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	write := fs.String("write", "", "write a new baseline JSON file from the input instead of gating")
 	ratio := fs.Float64("ratio", 2.0, "maximum measured/baseline ns/op ratio (overridden by the baseline's max_time_ratio)")
 	input := fs.String("input", "-", "bench output file (default stdin)")
+	allocsPath := fs.String("allocs", "", "bench output of an alloc pass (GOGC=off, fixed -benchtime Nx); when set, allocs/op are read only from it and -input supplies ns/op")
 	ab := fs.Bool("ab", false, "paired A/B mode: benchmark the merge-base against the working tree instead of gating input")
 	var abc abConfig
 	fs.StringVar(&abc.bench, "bench", "", "-ab: benchmark regex (go test -bench syntax)")
@@ -214,8 +238,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 	if *ab {
 		switch {
-		case *baselinePath != "" || *write != "" || *input != "-":
-			return usage("-ab runs its own benchmarks; it takes no -baseline, -write or -input")
+		case *baselinePath != "" || *write != "" || *input != "-" || *allocsPath != "":
+			return usage("-ab runs its own benchmarks; it takes no -baseline, -write, -input or -allocs")
 		case abc.bench == "":
 			return usage("-ab requires -bench")
 		}
@@ -237,12 +261,24 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		defer f.Close()
 		in = f
 	}
-	got, err := parseBench(in)
+	got, err := parseBench(in, *allocsPath == "")
 	if err != nil {
 		return fail("%v", err)
 	}
 	if len(got) == 0 {
 		return fail("no benchmark results in input")
+	}
+	if *allocsPath != "" {
+		f, err := os.Open(*allocsPath)
+		if err != nil {
+			return fail("%v", err)
+		}
+		allocs, err := parseBench(f, true)
+		f.Close()
+		if err != nil {
+			return fail("%s: %v", *allocsPath, err)
+		}
+		withAllocs(got, allocs)
 	}
 
 	if *write != "" {

@@ -29,6 +29,19 @@ func TestRunExitCodes(t *testing.T) {
 	}
 	okBench := "BenchmarkA 100 120 ns/op 0 B/op 2 allocs/op\n"
 	slowBench := "BenchmarkA 100 900 ns/op 0 B/op 2 allocs/op\n"
+	// A timing pass whose allocs/op drift with the collector, and alloc
+	// passes that read the pin exactly, one extra, or not at all.
+	gcBench := "BenchmarkA 100 120 ns/op 0 B/op 3 allocs/op\nBenchmarkA 100 110 ns/op 0 B/op 4 allocs/op\n"
+	writeFile := func(name, body string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	allocsOK := writeFile("allocs-ok.out", "BenchmarkA 20 130 ns/op 0 B/op 2 allocs/op\n")
+	allocsExtra := writeFile("allocs-extra.out", "BenchmarkA 20 130 ns/op 8 B/op 3 allocs/op\n")
+	allocsOther := writeFile("allocs-other.out", "BenchmarkB 20 130 ns/op 0 B/op 2 allocs/op\n")
 
 	tests := []struct {
 		name  string
@@ -48,6 +61,11 @@ func TestRunExitCodes(t *testing.T) {
 		{"gate violation exits 1", []string{"-baseline", baseline}, slowBench, 1},
 		{"clean gate exits 0", []string{"-baseline", baseline}, okBench, 0},
 		{"write exits 0", []string{"-write", filepath.Join(dir, "out.json")}, okBench, 0},
+		{"timing-pass alloc drift fails without -allocs", []string{"-baseline", baseline}, gcBench, 1},
+		{"alloc pass pins allocs/op over timing-pass drift", []string{"-baseline", baseline, "-allocs", allocsOK}, gcBench, 0},
+		{"alloc pass catches one extra allocation", []string{"-baseline", baseline, "-allocs", allocsExtra}, okBench, 1},
+		{"alloc pass missing the benchmark fails", []string{"-baseline", baseline, "-allocs", allocsOther}, okBench, 1},
+		{"missing alloc pass file is a runtime failure", []string{"-baseline", baseline, "-allocs", filepath.Join(dir, "nope")}, okBench, 1},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -125,7 +143,7 @@ BenchmarkA 100 200 ns/op 0 B/op 3 allocs/op
 BenchmarkA 100 150 ns/op 0 B/op 3 allocs/op
 BenchmarkA 100 180 ns/op 0 B/op 3 allocs/op
 `)
-	got, err := parseBench(in)
+	got, err := parseBench(in, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +162,7 @@ func TestParseBenchRejectsAllocDrift(t *testing.T) {
 BenchmarkA 100 200 ns/op 0 B/op 3 allocs/op
 BenchmarkA 100 150 ns/op 0 B/op 4 allocs/op
 `)
-	if _, err := parseBench(in); err == nil {
+	if _, err := parseBench(in, true); err == nil {
 		t.Fatal("expected error on allocs/op drift across repeats")
 	}
 }

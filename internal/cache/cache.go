@@ -49,16 +49,16 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// line is one cache way.
-type line struct {
-	tag      mem.LineAddr
-	valid    bool
-	prefetch bool   // brought in by a prefetch ...
-	used     bool   // ... and demanded at least once since
-	dirty    bool   // written since fill (write-back policy)
-	fillAt   uint64 // cycle at which the data arrives
-	lru      uint64 // last-touch stamp
-}
+// Per-way flag bits.
+const (
+	flagPrefetch uint8 = 1 << iota // brought in by a prefetch ...
+	flagUsed                       // ... and demanded at least once since
+	flagDirty                      // written since fill (write-back policy)
+
+	// pfUnused masks the prefetch-use state: a way is a prefetched,
+	// not yet demanded line when its masked flags equal flagPrefetch.
+	pfUnused = flagPrefetch | flagUsed
+)
 
 // Stats aggregates per-level counters.
 type Stats struct {
@@ -77,21 +77,25 @@ type Stats struct {
 	Writebacks uint64 // dirty lines evicted (write-back traffic)
 }
 
-// invalidTag marks an empty way in the compact tag array. It can never
-// collide with a real tag: line addresses are byte addresses shifted
-// right by the line-size bits, so the top bits are always zero.
+// invalidTag marks an empty way. It can never collide with a real tag:
+// line addresses are byte addresses shifted right by the line-size
+// bits, so the top bits are always zero.
 const invalidTag = ^uint64(0)
 
-// Cache is one set-associative level. Way metadata is split
-// structure-of-arrays style: tags holds just the tag of every way
-// (invalidTag when empty) so the find-by-tag scan that dominates the
-// simulator's profile touches one or two hardware cache lines per set,
-// while the colder per-way state stays in lines. Invariant:
-// tags[i] == uint64(lines[i].tag) iff lines[i].valid, else invalidTag.
+// Cache is one set-associative level. Way state is held
+// structure-of-arrays style, 25 bytes a way: tags, fillAt and lru are
+// three views of one []uint64 allocation and flags is a byte per way.
+// Ways are flat: set s occupies [s*ways, (s+1)*ways) of every array. A
+// way is valid exactly when its tag is not invalidTag; the other arrays
+// are stale for an invalid way and are rewritten by the Fill that
+// claims it. The find-by-tag scan that dominates the simulator's
+// profile touches only the tag array.
 type Cache struct {
 	cfg      Config
-	lines    []line   // ways, flat: set s occupies [s*ways, (s+1)*ways)
-	tags     []uint64 // compact tag per way, same indexing
+	tags     []uint64 // tag per way, invalidTag when empty
+	fillAt   []uint64 // cycle at which the way's data arrives
+	lru      []uint64 // last-touch stamp per way
+	flags    []uint8  // flagPrefetch | flagUsed | flagDirty per way
 	ways     int
 	setMask  uint64
 	lruTick  uint64
@@ -107,14 +111,18 @@ func New(cfg Config) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	tags := make([]uint64, cfg.Sets()*cfg.Ways)
+	n := cfg.Sets() * cfg.Ways
+	words := make([]uint64, 3*n)
+	tags := words[:n:n]
 	for i := range tags {
 		tags[i] = invalidTag
 	}
 	return &Cache{
 		cfg:     cfg,
-		lines:   make([]line, cfg.Sets()*cfg.Ways),
 		tags:    tags,
+		fillAt:  words[n : 2*n : 2*n],
+		lru:     words[2*n:],
+		flags:   make([]uint8, n),
 		ways:    cfg.Ways,
 		setMask: uint64(cfg.Sets() - 1),
 		mshr:    make([]uint64, 0, cfg.MSHRs),
@@ -134,7 +142,7 @@ func (c *Cache) OnEvict(fn func(l mem.LineAddr, dirty bool)) { c.evictCB = fn }
 // write-back on eviction.
 func (c *Cache) MarkDirty(l mem.LineAddr) {
 	if i := c.findWay(l); i >= 0 {
-		c.lines[i].dirty = true
+		c.flags[i] |= flagDirty
 	}
 }
 
@@ -159,8 +167,7 @@ func (c *Cache) findWay(l mem.LineAddr) int {
 //cbws:hotpath
 func (c *Cache) Probe(l mem.LineAddr) (resident bool, fillAt uint64, isPrefetchUnused bool) {
 	if i := c.findWay(l); i >= 0 {
-		w := &c.lines[i]
-		return true, w.fillAt, w.prefetch && !w.used
+		return true, c.fillAt[i], c.flags[i]&pfUnused == flagPrefetch
 	}
 	return false, 0, false
 }
@@ -234,14 +241,13 @@ func (c *Cache) victim(l mem.LineAddr, now uint64) int {
 	base := int(uint64(l)&c.setMask) * c.ways
 	lru := -1
 	for i := base; i < base+c.ways; i++ {
-		w := &c.lines[i]
-		if !w.valid {
+		if c.tags[i] == invalidTag {
 			return i
 		}
-		if w.fillAt > now {
+		if c.fillAt[i] > now {
 			continue // pinned: fill outstanding
 		}
-		if lru < 0 || w.lru < c.lines[lru].lru {
+		if lru < 0 || c.lru[i] < c.lru[lru] {
 			lru = i
 		}
 	}
@@ -249,7 +255,7 @@ func (c *Cache) victim(l mem.LineAddr, now uint64) int {
 		// Every way has an outstanding fill; fall back to plain LRU.
 		lru = base
 		for i := base; i < base+c.ways; i++ {
-			if c.lines[i].lru < c.lines[lru].lru {
+			if c.lru[i] < c.lru[lru] {
 				lru = i
 			}
 		}
@@ -261,20 +267,21 @@ func (c *Cache) victim(l mem.LineAddr, now uint64) int {
 //
 //cbws:hotpath
 func (c *Cache) evict(i int) {
-	w := &c.lines[i]
-	if !w.valid {
+	tag := c.tags[i]
+	if tag == invalidTag {
 		return
 	}
-	if w.prefetch && !w.used {
+	f := c.flags[i]
+	if f&pfUnused == flagPrefetch {
 		c.Stats.PrefetchWrong++
 	}
-	if w.dirty {
+	dirty := f&flagDirty != 0
+	if dirty {
 		c.Stats.Writebacks++
 	}
 	if c.evictCB != nil {
-		c.evictCB(w.tag, w.dirty)
+		c.evictCB(mem.LineAddr(tag), dirty)
 	}
-	w.valid = false
 	c.tags[i] = invalidTag
 }
 
@@ -286,30 +293,12 @@ func (c *Cache) Invalidate(l mem.LineAddr) {
 	}
 }
 
-// touch updates LRU state.
+// touch updates the LRU state of way i.
 //
 //cbws:hotpath
-func (c *Cache) touch(w *line) {
+func (c *Cache) touch(i int) {
 	c.lruTick++
-	w.lru = c.lruTick
-}
-
-// checkSet verifies the SoA coherence invariant for the set holding
-// flat way index base: tags[i] mirrors lines[i].tag exactly when the
-// way is valid and holds invalidTag otherwise. Called only under
-// check.Enabled.
-func (c *Cache) checkSet(base int) {
-	for i := base; i < base+c.ways; i++ {
-		w := &c.lines[i]
-		if w.valid {
-			check.Assertf(c.tags[i] == uint64(w.tag),
-				"cache %s way %d: tag array %#x != line tag %#x",
-				c.cfg.Name, i, c.tags[i], uint64(w.tag))
-		} else {
-			check.Assertf(c.tags[i] == invalidTag,
-				"cache %s way %d: invalid way holds tag %#x", c.cfg.Name, i, c.tags[i])
-		}
-	}
+	c.lru[i] = c.lruTick
 }
 
 // checkMSHR verifies the MSHR occupancy bound and that mshrMin is the
@@ -326,11 +315,11 @@ func (c *Cache) checkMSHR() {
 		"cache %s: MSHR minimum %d, earliest outstanding fill %d", c.cfg.Name, c.mshrMin, earliest)
 }
 
-// Check runs every structural invariant over the whole cache: SoA
-// coherence of every set, the MSHR bound, and no duplicate resident
-// tags within a set. Tests and fuzz targets call it at sequence
-// boundaries; unlike the embedded checkpoints it does not require
-// check.Enabled.
+// Check runs every structural invariant over the whole cache: the MSHR
+// bound, every resident tag indexing the set that holds it, and no
+// duplicate resident tags within a set. Tests and fuzz targets call it
+// at sequence boundaries; unlike the embedded checkpoints it does not
+// require check.Enabled.
 func (c *Cache) Check() error {
 	if len(c.mshr) > c.cfg.MSHRs {
 		return fmt.Errorf("cache %s: %d outstanding fills exceed %d MSHRs",
@@ -340,21 +329,19 @@ func (c *Cache) Check() error {
 		base := s * c.ways
 		seen := make(map[uint64]bool, c.ways)
 		for i := base; i < base+c.ways; i++ {
-			w := &c.lines[i]
-			if w.valid {
-				if c.tags[i] != uint64(w.tag) {
-					return fmt.Errorf("cache %s way %d: tag array %#x != line tag %#x",
-						c.cfg.Name, i, c.tags[i], uint64(w.tag))
-				}
-				if seen[c.tags[i]] {
-					return fmt.Errorf("cache %s set %d: duplicate resident tag %#x",
-						c.cfg.Name, s, c.tags[i])
-				}
-				seen[c.tags[i]] = true
-			} else if c.tags[i] != invalidTag {
-				return fmt.Errorf("cache %s way %d: invalid way holds tag %#x",
-					c.cfg.Name, i, c.tags[i])
+			tag := c.tags[i]
+			if tag == invalidTag {
+				continue
 			}
+			if int(tag&c.setMask) != s {
+				return fmt.Errorf("cache %s way %d: tag %#x belongs to set %d, not %d",
+					c.cfg.Name, i, tag, tag&c.setMask, s)
+			}
+			if seen[tag] {
+				return fmt.Errorf("cache %s set %d: duplicate resident tag %#x",
+					c.cfg.Name, s, tag)
+			}
+			seen[tag] = true
 		}
 	}
 	return nil
@@ -383,17 +370,16 @@ func (c *Cache) Access(l mem.LineAddr, now uint64) AccessResult {
 	}
 	c.lastTime = now
 	if check.Enabled {
-		c.checkSet(int(uint64(l)&c.setMask) * c.ways)
 		c.checkMSHR()
 	}
 	if i := c.findWay(l); i >= 0 {
-		w := &c.lines[i]
-		c.touch(w)
-		if w.fillAt <= now {
+		c.touch(i)
+		fillAt := c.fillAt[i]
+		if fillAt <= now {
 			c.Stats.Hits++
 			res := AccessResult{Hit: true, ReadyAt: now + c.cfg.LatencyCycles}
-			if w.prefetch && !w.used {
-				w.used = true
+			if c.flags[i]&pfUnused == flagPrefetch {
+				c.flags[i] |= flagUsed
 				c.Stats.PrefetchUseful++
 				res.WasPfHit = true
 			}
@@ -402,9 +388,9 @@ func (c *Cache) Access(l mem.LineAddr, now uint64) AccessResult {
 		// In flight: merge with the outstanding fill.
 		c.Stats.Misses++
 		c.Stats.MergedMiss++
-		res := AccessResult{Merged: true, ReadyAt: w.fillAt}
-		if w.prefetch && !w.used {
-			w.used = true
+		res := AccessResult{Merged: true, ReadyAt: fillAt}
+		if c.flags[i]&pfUnused == flagPrefetch {
+			c.flags[i] |= flagUsed
 			c.Stats.PrefetchLate++
 			res.MergedPf = true
 		}
@@ -431,15 +417,15 @@ func (c *Cache) Fill(l mem.LineAddr, now uint64, latency uint64, isPrefetch bool
 	c.mshrMin = min(c.mshrMin, fillAt)
 	i := c.victim(l, now)
 	c.evict(i)
-	w := &c.lines[i]
-	*w = line{tag: l, valid: true, prefetch: isPrefetch, fillAt: fillAt}
 	c.tags[i] = uint64(l)
-	c.touch(w)
+	c.fillAt[i] = fillAt
+	c.flags[i] = 0
+	c.touch(i)
 	if isPrefetch {
+		c.flags[i] = flagPrefetch
 		c.Stats.PrefetchIssued++
 	}
 	if check.Enabled {
-		c.checkSet(int(uint64(l)&c.setMask) * c.ways)
 		c.checkMSHR()
 	}
 	return fillAt
@@ -477,11 +463,10 @@ const (
 // used, charging them as wrong predictions. Called once at end of
 // simulation so that unused prefetches are fully accounted.
 func (c *Cache) DrainWrong() {
-	for i := range c.lines {
-		w := &c.lines[i]
-		if w.valid && w.prefetch && !w.used {
+	for i, tag := range c.tags {
+		if tag != invalidTag && c.flags[i]&pfUnused == flagPrefetch {
 			c.Stats.PrefetchWrong++
-			w.used = true
+			c.flags[i] |= flagUsed
 		}
 	}
 }
@@ -489,8 +474,8 @@ func (c *Cache) DrainWrong() {
 // ResidentLines returns the number of valid lines (for tests).
 func (c *Cache) ResidentLines() int {
 	n := 0
-	for i := range c.lines {
-		if c.lines[i].valid {
+	for _, tag := range c.tags {
+		if tag != invalidTag {
 			n++
 		}
 	}

@@ -2,6 +2,8 @@ package cache
 
 import (
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"testing/quick"
 
@@ -241,6 +243,19 @@ func TestDrainWrong(t *testing.T) {
 	}
 }
 
+// TestDrainWrongSkipsInvalidatedWays: an invalidated way keeps its stale
+// flags, and validity is the tag alone, so an unused prefetch charged as
+// wrong when invalidated must not be charged again by DrainWrong.
+func TestDrainWrongSkipsInvalidatedWays(t *testing.T) {
+	c := mustCache(t, small())
+	c.TryPrefetch(1, 0, 0)
+	c.Invalidate(1)
+	c.DrainWrong()
+	if c.Stats.PrefetchWrong != 1 {
+		t.Errorf("wrong = %d, want 1", c.Stats.PrefetchWrong)
+	}
+}
+
 func TestPinnedVictimSkipped(t *testing.T) {
 	c := mustCache(t, small())
 	sameSet := func(i int) mem.LineAddr { return mem.LineAddr(i * 4) }
@@ -344,4 +359,35 @@ func TestMarkDirtyAbsentLineNoop(t *testing.T) {
 	if c.ResidentLines() != 0 {
 		t.Error("MarkDirty materialized a line")
 	}
+}
+
+// footprintSink keeps the caches built by TestTableIIL2Footprint
+// reachable, so each New is a heap allocation the counters see.
+var footprintSink *Cache
+
+// TestTableIIL2Footprint pins the host memory of the Table II L2, the
+// largest array a simulated cell allocates. New makes four allocations:
+// the Cache header, the MSHR list, and the way state's two arrays (one
+// []uint64 carved into tags, fill times and LRU stamps, one byte of
+// flags per way). Together they cost 25 bytes a way; a layout change
+// that grows a way past 26 bytes fails here. The collector is off while
+// counting: a collection triggered by these 1 MB allocations makes
+// runtime allocations of its own, which would count as New's.
+func TestTableIIL2Footprint(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	cfg := DefaultHierarchyConfig().L2
+	ways := cfg.Sets() * cfg.Ways
+	if allocs := testing.AllocsPerRun(5, func() { footprintSink, _ = New(cfg) }); allocs != 4 {
+		t.Errorf("New(Table II L2) makes %v allocations, want 4", allocs)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	footprintSink, _ = New(cfg)
+	runtime.ReadMemStats(&after)
+	perWay := float64(after.TotalAlloc-before.TotalAlloc) / float64(ways)
+	if perWay > 26 {
+		t.Errorf("New(Table II L2) allocates %.2f bytes per way over %d ways, want <= 26", perWay, ways)
+	}
+	t.Logf("Table II L2: %d ways, %.2f bytes per way", ways, perWay)
+	footprintSink = nil
 }

@@ -244,8 +244,7 @@ func (h *Hierarchy) AccessInto(info *AccessInfo, pc uint64, addr mem.Addr, write
 	base := int(uint64(l)&c1.setMask) * c1.ways
 	if check.Enabled {
 		// The inlined L1 scan bypasses Cache.Access, so it carries its
-		// own checkpoint for the SoA coherence and MSHR invariants.
-		c1.checkSet(base)
+		// own checkpoint for the MSHR invariants.
 		c1.checkMSHR()
 	}
 	tags := c1.tags[base : base+c1.ways]
@@ -253,13 +252,13 @@ func (h *Hierarchy) AccessInto(info *AccessInfo, pc uint64, addr mem.Addr, write
 		if tags[i] != uint64(l) {
 			continue
 		}
-		w := &c1.lines[base+i]
+		w := base + i
 		c1.lruTick++
-		w.lru = c1.lruTick
+		c1.lru[w] = c1.lruTick
 		if write {
-			w.dirty = true
+			c1.flags[w] |= flagDirty
 		}
-		if w.fillAt <= n1 {
+		if fillAt := c1.fillAt[w]; fillAt <= n1 {
 			c1.Stats.Hits++
 			info.HitL1 = true
 			info.ReadyAt = n1 + c1.cfg.LatencyCycles
@@ -268,13 +267,18 @@ func (h *Hierarchy) AccessInto(info *AccessInfo, pc uint64, addr mem.Addr, write
 			// access was classified when the fill was allocated.
 			c1.Stats.Misses++
 			c1.Stats.MergedMiss++
-			info.ReadyAt = w.fillAt
+			info.ReadyAt = fillAt
 		}
 		return
 	}
 	c1.Stats.Misses++
+	h.missL1(info, l, write, now)
+}
 
-	// L1 miss: access the L2 after the L1 lookup latency.
+// missL1 completes a demand access that missed the L1 at cycle now: it
+// accesses the L2 after the L1 lookup latency, classifies that access
+// for Figure 13, fetches from memory on an L2 miss, and fills the L1.
+func (h *Hierarchy) missL1(info *AccessInfo, l mem.LineAddr, write bool, now uint64) {
 	t2 := now + h.cfg.L1.LatencyCycles
 	h.Timeliness.DemandL2++
 	r2 := h.L2.Access(l, t2)

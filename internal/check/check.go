@@ -23,10 +23,10 @@ package check
 import "fmt"
 
 // Enabled gates the runtime invariant checkers compiled into the
-// production packages (cache MSHR bounds and tag-array coherence, ROB
-// FIFO order, CBWS vector dedup/bounds). It defaults to false — or true
-// under the cbwscheck build tag — and may be toggled by tests. It is
-// not synchronized: set it before starting concurrent simulations.
+// production packages (cache MSHR bounds, ROB FIFO order, CBWS vector
+// dedup/bounds). It defaults to false — or true under the cbwscheck
+// build tag — and may be toggled by tests. It is not synchronized: set
+// it before starting concurrent simulations.
 var Enabled = enabledDefault
 
 // Failf reports an invariant violation. Violations are programming

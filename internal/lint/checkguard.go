@@ -15,7 +15,7 @@ import (
 //     be guarded — lexically inside an `if check.Enabled` block — or
 //     confined to a cbwscheck-tagged file, or live inside an
 //     unexported check* helper (the repo convention for batched
-//     invariant scans such as checkSet / checkROBOrder).
+//     invariant scans such as checkMSHR / checkROBOrder).
 //  2. Calls to those unexported check* helpers must themselves be
 //     guarded by check.Enabled (or be made from another helper /
 //     tagged file), closing the loop opened by rule 1.
