@@ -168,15 +168,13 @@ bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Two passes over the gated benchmarks. The timing pass (-count 3,
-# default GC) supplies ns/op. The alloc pass alone supplies the exact
-# allocs/op pin: Go counts allocations process-wide, and GOGC=off keeps
-# the runtime's own allocations after a collection out of the count,
-# while a fixed iteration count bounds the uncollected heap.
+# default GC) supplies ns/op. benchgate then builds the test binary and
+# runs the alloc pass itself (GOGC=off, fixed iteration count), which
+# alone supplies the exact allocs/op pin: Go counts allocations
+# process-wide, and a collection would add the runtime's own.
 bench-gate:
 	$(GO) test -run '^$$' -bench '$(BENCH_GATED)' -count 3 . | tee /tmp/cbws-bench.out
-	$(GO) test -c -o /tmp/cbws-bench.test .
-	GOGC=off /tmp/cbws-bench.test -test.run '^$$' -test.bench '$(BENCH_GATED)' -test.benchtime 20x -test.benchmem | tee /tmp/cbws-bench-allocs.out
-	$(GO) run ./cmd/benchgate $(BENCHGATE_FLAGS) -input /tmp/cbws-bench.out -allocs /tmp/cbws-bench-allocs.out
+	$(GO) run ./cmd/benchgate $(BENCHGATE_FLAGS) -input /tmp/cbws-bench.out -bench '$(BENCH_GATED)'
 
 # Paired A/B gate over the same benchmarks: the merge-base with main
 # against the working tree, alternated for 10 rounds; fails when a

@@ -32,11 +32,12 @@ const (
 	abRounds = 10
 	// abBenchtime is each benchmark's -test.benchtime in each round.
 	abBenchtime = "200ms"
-	// abAllocBenchtime is the fixed iteration count of each side's
-	// alloc pass, run once under GOGC=off. The reported allocs/op come
-	// from that pass alone: a collection inside a timed round would add
-	// the runtime's own allocations to the count.
-	abAllocBenchtime = "20x"
+	// allocBenchtime is the fixed iteration count of an alloc pass,
+	// which runs once under GOGC=off (runAllocPass). Allocation counts
+	// come from that pass alone: a collection inside a timed run would
+	// add the runtime's own allocations to the count, and the fixed
+	// count bounds the heap that grows uncollected.
+	allocBenchtime = "20x"
 )
 
 // abResult is one benchmark's paired comparison. Ratios are
@@ -193,16 +194,14 @@ func runAB(cfg abConfig, stdout, stderr io.Writer) int {
 		{name: "working tree", dir: root, bin: filepath.Join(tmp, "head.test")},
 	}
 	for _, s := range sides {
-		build := exec.Command("go", "test", "-c", "-o", s.bin, ".")
-		build.Dir = s.dir
-		if out, err := build.CombinedOutput(); err != nil {
+		if out, err := buildTest(s); err != nil {
 			return fail("building %s: %v\n%s", s.name, err, out)
 		}
 	}
 
 	allocs := make([]map[string]Measurement, 2)
 	for i, s := range sides {
-		out, err := runBench(s, cfg.bench, abAllocBenchtime, "GOGC=off")
+		out, err := runAllocPass(s, cfg.bench)
 		if err != nil {
 			return fail("alloc pass, %s: %v\n%s", s.name, err, out)
 		}
@@ -265,6 +264,35 @@ func runBench(s abSide, bench, benchtime string, env ...string) ([]byte, error) 
 	cmd.Dir = s.dir
 	cmd.Env = append(os.Environ(), env...)
 	return cmd.CombinedOutput()
+}
+
+// buildTest builds the test binary of the package in s.dir to s.bin.
+func buildTest(s abSide) ([]byte, error) {
+	cmd := exec.Command("go", "test", "-c", "-o", s.bin, ".")
+	cmd.Dir = s.dir
+	return cmd.CombinedOutput()
+}
+
+// runAllocPass runs side s's alloc pass over the benchmarks matching
+// bench: one run at allocBenchtime with the collector off.
+func runAllocPass(s abSide, bench string) ([]byte, error) {
+	return runBench(s, bench, allocBenchtime, "GOGC=off")
+}
+
+// allocPass builds the test binary of the package in the working
+// directory and returns the output of its alloc pass over bench. It is
+// a variable so tests can gate canned output without building.
+var allocPass = func(bench string) ([]byte, error) {
+	tmp, err := os.MkdirTemp("", "benchgate-allocs-")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(tmp)
+	s := abSide{name: "working tree", dir: ".", bin: filepath.Join(tmp, "allocs.test")}
+	if out, err := buildTest(s); err != nil {
+		return out, err
+	}
+	return runAllocPass(s, bench)
 }
 
 // gitOut runs git in dir and returns its trimmed standard output.

@@ -110,7 +110,6 @@ func TestABUsageErrors(t *testing.T) {
 		{"-ab"},
 		{"-ab", "-bench", "X", "-baseline", "b.json"},
 		{"-ab", "-bench", "X", "-write", "b.json"},
-		{"-ab", "-bench", "X", "-allocs", "a.out"},
 		{"-ab", "-bench", "X", "-rounds", "10"}, // rounds are fixed at abRounds
 	} {
 		var stdout, stderr bytes.Buffer

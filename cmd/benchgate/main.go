@@ -7,17 +7,19 @@
 //
 // Usage:
 //
-//	go test -bench 'Pipeline|CBWS' -run '^$' . | benchgate -baseline BENCH_baseline.json
-//	go test -bench ... | benchgate -write BENCH_baseline.json
-//	benchgate -baseline BENCH_baseline.json -input times.out -allocs allocs.out
+//	go test -bench 'Pipeline|CBWS' -run '^$' . | benchgate -baseline BENCH_baseline.json -bench 'Pipeline|CBWS'
+//	go test -bench ... | benchgate -write BENCH_baseline.json -bench ...
 //	benchgate -ab -bench 'OnAccess$' [-overlay bench_test.go]
 //
+// The input (stdin or -input) is a timing pass and supplies only ns/op.
 // Go counts allocations process-wide, so a garbage collection that
 // lands inside a benchmark adds the runtime's own allocations to that
 // benchmark's allocs/op: linking in one more package can move a pin.
-// -allocs names the output of a separate alloc pass, run with GOGC=off
-// at a fixed -benchtime Nx (see make bench-gate); the exact allocs/op
-// pin then reads only that pass, and -input supplies only ns/op.
+// The exact allocs/op pin therefore reads only an alloc pass that
+// benchgate runs itself: it builds the test binary of the package in
+// the working directory and runs the -bench benchmarks once under
+// GOGC=off at a fixed -test.benchtime (allocBenchtime). -ab runs the
+// same pass on each side.
 //
 // The -ab mode is a paired A/B gate that slow host phases cannot fool.
 // It checks out the merge-base of HEAD and main in a temporary git
@@ -41,6 +43,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -109,7 +112,7 @@ func parseLine(line string) (Measurement, bool) {
 // parseBench folds all benchmark lines of r into per-name measurements,
 // taking min(ns/op) over repeated runs. With allocs set, allocs/op must
 // agree exactly across repeats; without it allocs/op are dropped, as
-// for a timing pass whose allocation counts the gate does not read.
+// for a timing pass, whose allocation counts the gate does not read.
 func parseBench(r io.Reader, allocs bool) (map[string]Measurement, error) {
 	out := make(map[string]Measurement)
 	sc := bufio.NewScanner(r)
@@ -175,7 +178,7 @@ func gate(base Baseline, got map[string]Measurement, defaultRatio float64) []str
 				name, m.NsPerOp, ratio, want.NsPerOp, limit))
 		}
 		if !m.HasAllocs {
-			bad = append(bad, fmt.Sprintf("%s: no allocs/op measured (run the benchmark with -benchmem or b.ReportAllocs, in the alloc pass if -allocs is set)", name))
+			bad = append(bad, fmt.Sprintf("%s: no allocs/op measured (the alloc pass did not run it)", name))
 		} else if m.AllocsPerOp != want.AllocsPerOp {
 			bad = append(bad, fmt.Sprintf("%s: %d allocs/op, baseline pins exactly %d",
 				name, m.AllocsPerOp, want.AllocsPerOp))
@@ -216,10 +219,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	write := fs.String("write", "", "write a new baseline JSON file from the input instead of gating")
 	ratio := fs.Float64("ratio", 2.0, "maximum measured/baseline ns/op ratio (overridden by the baseline's max_time_ratio)")
 	input := fs.String("input", "-", "bench output file (default stdin)")
-	allocsPath := fs.String("allocs", "", "bench output of an alloc pass (GOGC=off, fixed -benchtime Nx); when set, allocs/op are read only from it and -input supplies ns/op")
 	ab := fs.Bool("ab", false, "paired A/B mode: benchmark the merge-base against the working tree instead of gating input")
 	var abc abConfig
-	fs.StringVar(&abc.bench, "bench", "", "-ab: benchmark regex (go test -bench syntax)")
+	fs.StringVar(&abc.bench, "bench", "", "benchmark regex (go test -bench syntax) of the alloc pass, and of the -ab rounds")
 	overlay := fs.String("overlay", "", "-ab: comma-separated repo-relative files copied from the working tree into the baseline checkout (e.g. a benchmark file the baseline lacks)")
 	if err := fs.Parse(args); err != nil {
 		return cli.ExitUsage
@@ -238,8 +240,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 	if *ab {
 		switch {
-		case *baselinePath != "" || *write != "" || *input != "-" || *allocsPath != "":
-			return usage("-ab runs its own benchmarks; it takes no -baseline, -write, -input or -allocs")
+		case *baselinePath != "" || *write != "" || *input != "-":
+			return usage("-ab runs its own benchmarks; it takes no -baseline, -write or -input")
 		case abc.bench == "":
 			return usage("-ab requires -bench")
 		}
@@ -251,6 +253,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if (*baselinePath == "") == (*write == "") {
 		return usage("exactly one of -baseline or -write is required")
 	}
+	if abc.bench == "" {
+		return usage("-bench is required: it selects the alloc pass's benchmarks")
+	}
 
 	in := stdin
 	if *input != "-" {
@@ -261,25 +266,35 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		defer f.Close()
 		in = f
 	}
-	got, err := parseBench(in, *allocsPath == "")
+	got, err := parseBench(in, false)
 	if err != nil {
 		return fail("%v", err)
 	}
 	if len(got) == 0 {
 		return fail("no benchmark results in input")
 	}
-	if *allocsPath != "" {
-		f, err := os.Open(*allocsPath)
+	var base Baseline
+	if *baselinePath != "" {
+		raw, err := os.ReadFile(*baselinePath)
 		if err != nil {
 			return fail("%v", err)
 		}
-		allocs, err := parseBench(f, true)
-		f.Close()
-		if err != nil {
-			return fail("%s: %v", *allocsPath, err)
+		if err := json.Unmarshal(raw, &base); err != nil {
+			return fail("%s: %v", *baselinePath, err)
 		}
-		withAllocs(got, allocs)
+		if len(base.Benchmarks) == 0 {
+			return fail("%s: baseline gates no benchmarks", *baselinePath)
+		}
 	}
+	out, err := allocPass(abc.bench)
+	if err != nil {
+		return fail("alloc pass: %v\n%s", err, out)
+	}
+	allocs, err := parseBench(bytes.NewReader(out), true)
+	if err != nil {
+		return fail("alloc pass: %v", err)
+	}
+	withAllocs(got, allocs)
 
 	if *write != "" {
 		if err := writeBaseline(*write, got, *ratio); err != nil {
@@ -287,18 +302,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stderr, "benchgate: wrote %s (%d benchmarks)\n", *write, len(got))
 		return cli.ExitOK
-	}
-
-	raw, err := os.ReadFile(*baselinePath)
-	if err != nil {
-		return fail("%v", err)
-	}
-	var base Baseline
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return fail("%s: %v", *baselinePath, err)
-	}
-	if len(base.Benchmarks) == 0 {
-		return fail("%s: baseline gates no benchmarks", *baselinePath)
 	}
 	if bad := gate(base, got, *ratio); len(bad) > 0 {
 		for _, line := range bad {

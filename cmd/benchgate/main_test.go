@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,9 +12,9 @@ import (
 // TestRunExitCodes pins the exit-status convention shared with the
 // other cbws commands: 2 only for usage errors (bad flags/arguments),
 // 1 for runtime failures (unreadable files, bad input, gate
-// violations), 0 on success.
+// violations), 0 on success. The alloc pass is canned: allocPass is
+// replaced before the test goes parallel.
 func TestRunExitCodes(t *testing.T) {
-	t.Parallel()
 	dir := t.TempDir()
 	baseline := filepath.Join(dir, "base.json")
 	if err := os.WriteFile(baseline, []byte(`{"benchmarks":{"BenchmarkA":{"ns_per_op":100,"allocs_per_op":2}}}`), 0o644); err != nil {
@@ -29,19 +30,25 @@ func TestRunExitCodes(t *testing.T) {
 	}
 	okBench := "BenchmarkA 100 120 ns/op 0 B/op 2 allocs/op\n"
 	slowBench := "BenchmarkA 100 900 ns/op 0 B/op 2 allocs/op\n"
-	// A timing pass whose allocs/op drift with the collector, and alloc
-	// passes that read the pin exactly, one extra, or not at all.
+	// A timing pass whose allocs/op drift with the collector: the gate
+	// must not read them.
 	gcBench := "BenchmarkA 100 120 ns/op 0 B/op 3 allocs/op\nBenchmarkA 100 110 ns/op 0 B/op 4 allocs/op\n"
-	writeFile := func(name, body string) string {
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
+	// Canned alloc passes, selected by -bench: one that reads the pin
+	// exactly, one extra allocation, one without the gated benchmark,
+	// and one whose build fails.
+	passes := map[string]string{
+		"ok":    "BenchmarkA 20 130 ns/op 0 B/op 2 allocs/op\n",
+		"extra": "BenchmarkA 20 130 ns/op 8 B/op 3 allocs/op\n",
+		"other": "BenchmarkB 20 130 ns/op 0 B/op 2 allocs/op\n",
 	}
-	allocsOK := writeFile("allocs-ok.out", "BenchmarkA 20 130 ns/op 0 B/op 2 allocs/op\n")
-	allocsExtra := writeFile("allocs-extra.out", "BenchmarkA 20 130 ns/op 8 B/op 3 allocs/op\n")
-	allocsOther := writeFile("allocs-other.out", "BenchmarkB 20 130 ns/op 0 B/op 2 allocs/op\n")
+	allocPass = func(bench string) ([]byte, error) {
+		out, ok := passes[bench]
+		if !ok {
+			return []byte("build failed"), errors.New("exit status 1")
+		}
+		return []byte(out), nil
+	}
+	t.Parallel()
 
 	tests := []struct {
 		name  string
@@ -50,22 +57,22 @@ func TestRunExitCodes(t *testing.T) {
 		want  int
 	}{
 		{"bad flag", []string{"-nonsense"}, "", 2},
-		{"unexpected argument", []string{"-baseline", baseline, "extra"}, "", 2},
-		{"neither baseline nor write", []string{}, "", 2},
-		{"both baseline and write", []string{"-baseline", baseline, "-write", baseline}, "", 2},
-		{"missing input file is a runtime failure", []string{"-baseline", baseline, "-input", filepath.Join(dir, "nope")}, "", 1},
-		{"missing baseline file is a runtime failure", []string{"-baseline", filepath.Join(dir, "nope.json")}, okBench, 1},
-		{"malformed baseline is a runtime failure", []string{"-baseline", malformed}, okBench, 1},
-		{"empty baseline is a runtime failure", []string{"-baseline", empty}, okBench, 1},
-		{"no bench results is a runtime failure", []string{"-baseline", baseline}, "PASS\n", 1},
-		{"gate violation exits 1", []string{"-baseline", baseline}, slowBench, 1},
-		{"clean gate exits 0", []string{"-baseline", baseline}, okBench, 0},
-		{"write exits 0", []string{"-write", filepath.Join(dir, "out.json")}, okBench, 0},
-		{"timing-pass alloc drift fails without -allocs", []string{"-baseline", baseline}, gcBench, 1},
-		{"alloc pass pins allocs/op over timing-pass drift", []string{"-baseline", baseline, "-allocs", allocsOK}, gcBench, 0},
-		{"alloc pass catches one extra allocation", []string{"-baseline", baseline, "-allocs", allocsExtra}, okBench, 1},
-		{"alloc pass missing the benchmark fails", []string{"-baseline", baseline, "-allocs", allocsOther}, okBench, 1},
-		{"missing alloc pass file is a runtime failure", []string{"-baseline", baseline, "-allocs", filepath.Join(dir, "nope")}, okBench, 1},
+		{"unexpected argument", []string{"-baseline", baseline, "-bench", "ok", "extra"}, "", 2},
+		{"neither baseline nor write", []string{"-bench", "ok"}, "", 2},
+		{"both baseline and write", []string{"-baseline", baseline, "-write", baseline, "-bench", "ok"}, "", 2},
+		{"gating without -bench is a usage error", []string{"-baseline", baseline}, okBench, 2},
+		{"missing input file is a runtime failure", []string{"-baseline", baseline, "-bench", "ok", "-input", filepath.Join(dir, "nope")}, "", 1},
+		{"missing baseline file is a runtime failure", []string{"-baseline", filepath.Join(dir, "nope.json"), "-bench", "ok"}, okBench, 1},
+		{"malformed baseline is a runtime failure", []string{"-baseline", malformed, "-bench", "ok"}, okBench, 1},
+		{"empty baseline is a runtime failure", []string{"-baseline", empty, "-bench", "ok"}, okBench, 1},
+		{"no bench results is a runtime failure", []string{"-baseline", baseline, "-bench", "ok"}, "PASS\n", 1},
+		{"gate violation exits 1", []string{"-baseline", baseline, "-bench", "ok"}, slowBench, 1},
+		{"clean gate exits 0", []string{"-baseline", baseline, "-bench", "ok"}, okBench, 0},
+		{"write exits 0", []string{"-write", filepath.Join(dir, "out.json"), "-bench", "ok"}, okBench, 0},
+		{"alloc pass pins allocs/op over timing-pass drift", []string{"-baseline", baseline, "-bench", "ok"}, gcBench, 0},
+		{"alloc pass catches one extra allocation", []string{"-baseline", baseline, "-bench", "extra"}, okBench, 1},
+		{"alloc pass missing the benchmark fails", []string{"-baseline", baseline, "-bench", "other"}, okBench, 1},
+		{"failed alloc pass is a runtime failure", []string{"-baseline", baseline, "-bench", "broken"}, okBench, 1},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

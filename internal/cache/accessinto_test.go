@@ -70,9 +70,13 @@ func recordDemands(t *testing.T, name string, n uint64) []hierOp {
 	return p.ops
 }
 
-// genericAccess is AccessInto with the L1 step done by the generic
-// Cache.Access, Fill and MarkDirty instead of the inlined scan.
-func genericAccess(h *Hierarchy, info *AccessInfo, pc uint64, addr mem.Addr, write bool, now uint64) {
+// genericAccess is AccessInto with the L1 hit and merge arms done by
+// the generic Cache.Access and MarkDirty instead of the inlined scan.
+// On a generic L1 miss it undoes that step's counts and hands the
+// access to AccessInto for the L2, memory and L1-fill tail; the inlined
+// scan must then miss as well.
+func genericAccess(t *testing.T, h *Hierarchy, info *AccessInfo, pc uint64, addr mem.Addr, write bool, now uint64) {
+	t.Helper()
 	l := mem.LineOf(addr)
 	*info = AccessInfo{PC: pc, Addr: addr, Line: l, Write: write}
 	r := h.L1.Access(l, now)
@@ -84,7 +88,13 @@ func genericAccess(h *Hierarchy, info *AccessInfo, pc uint64, addr mem.Addr, wri
 		}
 		return
 	}
-	h.missL1(info, l, write, now)
+	h.L1.Stats.Accesses--
+	h.L1.Stats.Misses--
+	before := h.L1.Stats
+	h.AccessInto(info, pc, addr, write, now)
+	if info.HitL1 || h.L1.Stats.MergedMiss != before.MergedMiss || h.L1.Stats.Hits != before.Hits {
+		t.Fatalf("%v at %d: Cache.Access misses the L1, AccessInto's scan finds it (%+v)", l, now, *info)
+	}
 }
 
 // compareWays requires identical resident lines and identical per-way
@@ -163,7 +173,7 @@ func TestAccessIntoMatchesGenericL1(t *testing.T) {
 					}
 				}
 				inl.AccessInto(&got, op.pc, op.addr, op.write, now)
-				genericAccess(gen, &want, op.pc, op.addr, op.write, now)
+				genericAccess(t, gen, &want, op.pc, op.addr, op.write, now)
 				if got != want {
 					t.Fatalf("%s jitter=%v op %d: inlined %+v, generic %+v", name, jitter, i, got, want)
 				}

@@ -272,13 +272,8 @@ func (h *Hierarchy) AccessInto(info *AccessInfo, pc uint64, addr mem.Addr, write
 		return
 	}
 	c1.Stats.Misses++
-	h.missL1(info, l, write, now)
-}
 
-// missL1 completes a demand access that missed the L1 at cycle now: it
-// accesses the L2 after the L1 lookup latency, classifies that access
-// for Figure 13, fetches from memory on an L2 miss, and fills the L1.
-func (h *Hierarchy) missL1(info *AccessInfo, l mem.LineAddr, write bool, now uint64) {
+	// L1 miss: access the L2 after the L1 lookup latency.
 	t2 := now + h.cfg.L1.LatencyCycles
 	h.Timeliness.DemandL2++
 	r2 := h.L2.Access(l, t2)
