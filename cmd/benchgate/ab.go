@@ -17,11 +17,13 @@ import (
 // abConfig holds the options of the paired A/B mode (-ab).
 type abConfig struct {
 	bench   string   // -test.bench regex
+	base    string   // -base revision ("": the merge-base of HEAD and abBase)
 	overlay []string // repo-relative files copied from the working tree into the base checkout
 }
 
 const (
-	// abBase is the branch whose merge-base with HEAD is the baseline.
+	// abBase is the branch whose merge-base with HEAD is the baseline
+	// when -base is not given.
 	abBase = "main"
 	// abLimit fails the gate when a ratio interval's lower bound
 	// exceeds it: a slowdown beyond 10% at the interval's confidence.
@@ -135,12 +137,15 @@ type abSide struct {
 	bin  string
 }
 
-// runAB builds the root package's test binary of the merge-base and of
-// the working tree, alternates single-count benchmark runs between them for
-// abRounds rounds (swapping which side goes first each round), and
-// gates on the per-round ratios. It refuses to run when the merge-base
-// is HEAD and the working tree is clean: both sides would be the same
-// code, and the gate would pass vacuously.
+// runAB builds the root package's test binary of the base revision and
+// of the working tree, alternates single-count benchmark runs between
+// them for abRounds rounds (swapping which side goes first each round),
+// and gates on the per-round ratios. The base is cfg.base, or by
+// default the merge-base with abBase. It refuses to run when that
+// default is HEAD and the working tree is clean: both sides would be
+// the same code, and the gate would pass vacuously. An explicit -base
+// HEAD on a clean tree is that same comparison asked for on purpose:
+// an A/A run whose ratio intervals are each benchmark's noise floor.
 func runAB(cfg abConfig, stdout, stderr io.Writer) int {
 	fail := func(format string, args ...any) int {
 		fmt.Fprintf(stderr, "benchgate: "+format+"\n", args...)
@@ -150,20 +155,26 @@ func runAB(cfg abConfig, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail("%v", err)
 	}
-	rev, err := gitOut(root, "merge-base", "HEAD", abBase)
-	if err != nil {
-		return fail("%v", err)
-	}
-	head, err := gitOut(root, "rev-parse", "HEAD")
-	if err != nil {
-		return fail("%v", err)
-	}
-	dirty, err := gitOut(root, "status", "--porcelain", "--untracked-files=no")
-	if err != nil {
-		return fail("%v", err)
-	}
-	if rev == head && dirty == "" {
-		return fail("nothing to compare: the merge-base with %s is HEAD (%s) and the working tree is clean", abBase, head)
+	var rev string
+	if cfg.base != "" {
+		if rev, err = gitOut(root, "rev-parse", "--verify", cfg.base+"^{commit}"); err != nil {
+			return fail("-base: %v", err)
+		}
+	} else {
+		if rev, err = gitOut(root, "merge-base", "HEAD", abBase); err != nil {
+			return fail("%v", err)
+		}
+		head, err := gitOut(root, "rev-parse", "HEAD")
+		if err != nil {
+			return fail("%v", err)
+		}
+		dirty, err := gitOut(root, "status", "--porcelain", "--untracked-files=no")
+		if err != nil {
+			return fail("%v", err)
+		}
+		if rev == head && dirty == "" {
+			return fail("nothing to compare: the merge-base with %s is HEAD (%s) and the working tree is clean", abBase, head)
+		}
 	}
 	tmp, err := os.MkdirTemp("", "benchgate-ab-")
 	if err != nil {

@@ -110,7 +110,8 @@ func TestABUsageErrors(t *testing.T) {
 		{"-ab"},
 		{"-ab", "-bench", "X", "-baseline", "b.json"},
 		{"-ab", "-bench", "X", "-write", "b.json"},
-		{"-ab", "-bench", "X", "-rounds", "10"}, // rounds are fixed at abRounds
+		{"-ab", "-bench", "X", "-rounds", "10"},                 // rounds are fixed at abRounds
+		{"-base", "HEAD", "-bench", "X", "-baseline", "b.json"}, // -base is an -ab option
 	} {
 		var stdout, stderr bytes.Buffer
 		if got := run(args, strings.NewReader(""), &stdout, &stderr); got != 2 {
@@ -119,10 +120,10 @@ func TestABUsageErrors(t *testing.T) {
 	}
 }
 
-// TestABRefusesSelfComparison runs -ab in a fresh repository whose
-// only commit is main: the merge-base is HEAD and the tree is clean,
-// so both sides would be the same code and the gate must not pass.
-func TestABRefusesSelfComparison(t *testing.T) {
+// chdirFreshRepo makes a fresh git repository whose only commit is
+// main, and moves the test into it.
+func chdirFreshRepo(t *testing.T) {
+	t.Helper()
 	if _, err := exec.LookPath("git"); err != nil {
 		t.Skip("git not installed")
 	}
@@ -144,13 +145,39 @@ func TestABRefusesSelfComparison(t *testing.T) {
 	if err := os.Chdir(dir); err != nil {
 		t.Fatal(err)
 	}
-	defer os.Chdir(wd)
+	t.Cleanup(func() { os.Chdir(wd) })
+}
 
+// TestABRefusesSelfComparison runs -ab in a fresh repository whose
+// only commit is main: the merge-base is HEAD and the tree is clean,
+// so both sides would be the same code and the gate must not pass.
+func TestABRefusesSelfComparison(t *testing.T) {
+	chdirFreshRepo(t)
 	var stdout, stderr bytes.Buffer
 	if got := run([]string{"-ab", "-bench", "X"}, strings.NewReader(""), &stdout, &stderr); got != 1 {
 		t.Fatalf("exit %d, want 1 (stderr %q)", got, stderr.String())
 	}
 	if !strings.Contains(stderr.String(), "nothing to compare") {
 		t.Errorf("stderr %q does not name the refusal", stderr.String())
+	}
+}
+
+// TestABExplicitBase checks -base in the same fresh repository: HEAD
+// on a clean tree is an A/A run, not refused (it gets as far as
+// building the repository's empty package, which fails), and a
+// revision git cannot resolve is reported as the -base error it is.
+func TestABExplicitBase(t *testing.T) {
+	chdirFreshRepo(t)
+	for _, tc := range []struct{ base, want string }{
+		{"HEAD", "building base"},
+		{"no-such-rev", "-base:"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if got := run([]string{"-ab", "-base", tc.base, "-bench", "X"}, strings.NewReader(""), &stdout, &stderr); got != 1 {
+			t.Fatalf("-base %s: exit %d, want 1 (stderr %q)", tc.base, got, stderr.String())
+		}
+		if msg := stderr.String(); !strings.Contains(msg, tc.want) || strings.Contains(msg, "nothing to compare") {
+			t.Errorf("-base %s: stderr %q, want it to name %q", tc.base, msg, tc.want)
+		}
 	}
 }

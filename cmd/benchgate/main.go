@@ -9,7 +9,7 @@
 //
 //	go test -bench 'Pipeline|CBWS' -run '^$' . | benchgate -baseline BENCH_baseline.json -bench 'Pipeline|CBWS'
 //	go test -bench ... | benchgate -write BENCH_baseline.json -bench ...
-//	benchgate -ab -bench 'OnAccess$' [-overlay bench_test.go]
+//	benchgate -ab -bench 'OnAccess$' [-base REV] [-overlay bench_test.go]
 //
 // The input (stdin or -input) is a timing pass and supplies only ns/op.
 // Go counts allocations process-wide, so a garbage collection that
@@ -22,17 +22,21 @@
 // same pass on each side.
 //
 // The -ab mode is a paired A/B gate that slow host phases cannot fool.
-// It checks out the merge-base of HEAD and main in a temporary git
-// worktree, builds the root package's test binary there and in the
-// working tree, and alternates one -test.count 1 -test.benchtime 200ms
-// run of each for 10 rounds, swapping which side goes first each round.
+// It checks out the -base revision (default: the merge-base of HEAD and
+// main) in a temporary git worktree, builds the root package's test
+// binary there and in the working tree, and alternates one -test.count
+// 1 -test.benchtime 200ms run of each for 10 rounds, swapping which
+// side goes first each round.
 // Each round yields one working/base ns/op ratio per benchmark; the
 // report gives each benchmark's median ratio with a 95%
 // percentile-bootstrap interval, and the exit status is 1 when any
 // interval's lower bound exceeds 1.10. A clean working tree whose
 // merge-base is HEAD is refused (exit 1): both sides would be the same
-// code. -overlay copies files such as a new benchmark file into
-// the baseline checkout so both sides run the same benchmark.
+// code. Asking for that on purpose with -base HEAD is an A/A run: each
+// interval is then the smallest effect that benchmark can show on this
+// host, and a later A/B ratio inside it is not separated. -overlay
+// copies files such as a new benchmark file into the baseline checkout
+// so both sides run the same benchmark.
 //
 // Only benchmarks present in the baseline are gated; extra benchmarks
 // in the input are ignored, but a gated benchmark missing from the
@@ -219,9 +223,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	write := fs.String("write", "", "write a new baseline JSON file from the input instead of gating")
 	ratio := fs.Float64("ratio", 2.0, "maximum measured/baseline ns/op ratio (overridden by the baseline's max_time_ratio)")
 	input := fs.String("input", "-", "bench output file (default stdin)")
-	ab := fs.Bool("ab", false, "paired A/B mode: benchmark the merge-base against the working tree instead of gating input")
+	ab := fs.Bool("ab", false, "paired A/B mode: benchmark the -base revision against the working tree instead of gating input")
 	var abc abConfig
 	fs.StringVar(&abc.bench, "bench", "", "benchmark regex (go test -bench syntax) of the alloc pass, and of the -ab rounds")
+	fs.StringVar(&abc.base, "base", "", "-ab: base revision (default: the merge-base of HEAD and main; HEAD on a clean tree is an A/A run)")
 	overlay := fs.String("overlay", "", "-ab: comma-separated repo-relative files copied from the working tree into the baseline checkout (e.g. a benchmark file the baseline lacks)")
 	if err := fs.Parse(args); err != nil {
 		return cli.ExitUsage
@@ -249,6 +254,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			abc.overlay = strings.Split(*overlay, ",")
 		}
 		return runAB(abc, stdout, stderr)
+	}
+	if abc.base != "" {
+		return usage("-base is an -ab option")
 	}
 	if (*baselinePath == "") == (*write == "") {
 		return usage("exactly one of -baseline or -write is required")

@@ -70,7 +70,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	addrFile := fs.String("addr-file", "", "write the bound address to this file once listening")
 	workers := fs.Int("workers", 0, "concurrent simulations, closed jobs and streams together (0: one per CPU)")
 	queue := fs.Int("queue", 64, "bound on jobs waiting for their first slot; submissions beyond it get 429")
-	cacheDir := fs.String("cache-dir", "", "persist results here, one run record per job (default: memory only)")
+	cacheDir := fs.String("cache-dir", "", "keep results here, one run record per job, and serve them from here: the heap keeps only an index (default: memory only)")
 	n := fs.Uint64("n", 4_000_000, "base instruction budget per job")
 	warm := fs.Uint64("warmup", 1_000_000, "base warmup instructions excluded from metrics")
 	configPath := fs.String("config", "", "JSON system-config file (overrides Table II defaults)")

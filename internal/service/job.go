@@ -30,8 +30,8 @@ type (
 
 // Job is one accepted simulation, identified by its content address.
 // Submissions of the same spec map to the same Job (idempotent
-// submission), so each distinct piece of work runs at most once per
-// daemon lifetime.
+// submission), so each distinct piece of work runs once per daemon
+// lifetime, unless the cache drops its record after the run.
 type Job struct {
 	Key  string
 	Spec JobSpec

@@ -45,7 +45,7 @@ type Vars struct {
 	CacheMisses   int64   `json:"cache_misses"`
 	CacheHitRatio float64 `json:"cache_hit_ratio"`
 	CacheEntries  int     `json:"cache_entries"`
-	Quarantined   int     `json:"cache_quarantined"` // cache files set aside at start-up as torn or mis-keyed
+	Quarantined   int     `json:"cache_quarantined"` // cache records set aside as torn, mis-keyed or changed: at start-up, or when a read fails its hash check
 	Rejected      int64   `json:"rejected_429"`
 	PeerHits      int64   `json:"peer_fetch_hits"`
 	PeerMisses    int64   `json:"peer_fetch_misses"`
@@ -88,7 +88,7 @@ func (s *Service) vars() Vars {
 		CacheMisses:   misses,
 		CacheHitRatio: ratio,
 		CacheEntries:  s.cache.Len(),
-		Quarantined:   s.cache.quarantined,
+		Quarantined:   s.cache.Quarantined(),
 		Rejected:      c.rejected.Load(),
 		PeerHits:      c.peerHits.Load(),
 		PeerMisses:    c.peerMisses.Load(),

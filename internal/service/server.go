@@ -145,6 +145,13 @@ func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	data, ok := s.Result(key)
 	if !ok {
+		if _, _, indexed := s.cache.Names(key); indexed {
+			// The record is still indexed, so its read failed for a
+			// reason other than its bytes; the file is untouched and a
+			// retry, here or on a sibling, may be served.
+			writeError(w, http.StatusServiceUnavailable, "result %q could not be read, retry", key)
+			return
+		}
 		if view, live := s.Status(key); live {
 			writeError(w, http.StatusNotFound, "job %q is %s, result not available", key, view.Status)
 		} else {

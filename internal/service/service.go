@@ -5,13 +5,14 @@
 // Jobs are (workload, prefetcher, sim.Config) triples. Submission is
 // idempotent — the job's identity is a canonical hash of its effective
 // values plus the simulator code version — and completed results are
-// cached in memory and on disk under that hash, so a repeated sweep is
-// served in O(1) without simulating anything. Production concerns are
-// handled end to end: one slot scheduler bounding every simulation,
-// closed jobs and streams alike, a bounded queue with 429 + Retry-After
-// backpressure, per-job timeouts, progress reporting from the
-// simulator's probe hooks, expvar counters, and graceful drain that
-// finishes running jobs.
+// cached under that hash (on disk, or in memory for a daemon without a
+// cache directory), so a repeated sweep is served without simulating
+// anything: a resubmission from the cache's index alone, a result by
+// one read and re-hash of its record. Production concerns are handled end to end: one
+// slot scheduler bounding every simulation, closed jobs and streams
+// alike, a bounded queue with 429 + Retry-After backpressure, per-job
+// timeouts, progress reporting from the simulator's probe hooks,
+// expvar counters, and graceful drain that finishes running jobs.
 package service
 
 import (
@@ -40,8 +41,8 @@ type Config struct {
 	// JobTimeout aborts a single simulation after this long (0: no
 	// timeout). A timed-out job is reported failed.
 	JobTimeout time.Duration
-	// CacheDir persists results, one run record per key ("" = memory
-	// only).
+	// CacheDir holds the results, one run record per key, and they are
+	// served from it: the heap keeps only an index ("" = memory only).
 	CacheDir string
 	// BaseSim is the configuration submitted partial configs merge over
 	// (zero value: the Table II defaults with the harness's standard
@@ -157,9 +158,12 @@ type Service struct {
 	// mu guards the run tables and the draining flag together: a run is
 	// registered (and counted in wg) before Drain flips the flag, and
 	// is then drained, or it is refused.
-	mu        sync.Mutex
-	jobs      map[string]*Job    //cbws:guardedby mu
-	streams   map[string]*Stream //cbws:guardedby mu
+	mu      sync.Mutex
+	jobs    map[string]*Job    //cbws:guardedby mu
+	streams map[string]*Stream //cbws:guardedby mu
+	// open holds the streams whose runner has not finished: the only
+	// ones the capacity check, the gauges, the reaper and drain walk.
+	open      map[string]*Stream //cbws:guardedby mu
 	streamSeq uint64             //cbws:guardedby mu
 	draining  bool               //cbws:guardedby mu
 
@@ -190,6 +194,7 @@ func New(cfg Config) (*Service, error) {
 		sched:   newTicketSched(cfg.Workers),
 		jobs:    make(map[string]*Job),
 		streams: make(map[string]*Stream),
+		open:    make(map[string]*Stream),
 		tenants: newTenantTable(cfg.TenantRateBytes, cfg.TenantBurstBytes),
 		peers:   peers,
 		quit:    make(chan struct{}),
@@ -229,7 +234,7 @@ func (s *Service) Submit(spec JobSpec) (JobView, error) {
 	if s.draining {
 		return JobView{}, ErrDraining
 	}
-	if j, ok := s.jobs[key]; ok {
+	if j, ok := s.jobLocked(key); ok {
 		return j.View(), nil
 	}
 	// Only runJob lowers jobsQueued and only this section raises it, so
@@ -298,8 +303,27 @@ func (s *Service) cachedView(key string) (JobView, bool) {
 func (s *Service) Job(key string) (*Job, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.jobLocked(key)
+}
+
+// jobLocked returns the job table entry for key. A done job's record
+// is always cached before the job is marked done, so a done job whose
+// key the cache no longer indexes lost its record after the fact (its
+// bytes failed the hash on a read, or its file vanished): that job is
+// removed instead, the key is unknown again, and a resubmission
+// simulates it afresh.
+func (s *Service) jobLocked(key string) (*Job, bool) {
 	j, ok := s.jobs[key]
-	return j, ok
+	if !ok {
+		return nil, false
+	}
+	if j.View().Status == StatusDone {
+		if _, _, cached := s.cache.Names(key); !cached {
+			delete(s.jobs, key)
+			return nil, false
+		}
+	}
+	return j, true
 }
 
 // Status reports the state of key: the live job when one exists, else
@@ -310,7 +334,7 @@ func (s *Service) Status(key string) (JobView, bool) {
 		if view.Status == StatusDone {
 			// Mark completions whose bytes are served from the cache, so
 			// clients can distinguish fresh work from replays.
-			if _, cached := s.cache.Get(key); cached {
+			if _, _, cached := s.cache.Names(key); cached {
 				view.Cached = true
 			}
 		}
@@ -403,19 +427,15 @@ func (s *Service) newSeries(cfg sim.Config) *sim.TimeSeries {
 // First write wins: when the key is already cached (a full-budget
 // stream adopting a closed job's key races that job), the existing
 // bytes stay authoritative; the two differ only in wall-clock
-// telemetry. The cache keeps the bytes for the daemon's life, so they
-// are copied out of MarshalIndent's buffer, which is sized for growth
-// at up to twice the record, into an exact-length one.
+// telemetry.
 func (s *Service) storeRecord(key string, spec JobSpec, res sim.Result, points []sim.SamplePoint, start time.Time) error {
 	rec := harness.NewRunRecord(spec.Config, res, s.cfg.SampleInterval, points, s.cfg.Clock().Sub(start))
 	rec.CodeVersion, rec.WorkloadHash = s.cfg.CodeVersion, spec.WorkloadHash
-	enc, err := json.MarshalIndent(rec, "", "  ")
+	data, err := json.MarshalIndent(rec, "", "  ")
 	if err != nil {
 		return fmt.Errorf("encoding result: %w", err)
 	}
-	data := make([]byte, len(enc)+1)
-	data[copy(data, enc)] = '\n'
-	if err := s.cache.PutOnce(key, rec, data); err != nil {
+	if err := s.cache.PutOnce(key, rec, append(data, '\n')); err != nil {
 		return fmt.Errorf("caching result: %w", err)
 	}
 	return nil
@@ -450,7 +470,7 @@ func (s *Service) Drain(ctx context.Context) error {
 
 	close(s.quit)
 	s.sched.drain()
-	settleStreams(s.streamsByID())
+	settleStreams(s.openStreamsByID())
 	done := make(chan struct{})
 	go func() {
 		s.wg.Wait()

@@ -482,9 +482,9 @@ func TestJobTimeout(t *testing.T) {
 }
 
 // TestStoredRecordsAreExactLength checks that every record written
-// through storeRecord — a closed job's and a stream's — is cached in
-// an exact-length buffer, not in MarshalIndent's growth buffer: the
-// cache keeps it for the daemon's life.
+// through storeRecord — a closed job's and a stream's — is kept by the
+// memory store in an exact-length buffer, not in MarshalIndent's growth
+// buffer: the store keeps it for the daemon's life.
 func TestStoredRecordsAreExactLength(t *testing.T) {
 	const wl = "stencil-default"
 	svc, _ := newTestService(t, testConfig())
@@ -513,14 +513,18 @@ func TestStoredRecordsAreExactLength(t *testing.T) {
 		t.Fatalf("stream: %s %s, want done", v.State, v.Error)
 	}
 
-	svc.cache.mu.RLock()
-	defer svc.cache.mu.RUnlock()
-	if len(svc.cache.entries) != 2 {
-		t.Fatalf("cache holds %d records, want the job's and the stream's", len(svc.cache.entries))
+	if n := svc.cache.Len(); n != 2 {
+		t.Fatalf("cache holds %d records, want the job's and the stream's", n)
 	}
-	for key, e := range svc.cache.entries {
-		if cap(e.data) != len(e.data) {
-			t.Errorf("record %.12s: %d bytes in a %d-byte buffer", key, len(e.data), cap(e.data))
+	store := svc.cache.store.(*memFS)
+	store.mu.Lock()
+	defer store.mu.Unlock()
+	if len(store.files) != 2 {
+		t.Fatalf("memory store holds %d files, want the job's and the stream's records", len(store.files))
+	}
+	for name, data := range store.files {
+		if cap(data) != len(data) {
+			t.Errorf("record %.12s: %d bytes in a %d-byte buffer", name, len(data), cap(data))
 		}
 	}
 }
@@ -642,7 +646,7 @@ func TestHealthzAndRosters(t *testing.T) {
 	now := svc.cfg.Clock()
 	st := newStream("st-vars", JobSpec{Workload: "w"}, "t", svc.tenants.get("t", now), 1<<16, now)
 	svc.mu.Lock()
-	svc.streams[st.ID] = st
+	svc.streams[st.ID], svc.open[st.ID] = st, st
 	svc.mu.Unlock()
 	if _, rej := st.ingest(encodeTestHeader(t, "w"), now); rej != nil {
 		t.Fatalf("header rejected: %v", rej)

@@ -569,7 +569,7 @@ func (s *Service) OpenStream(tenantName string, spec JobSpec) (StreamView, error
 	}
 	now := s.cfg.Clock()
 	open := 0
-	for _, st := range s.streams {
+	for _, st := range s.open {
 		st.mu.Lock()
 		if !st.state.Terminal() {
 			open++
@@ -591,6 +591,7 @@ func (s *Service) OpenStream(tenantName string, spec JobSpec) (StreamView, error
 	id := fmt.Sprintf("st-%08d", s.streamSeq)
 	st := newStream(id, spec, tenantName, ten, s.cfg.StreamBufferEvents, now)
 	s.streams[id] = st
+	s.open[id] = st
 	s.counters.streamsOpened.Add(1)
 	s.wg.Add(1)
 	go s.runStream(st)
@@ -611,7 +612,7 @@ func (s *Service) Stream(id string) (*Stream, bool) {
 func (s *Service) streamGauges() (open, events, bytes int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, st := range s.streams {
+	for _, st := range s.open {
 		st.mu.Lock()
 		if !st.state.Terminal() {
 			open++
@@ -705,7 +706,8 @@ func (s *Service) runStream(st *Stream) {
 // runner is past its last queue read and its content address, and a
 // terminal stream admits no more bytes, so the live state — every
 // queue buffer, the ingest decoder and the hash state — is released
-// here: the stream stays listed without pinning any of it.
+// here, and the stream leaves the open table: it stays listed without
+// pinning any of it, and no walk over open streams visits it again.
 func (s *Service) finishStream(st *Stream, key, msg string) {
 	st.mu.Lock()
 	switch {
@@ -726,6 +728,10 @@ func (s *Service) finishStream(st *Stream, key, msg string) {
 	st.commitPendingLocked()
 	st.live, st.count = nil, 0
 	st.mu.Unlock()
+	// After st.mu: the lock order is Service.mu before Stream.mu.
+	s.mu.Lock()
+	delete(s.open, st.ID)
+	s.mu.Unlock()
 }
 
 // reapIdleStreams finalizes or cancels streams whose last chunk is
@@ -737,7 +743,7 @@ func (s *Service) reapIdleStreams(now time.Time) {
 	if s.cfg.StreamIdleTimeout <= 0 {
 		return
 	}
-	for _, st := range s.streamsByID() {
+	for _, st := range s.openStreamsByID() {
 		st.mu.Lock()
 		expired := st.state == StreamOpen && now.Sub(st.live.lastRecv) > s.cfg.StreamIdleTimeout
 		terminated := expired && st.live.dec.Terminated()
@@ -775,13 +781,13 @@ func (s *Service) reaper() {
 	}
 }
 
-// streamsByID lists every stream in creation order: a deterministic
-// handling order (map iteration is randomized), since IDs are
-// zero-padded sequence numbers.
-func (s *Service) streamsByID() []*Stream {
+// openStreamsByID lists the open streams in creation order: a
+// deterministic handling order (map iteration is randomized), since
+// IDs are zero-padded sequence numbers.
+func (s *Service) openStreamsByID() []*Stream {
 	s.mu.Lock()
-	out := make([]*Stream, 0, len(s.streams))
-	for _, st := range s.streams {
+	out := make([]*Stream, 0, len(s.open))
+	for _, st := range s.open {
 		out = append(out, st)
 	}
 	s.mu.Unlock()

@@ -35,22 +35,7 @@ const streamCellChunk = 64 << 10
 // per-cell allocs/op.
 func BenchmarkStreamCell(b *testing.B) {
 	const wl, pf = "stencil-default", "none"
-	seed, err := harness.ReadGolden(filepath.Join("..", "..", "golden", "seed.json"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	want := ""
-	for _, c := range seed.Cells {
-		if c.Workload == wl && c.Prefetcher == pf {
-			want = c.Hash
-		}
-	}
-	if want == "" {
-		b.Fatalf("golden/seed.json has no %s/%s cell", wl, pf)
-	}
-	cfg := harness.DefaultOptions().Sim
-	cfg.MaxInstructions = seed.Instructions
-	cfg.WarmupInstructions = seed.Warmup
+	cfg, want := goldenCell(b, wl, pf)
 	data := encodeWorkloadTrace(b, wl, cfg.MaxInstructions)
 
 	svc, err := New(Config{
@@ -104,11 +89,40 @@ func BenchmarkStreamCell(b *testing.B) {
 	if !ok {
 		b.Fatalf("stream result %.12s not cached", key)
 	}
-	var rec harness.RunRecord
-	if err := json.Unmarshal(raw, &rec); err != nil {
-		b.Fatal(err)
-	}
-	if got := harness.CellHash(sim.Result{Workload: rec.Workload, Prefetcher: rec.Prefetcher, Metrics: rec.Metrics}); got != want {
+	if got := recordCellHash(b, raw); got != want {
 		b.Fatalf("streamed %s/%s: cell hash %s, golden %s", wl, pf, got, want)
 	}
+}
+
+// goldenCell returns the configuration golden/seed.json pins its cells
+// at, and the hash it pins for wl × pf.
+func goldenCell(tb testing.TB, wl, pf string) (sim.Config, string) {
+	tb.Helper()
+	seed, err := harness.ReadGolden(filepath.Join("..", "..", "golden", "seed.json"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	want := ""
+	for _, c := range seed.Cells {
+		if c.Workload == wl && c.Prefetcher == pf {
+			want = c.Hash
+		}
+	}
+	if want == "" {
+		tb.Fatalf("golden/seed.json has no %s/%s cell", wl, pf)
+	}
+	cfg := harness.DefaultOptions().Sim
+	cfg.MaxInstructions = seed.Instructions
+	cfg.WarmupInstructions = seed.Warmup
+	return cfg, want
+}
+
+// recordCellHash returns the golden cell hash of an encoded run record.
+func recordCellHash(tb testing.TB, raw []byte) string {
+	tb.Helper()
+	var rec harness.RunRecord
+	if err := json.Unmarshal(raw, &rec); err != nil {
+		tb.Fatal(err)
+	}
+	return harness.CellHash(sim.Result{Workload: rec.Workload, Prefetcher: rec.Prefetcher, Metrics: rec.Metrics})
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -400,8 +401,8 @@ func TestStreamRecordsReload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.quarantined != 0 || c.Len() != 2 {
-		t.Fatalf("reloaded %d records, %d quarantined; want 2, 0", c.Len(), c.quarantined)
+	if c.Quarantined() != 0 || c.Len() != 2 {
+		t.Fatalf("reloaded %d records, %d quarantined; want 2, 0", c.Len(), c.Quarantined())
 	}
 	for _, k := range []string{full.Key, short.Key} {
 		if w, p, ok := c.Names(k); !ok || w != wl || p != "cbws" {
@@ -1221,5 +1222,79 @@ func TestFinishedStreamsRetainLittle(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / streams; per >= 1<<10 {
 		t.Fatalf("each finished stream retains %d heap bytes, want < 1 KiB", per)
+	}
+}
+
+// TestStreamWalksFollowOpenStreams checks that the walks over streams —
+// OpenStream's capacity count, the expvar gauges and the idle reaper —
+// visit only open streams, so their cost does not grow with the
+// streams a daemon has finished. With one stream open (its tenant at
+// quota, so each further open walks the table and is refused), the
+// three together must cost within 2× at 1,000 and at 50,000 finished
+// streams; walking every stream listed costs over 100× more at 50,000.
+func TestStreamWalksFollowOpenStreams(t *testing.T) {
+	cfg := testConfig()
+	cfg.TenantStreams = 1
+	cfg.StreamIdleTimeout = time.Hour
+	svc, _ := newTestService(t, cfg)
+	spec, err := svc.parseStreamSpec(OpenStreamRequest{Workload: "stencil-default", Prefetcher: "none"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, err := svc.OpenStream("acme", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held, _ := svc.Stream(view.ID)
+
+	// finish lists finished streams until the table holds n of them, as
+	// finishStream leaves them: terminal, with no live state.
+	finished := make(chan struct{})
+	close(finished)
+	finish := func(n int) {
+		svc.mu.Lock()
+		defer svc.mu.Unlock()
+		for len(svc.streams) < n+1 {
+			svc.streamSeq++
+			id := fmt.Sprintf("st-%08d", svc.streamSeq)
+			svc.streams[id] = &Stream{ID: id, Tenant: "acme", Spec: spec, state: StreamCanceled, done: finished}
+		}
+	}
+	const ops = 200
+	cost := func() time.Duration {
+		t.Helper()
+		now := svc.cfg.Clock()
+		best := time.Duration(1 << 62)
+		for range 5 {
+			start := time.Now()
+			for range ops {
+				if _, err := svc.OpenStream("acme", spec); err == nil {
+					t.Fatal("OpenStream admitted a stream past the tenant quota")
+				}
+				if open, _, _ := svc.streamGauges(); open != 1 {
+					t.Fatalf("streams_open %d, want 1", open)
+				}
+				svc.reapIdleStreams(now)
+			}
+			best = min(best, time.Since(start)/ops)
+		}
+		return best
+	}
+	finish(1_000)
+	small := cost()
+	finish(50_000)
+	large := cost()
+	t.Logf("open + gauges + reap: %v at 1,000 finished streams, %v at 50,000", small, large)
+	if large > 2*small {
+		t.Errorf("open + gauges + reap cost %v at 50,000 finished streams, %v at 1,000: want within 2×", large, small)
+	}
+
+	held.abort("test")
+	<-held.Done()
+	svc.mu.Lock()
+	open := len(svc.open)
+	svc.mu.Unlock()
+	if open != 0 {
+		t.Errorf("%d streams left in the open table after the last one finished", open)
 	}
 }
