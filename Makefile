@@ -87,6 +87,7 @@ fuzz-smoke:
 	$(GO) test ./internal/check/ -run '^$$' -fuzz '^FuzzGHBVsRef$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
 	$(GO) test ./internal/check/ -run '^$$' -fuzz '^FuzzSMSVsRef$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
 	$(GO) test ./internal/check/ -run '^$$' -fuzz '^FuzzAnalyzeVsRef$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
+	$(GO) test ./internal/check/ -run '^$$' -fuzz '^FuzzCBWTWriterVsRef$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzTraceRoundTrip$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzStreamChunkFraming$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
 	$(GO) test ./internal/service/ -run '^$$' -fuzz '^FuzzStreamQueue$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
@@ -178,7 +179,7 @@ bench-gate:
 
 # Paired A/B gate over the same benchmarks: the merge-base with main
 # (or BENCH_AB_BASE, any revision: CI passes a push's parent) against
-# the working tree, alternated for 10 rounds; fails when a benchmark's
+# the working tree, alternated for 20 rounds; fails when a benchmark's
 # median slowdown is above 10% with at least 95% confidence. Needs a
 # local main branch, or BENCH_AB_BASE, and the history back to the
 # base. A benchmark the base lacks is skipped.

@@ -30,10 +30,14 @@ const (
 	abLimit = 1.10
 	// abConf is the least coverage of the median ratio's interval.
 	abConf = 0.95
-	// abRounds is the number of alternating rounds per side.
-	abRounds = 10
+	// abRounds is the number of alternating rounds per side. With
+	// abBenchtime it is sized to catch a ~20% slowdown on a noisy
+	// 2-vCPU host: at 20 rounds the interval is the 6th and 15th
+	// smallest ratio (95.9%), where 10 rounds gave the 2nd and 9th,
+	// and a planted 1.16-1.20x spin failed the gate in 2 of 3 runs.
+	abRounds = 20
 	// abBenchtime is each benchmark's -test.benchtime in each round.
-	abBenchtime = "200ms"
+	abBenchtime = "500ms"
 	// allocBenchtime is the fixed iteration count of an alloc pass,
 	// which runs once under GOGC=off (runAllocPass). Allocation counts
 	// come from that pass alone: a collection inside a timed run would
@@ -73,10 +77,11 @@ func median(xs []float64) float64 {
 // and its coverage: the kth smallest and the kth largest value, for
 // the largest k whose coverage 1 − 2·P(B < k), B ~ Binomial(n, ½), is
 // still at least conf. It assumes only that the values are independent
-// draws of one distribution, so it holds at the ten rounds of -ab,
-// where a bootstrap of the median under-covers; there it is the 2nd
-// and 9th smallest, at 97.9%. With too few values for conf it returns
-// the smallest and the largest, at their own lower coverage.
+// draws of one distribution, so it holds at the few rounds of -ab,
+// where a bootstrap of the median under-covers; at abRounds = 20 it
+// is the 6th and 15th smallest, at 95.9%. With too few values for
+// conf it returns the smallest and the largest, at their own lower
+// coverage.
 func medianCI(xs []float64, conf float64) (lo, hi, coverage float64) {
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)

@@ -65,22 +65,23 @@ func TestMedianCI(t *testing.T) {
 	}
 }
 
-// TestMedianCICoverage draws 20,000 sets of ten values from a skewed
-// distribution and checks that the interval holds the true median as
-// often as it claims (97.9%), within sampling error.
+// TestMedianCICoverage draws 20,000 sets of abRounds values from a
+// skewed distribution and checks that the interval -ab reports holds
+// the true median as often as it claims (95.9% at 20 rounds), within
+// sampling error.
 func TestMedianCICoverage(t *testing.T) {
 	const sets = 20000
 	rng := rand.New(rand.NewSource(5))
 	truth := math.Ln2 // the median of the unit exponential
 	held := 0
 	var cov float64
-	xs := make([]float64, 10)
+	xs := make([]float64, abRounds)
 	for range sets {
 		for i := range xs {
 			xs[i] = rng.ExpFloat64()
 		}
 		var lo, hi float64
-		lo, hi, cov = medianCI(xs, 0.95)
+		lo, hi, cov = medianCI(xs, abConf)
 		if lo <= truth && truth <= hi {
 			held++
 		}

@@ -25,12 +25,12 @@
 // It checks out the -base revision (default: the merge-base of HEAD and
 // main) in a temporary git worktree, builds the root package's test
 // binary there and in the working tree, and alternates one -test.count
-// 1 -test.benchtime 200ms run of each for 10 rounds, swapping which
+// 1 -test.benchtime 500ms run of each for 20 rounds, swapping which
 // side goes first each round.
 // Each round yields one working/base ns/op ratio per benchmark; the
 // report gives each benchmark's median ratio with its order-statistic
-// interval (the 2nd and 9th smallest of the 10 ratios, covering
-// 97.9%), and the exit status is 1 when any interval's lower bound
+// interval (the 6th and 15th smallest of the 20 ratios, covering
+// 95.9%), and the exit status is 1 when any interval's lower bound
 // exceeds 1.10. A clean working tree whose
 // merge-base is HEAD is refused (exit 1): both sides would be the same
 // code. Asking for that on purpose with -base HEAD is an A/A run: each

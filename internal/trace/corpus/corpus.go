@@ -150,10 +150,7 @@ func (e *blockEntry) unmarshal(src []byte) {
 	e.baseAddr = binary.LittleEndian.Uint64(src[52:])
 }
 
-// zigzag encodes a signed delta into the unsigned space varints like.
-func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
-
-// unzigzag inverts zigzag.
+// unzigzag inverts trace.Zigzag.
 //
 //cbws:hotpath
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }

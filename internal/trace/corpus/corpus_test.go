@@ -346,6 +346,58 @@ func TestWriterRejectsOutOfRangeFields(t *testing.T) {
 	}
 }
 
+// TestWriterRejectsAtBlockBoundary puts an invalid event right after a
+// full block, where the writer has just flushed that block and starts
+// the next: Close must still report the error, whether the event opens
+// a batch of its own or sits inside one.
+func TestWriterRejectsAtBlockBoundary(t *testing.T) {
+	events := randomEvents(DefaultBlockEvents+10, 7)
+	events[DefaultBlockEvents] = trace.Event{Kind: trace.BlockBegin, Block: -1}
+	for _, cut := range []int{len(events), DefaultBlockEvents} {
+		w, err := NewWriter(io.Discard, "x", Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := w.ConsumeBatch(events[:cut])
+		second := w.ConsumeBatch(events[cut:])
+		if first != (cut == DefaultBlockEvents) || second {
+			t.Errorf("cut %d: ConsumeBatch reported %v, %v", cut, first, second)
+		}
+		if err := w.Close(); err == nil {
+			t.Errorf("cut %d: Close reported no error for the invalid event %d", cut, DefaultBlockEvents)
+		}
+		if w.Events() != DefaultBlockEvents {
+			t.Errorf("cut %d: %d events encoded, want %d", cut, w.Events(), DefaultBlockEvents)
+		}
+	}
+}
+
+// TestWriterClosedTakesNoEvents checks a closed writer stays closed: a
+// ConsumeBatch after Close reports false and adds nothing to the file,
+// even a full block's worth, and a second Close returns the first
+// one's result.
+func TestWriterClosedTakesNoEvents(t *testing.T) {
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, "x", Options{BlockEvents: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.ConsumeBatch(randomEvents(40, 3))
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	size, sum := buf.Len(), w.Sum()
+	if w.ConsumeBatch(randomEvents(64, 4)) {
+		t.Error("ConsumeBatch after Close reported true")
+	}
+	if err := w.Close(); err != nil {
+		t.Errorf("second Close: %v", err)
+	}
+	if buf.Len() != size || w.Sum() != sum || w.Events() != 40 {
+		t.Errorf("after Close the file grew from %d to %d bytes (%d events)", size, buf.Len(), w.Events())
+	}
+}
+
 // TestNameLengthBound checks the writer and the reader agree on
 // trace.MaxNameLen, the bound the CBWT stream codec shares: a longer
 // name is refused, one of exactly that length round-trips.

@@ -95,43 +95,53 @@ func (w *Writer) write(p []byte) error {
 }
 
 // ConsumeBatch implements trace.BatchSink; a sticky error asks the
-// producer to stop.
+// producer to stop. A closed Writer encodes nothing and reports false.
 func (w *Writer) ConsumeBatch(batch []trace.Event) bool {
-	for len(batch) > 0 && w.err == nil {
-		run := batch[:min(len(batch), w.opts.BlockEvents-w.events)]
+	for len(batch) > 0 && w.err == nil && !w.closed {
+		run := batch[:min(len(batch), w.opts.BlockEvents-w.events, windowEvents)]
 		batch = batch[len(run):]
 		w.encode(run)
 		if w.events == w.opts.BlockEvents {
 			w.flushBlock()
 		}
 	}
-	return w.err == nil
+	return w.err == nil && !w.closed
 }
 
-// appendUvarint is binary.AppendUvarint with the one-byte encoding,
-// which most deltas take, inlined.
-func appendUvarint(dst []byte, v uint64) []byte {
-	if v < 0x80 {
-		return append(dst, byte(v))
-	}
-	return binary.AppendUvarint(dst, v)
+// windowEvents caps the events encode takes at once, which bounds the
+// worst-case growth of each column past its contents whatever the
+// block size.
+const windowEvents = 1024
+
+// growCol grows col to take need more bytes and returns it resliced
+// to its capacity, with its length as the write offset.
+func growCol(col []byte, need int) ([]byte, int) {
+	col = slices.Grow(col, need)
+	return col[:cap(col)], len(col)
 }
 
-// encode appends run, which fits in the current block, to the block's
-// columns. The columns and delta baselines stay in locals for the run
-// and are stored back once; an event that cannot be encoded stops the
-// run with a sticky error.
+// encode is the writer's kernel: it adds run, at most windowEvents
+// events that fit in the current block, to the block's columns. Each
+// column is grown once to the run's worst case, then written by index.
+// The columns and delta baselines stay in locals and are stored back
+// once; an event that cannot be encoded stops the run with a sticky
+// error.
 func (w *Writer) encode(run []trace.Event) {
 	if w.events == 0 {
 		w.basePC = w.lastPC
 		w.baseAddr = w.lastAddr
 	}
-	kinds, pcs, addrs := w.cols[colKinds], w.cols[colPC], w.cols[colAddr]
-	ns, blocks, taken := w.cols[colN], w.cols[colBlock], w.cols[colTaken]
+	k := len(run)
+	kinds, nk := growCol(w.cols[colKinds], k)
+	pcs, npc := growCol(w.cols[colPC], k*binary.MaxVarintLen64)
+	addrs, naddr := growCol(w.cols[colAddr], k*binary.MaxVarintLen64)
+	ns, nn := growCol(w.cols[colN], k*binary.MaxVarintLen32) // N <= MaxInstrCount
+	blocks, nblk := growCol(w.cols[colBlock], k*binary.MaxVarintLen32)
+	taken, nt := growCol(w.cols[colTaken], k/8+1)
 	lastPC, lastAddr, instr, tb := w.lastPC, w.lastAddr, w.instrCount, w.takenBit
 	i := 0
 encode:
-	for ; i < len(run); i++ {
+	for ; i < k; i++ {
 		e := &run[i]
 		switch e.Kind {
 		case trace.Instr:
@@ -140,28 +150,29 @@ encode:
 				break encode
 			}
 			n := uint64(max(e.N, 1)) // Event.Count of an Instr
-			ns = appendUvarint(ns, n)
+			nn = trace.PutUvarint(ns, nn, n)
 			instr += n
 		case trace.Load, trace.Store:
-			pcs = appendUvarint(pcs, zigzag(int64(e.PC-lastPC)))
-			addrs = appendUvarint(addrs, zigzag(int64(uint64(e.Addr)-lastAddr)))
+			npc = trace.PutUvarint(pcs, npc, trace.Zigzag(int64(e.PC-lastPC)))
+			naddr = trace.PutUvarint(addrs, naddr, trace.Zigzag(int64(uint64(e.Addr)-lastAddr)))
 			lastPC, lastAddr = e.PC, uint64(e.Addr)
 			instr++
 		case trace.BlockBegin, trace.BlockEnd:
-			if e.Block < 0 || e.Block > trace.MaxBlockID {
+			if uint(e.Block) > trace.MaxBlockID {
 				w.err = fmt.Errorf("corpus: block ID %d out of range [0, %d]", e.Block, trace.MaxBlockID)
 				break encode
 			}
-			blocks = appendUvarint(blocks, uint64(e.Block))
+			nblk = trace.PutUvarint(blocks, nblk, uint64(e.Block))
 			instr++
 		case trace.Branch:
-			pcs = appendUvarint(pcs, zigzag(int64(e.PC-lastPC)))
+			npc = trace.PutUvarint(pcs, npc, trace.Zigzag(int64(e.PC-lastPC)))
 			lastPC = e.PC
 			if tb%8 == 0 {
-				taken = append(taken, 0)
+				taken[nt] = 0
+				nt++
 			}
 			if e.Taken {
-				taken[len(taken)-1] |= 1 << (tb % 8)
+				taken[nt-1] |= 1 << (tb % 8)
 			}
 			tb++
 			instr++
@@ -169,9 +180,10 @@ encode:
 			w.err = fmt.Errorf("corpus: cannot encode kind %v", e.Kind)
 			break encode
 		}
-		kinds = append(kinds, byte(e.Kind))
+		kinds[nk] = byte(e.Kind)
+		nk++
 	}
-	w.cols = [numCols][]byte{kinds, pcs, addrs, ns, blocks, taken}
+	w.cols = [numCols][]byte{kinds[:nk], pcs[:npc], addrs[:naddr], ns[:nn], blocks[:nblk], taken[:nt]}
 	w.lastPC, w.lastAddr, w.instrCount, w.takenBit = lastPC, lastAddr, instr, tb
 	w.events += i
 	w.eventCount += uint64(i)

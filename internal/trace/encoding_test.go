@@ -180,6 +180,90 @@ func TestWriterRejectsUnknownKind(t *testing.T) {
 	}
 }
 
+// TestWriterCloseIdempotent checks a closed Writer stays closed: a
+// second Close writes no second terminator and returns the first
+// result, and a ConsumeBatch after Close reports false and writes
+// nothing, so the stream's bytes (and any content address over them)
+// do not change.
+func TestWriterCloseIdempotent(t *testing.T) {
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.ConsumeBatch([]Event{{Kind: Load, PC: 0x40, Addr: 0x1000}})
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.Clone(buf.Bytes())
+	if err := w.Close(); err != nil {
+		t.Errorf("second Close: %v", err)
+	}
+	if w.ConsumeBatch([]Event{{Kind: Instr, N: 3}}) {
+		t.Error("ConsumeBatch after Close reported true")
+	}
+	if err := w.Close(); err != nil {
+		t.Errorf("Close after a refused batch: %v", err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("stream grew from %d to %d bytes after Close", len(want), buf.Len())
+	}
+
+	// A failed Writer keeps its encoding error through every Close.
+	w, err = NewWriter(io.Discard, "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.ConsumeBatch([]Event{{Kind: Kind(200)}})
+	first := w.Close()
+	if first == nil {
+		t.Fatal("Close reported no encoding error")
+	}
+	if err := w.Close(); err != first {
+		t.Errorf("second Close returned %v, first %v", err, first)
+	}
+}
+
+// stallReader serves data, then returns (0, nil) forever, counting the
+// reads it answers.
+type stallReader struct {
+	data  []byte
+	reads int
+}
+
+func (r *stallReader) Read(p []byte) (int, error) {
+	r.reads++
+	n := copy(p, r.data)
+	r.data = r.data[n:]
+	return n, nil
+}
+
+// TestReaderNoProgress checks NewReader and DecodeBatches give up with
+// io.ErrNoProgress on a source that stops delivering bytes without an
+// error, instead of spinning forever.
+func TestReaderNoProgress(t *testing.T) {
+	src := &stallReader{}
+	if _, err := NewReader(src); !errors.Is(err, io.ErrNoProgress) {
+		t.Errorf("NewReader on a stalled source: %v, want io.ErrNoProgress", err)
+	}
+	if src.reads > maxEmptyReads {
+		t.Errorf("NewReader read %d times, want at most %d", src.reads, maxEmptyReads)
+	}
+
+	stream := encodeTestTrace(t, "x", streamTestEvents())
+	src = &stallReader{data: stream[:len(stream)-1]} // no terminator
+	r, err := NewReader(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.DecodeBatches(New("sink")); !errors.Is(err, io.ErrNoProgress) {
+		t.Errorf("DecodeBatches on a stalled source: %v, want io.ErrNoProgress", err)
+	}
+	if src.reads > 2+maxEmptyReads {
+		t.Errorf("DecodeBatches read %d times, want at most %d", src.reads, 2+maxEmptyReads)
+	}
+}
+
 // rawStream builds a header for name "x" followed by the given body
 // bytes and an EOF terminator, bypassing the Writer's validation.
 func rawStream(body ...byte) []byte {
