@@ -192,12 +192,18 @@ func (h *Hierarchy) wasIdentified(l mem.LineAddr) bool {
 // at cycle now and returns the cycle at which the transfer begins. With
 // bandwidth modelling disabled it returns now.
 func (h *Hierarchy) memTransferStart(now uint64) uint64 {
+	ch, start := h.memChannel(now)
+	h.commitChannel(ch, now, start)
+	return start
+}
+
+// memChannel picks the memory channel that frees first for a transfer
+// requested at cycle now and returns it with the cycle the transfer
+// would begin, reserving nothing. ch is -1 with bandwidth modelling
+// disabled, and start is then now.
+func (h *Hierarchy) memChannel(now uint64) (ch int, start uint64) {
 	if len(h.channels) == 0 {
-		return now
-	}
-	occ := h.cfg.MemoryOccupancy
-	if occ == 0 {
-		occ = 16
+		return -1, now
 	}
 	best := 0
 	for i := 1; i < len(h.channels); i++ {
@@ -205,13 +211,21 @@ func (h *Hierarchy) memTransferStart(now uint64) uint64 {
 			best = i
 		}
 	}
-	start := now
-	if h.channels[best] > start {
-		start = h.channels[best]
-		h.MemoryStallCycles += start - now
+	return best, max(now, h.channels[best])
+}
+
+// commitChannel reserves channel ch, as picked by memChannel(now), for
+// a transfer beginning at start, and charges the wait as stall cycles.
+func (h *Hierarchy) commitChannel(ch int, now, start uint64) {
+	if ch < 0 {
+		return
 	}
-	h.channels[best] = start + occ
-	return start
+	occ := h.cfg.MemoryOccupancy
+	if occ == 0 {
+		occ = 16
+	}
+	h.MemoryStallCycles += start - now
+	h.channels[ch] = start + occ
 }
 
 // Access performs a demand access (load or store) at cycle now and
@@ -336,9 +350,14 @@ func (h *Hierarchy) Prefetch(l mem.LineAddr, now uint64) bool {
 	return h.issuePrefetch(l, now)
 }
 
+// issuePrefetch offers l to the L2 at the cycle a memory channel would
+// start its transfer. The channel is reserved only when the L2
+// allocates a fill: a resident line or a full MSHR file moves no data.
 func (h *Hierarchy) issuePrefetch(l mem.LineAddr, now uint64) bool {
-	issued, reason := h.L2.TryPrefetch(l, h.memTransferStart(now), h.cfg.MemoryLatency)
+	ch, start := h.memChannel(now)
+	issued, reason := h.L2.TryPrefetch(l, start, h.cfg.MemoryLatency)
 	if issued {
+		h.commitChannel(ch, now, start)
 		h.BytesFromMem += mem.LineSize
 		return true
 	}

@@ -388,3 +388,44 @@ func TestPrefetchContendsForChannels(t *testing.T) {
 		t.Errorf("demand did not wait for prefetch transfers: ready %d", d.ReadyAt)
 	}
 }
+
+// TestRefusedPrefetchReservesNoChannel checks that a prefetch the L2
+// refuses (the line already in flight, or no MSHR free) neither waits
+// for nor occupies a memory channel: only an allocated fill moves data.
+func TestRefusedPrefetchReservesNoChannel(t *testing.T) {
+	cfg := HierarchyConfig{
+		L1:             Config{Name: "L1", SizeBytes: 4 * mem.LineSize * 2, Ways: 2, LatencyCycles: 2, MSHRs: 4},
+		L2:             Config{Name: "L2", SizeBytes: 16 * mem.LineSize * 4, Ways: 4, LatencyCycles: 30, MSHRs: 1},
+		MemoryLatency:  300,
+		MemoryChannels: 1, // default occupancy: 16 cycles a transfer
+	}
+	h, err := NewHierarchy(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := mem.LineOf(0x40000)
+	if !h.Prefetch(l, 0) {
+		t.Fatal("first prefetch did not issue")
+	}
+	// Redundant: l is in flight.
+	if h.Prefetch(l, 5) {
+		t.Fatal("redundant prefetch issued")
+	}
+	// Dropped: the L2's only MSHR holds l's fill.
+	if h.Prefetch(mem.LineOf(0x50000), 6) {
+		t.Fatal("prefetch issued with no MSHR free")
+	}
+	if h.MemoryStallCycles != 0 {
+		t.Errorf("refused prefetches charged %d stall cycles, want 0", h.MemoryStallCycles)
+	}
+	if h.L2.Stats.PrefetchRedundant != 1 || h.L2.Stats.PrefetchDropped != 1 {
+		t.Errorf("redundant %d, dropped %d, want 1 and 1", h.L2.Stats.PrefetchRedundant, h.L2.Stats.PrefetchDropped)
+	}
+	// The channel frees at cycle 16, after the one issued transfer: a
+	// demand miss at cycle 10 reaches memory after the L1's 2 cycles
+	// and waits 4, with nothing queued behind the refusals.
+	h.Access(1, 0x80000, false, 10)
+	if h.MemoryStallCycles != 4 {
+		t.Errorf("demand miss at cycle 10 stalled %d cycles, want 4", h.MemoryStallCycles)
+	}
+}

@@ -177,3 +177,115 @@ func TestCBWTWriterVsRefWorkloads(t *testing.T) {
 		requireCBWTWriterVsRef(t, tr.Events, cuts)
 	}
 }
+
+// decodeChunked decodes stream through a trace.ChunkDecoder fed size-byte
+// windows, then Finish, and returns the name, every event delivered and
+// the first error.
+func decodeChunked(stream []byte, size int) (string, []trace.Event, error) {
+	var d trace.ChunkDecoder
+	var out trace.Trace
+	err := error(nil)
+	for off := 0; off < len(stream) && err == nil; off += size {
+		err = d.Feed(stream[off:min(off+size, len(stream))], &out)
+	}
+	if err == nil {
+		err = d.Finish()
+	}
+	name, _ := d.Name()
+	return name, out.Events, err
+}
+
+// requireCBWTDecoderVsRef checks trace.ChunkDecoder against
+// RefCBWTDecode on one stream fed in windows of size bytes: the same
+// name, the same events, and the same error after the same event.
+func requireCBWTDecoderVsRef(t *testing.T, stream []byte, size int) {
+	t.Helper()
+	wantName, want, wantErr := check.RefCBWTDecode(stream)
+	name, got, err := decodeChunked(stream, size)
+	if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+		t.Fatalf("window %d: decoder error %v after %d events, reference %v after %d", size, err, len(got), wantErr, len(want))
+	}
+	if name != wantName {
+		t.Fatalf("window %d: name %q, reference %q", size, name, wantName)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("window %d: %d events, reference %d", size, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("window %d: event %d is %+v, reference %+v", size, i, got[i], want[i])
+		}
+	}
+}
+
+// cbwtDecodeSeed is a stream of 40 valid events (loads, stores, block
+// markers, instruction counts and branches) followed by tail, and then,
+// when tail leaves the stream open, 40 more events, the terminator and
+// trailing bytes, so every fault sits inside a window the decoder's
+// kernel is running through.
+func cbwtDecodeSeed(t testing.TB, tail ...byte) []byte {
+	var events []trace.Event
+	for i := range 10 {
+		events = append(events,
+			trace.Event{Kind: trace.BlockBegin, Block: i % 3},
+			trace.Event{Kind: trace.Load, PC: 0x400 + uint64(i%2)*8, Addr: mem.Addr(0x10000 + i*4096)},
+			trace.Event{Kind: trace.Instr, N: 1 + i*300},
+			trace.Event{Kind: trace.Branch, PC: 0x480, Taken: i%2 == 0})
+	}
+	stream, _, err := check.RefCBWTEncode("seed", events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream = append(stream[:len(stream)-1], tail...)
+	body, _, _ := check.RefCBWTEncode("", events)
+	return append(append(stream, body[6:]...), 0xAB, 0xCD, 0xFF, 0x00)
+}
+
+// FuzzCBWTDecoderVsRef drives arbitrary bytes, seeded with streams
+// that hold non-canonical and overlong varints, out-of-range fields,
+// unknown kinds and a terminator inside a window, through
+// trace.ChunkDecoder in fuzzer-chosen windows and through
+// RefCBWTDecode.
+func FuzzCBWTDecoderVsRef(f *testing.F) {
+	valid := cbwtDecodeSeed(f)
+	f.Add(valid, uint16(0))
+	f.Add(valid, uint16(6))
+	f.Add(valid[:len(valid)-30], uint16(200)) // truncated mid-stream
+	// non-canonical: Instr 0x85 0x00 (5), a load whose deltas take
+	// three bytes each, a branch outcome 0x80 0x00 (0)
+	f.Add(cbwtDecodeSeed(f, 0x00, 0x85, 0x00, 0x01, 0x80, 0x80, 0x00, 0x82, 0x80, 0x00, 0x05, 0x00, 0x80, 0x00), uint16(300))
+	// overlong: an Instr count of eleven bytes, a PC delta of ten
+	// whose last byte overflows, and the ten-byte maximum uvarint
+	f.Add(cbwtDecodeSeed(f, 0x00, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00), uint16(300))
+	f.Add(cbwtDecodeSeed(f, 0x01, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02, 0x00), uint16(300))
+	f.Add(cbwtDecodeSeed(f, 0x05, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01, 0x00), uint16(300))
+	f.Add(cbwtDecodeSeed(f, 0x05, 0x02, 0x02), uint16(300)) // branch outcome 2
+	// an Instr count and a block ID one past their caps
+	f.Add(cbwtDecodeSeed(f, binary.AppendUvarint([]byte{0x00}, trace.MaxInstrCount+1)...), uint16(300))
+	f.Add(cbwtDecodeSeed(f, binary.AppendUvarint([]byte{0x04}, trace.MaxBlockID+1)...), uint16(300))
+	f.Add(cbwtDecodeSeed(f, 0x06, 0x00), uint16(300)) // unknown kinds
+	f.Add(cbwtDecodeSeed(f, 0x7F, 0x00), uint16(300))
+	f.Add(cbwtDecodeSeed(f, 0xFF), uint16(300))  // terminator, then 40 events' bytes
+	f.Add([]byte("CBWT\x02\x00\xFF"), uint16(3)) // bad version
+	f.Add([]byte("CBWT\x01\x80\x80\x80\x80\x80\x80\x80\x80\x80\x80\x00\xFF"), uint16(3))
+	f.Fuzz(func(t *testing.T, data []byte, window uint16) {
+		requireCBWTDecoderVsRef(t, data, len(data)+1)
+		requireCBWTDecoderVsRef(t, data, int(window)%509+1)
+	})
+}
+
+// TestCBWTDecoderVsRefWorkloads decodes 200k-instruction CBWT captures
+// of every registered workload through the decoder, whole and in 1 KiB
+// and 64 KiB windows, and through the reference.
+func TestCBWTDecoderVsRefWorkloads(t *testing.T) {
+	for _, spec := range workload.All() {
+		tr := trace.Capture(trace.Limit{Gen: spec.Make(), Max: 200_000})
+		stream, _, err := check.RefCBWTEncode(tr.Name(), tr.Events)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, size := range []int{len(stream), 1 << 10, 64 << 10} {
+			requireCBWTDecoderVsRef(t, stream, size)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"cbws/internal/mem"
 	"cbws/internal/trace"
 )
 
@@ -55,4 +56,113 @@ func RefCBWTEncode(name string, events []trace.Event) (stream []byte, n int, err
 		}
 	}
 	return append(out, 0xFF), len(events), nil
+}
+
+// RefCBWTDecode is the reference for trace.ChunkDecoder: it decodes a
+// whole CBWT stream in one pass, field by field through binary.Uvarint
+// and binary.Varint, and restates the format's checks from its
+// specification. It returns the name from the header, the events
+// before the first fault, and the error trace.ChunkDecoder reports for
+// that fault followed by Finish: a bad magic or version, a name longer
+// than trace.MaxNameLen, an Instr count above trace.MaxInstrCount, a
+// block ID above trace.MaxBlockID, a branch outcome other than 0 or 1,
+// a varint that overflows 64 bits, an unknown kind, or a stream that
+// ends before its terminator. Bytes after the terminator are ignored.
+func RefCBWTDecode(stream []byte) (name string, events []trace.Event, err error) {
+	bad := func(format string, args ...any) error {
+		return fmt.Errorf("%w: "+format, append([]any{trace.ErrBadTrace}, args...)...)
+	}
+	truncated := bad("truncated stream (no terminator)")
+	if len(stream) < 5 {
+		return "", nil, truncated
+	}
+	if string(stream[:4]) != "CBWT" {
+		return "", nil, bad("bad magic %q", stream[:4])
+	}
+	if stream[4] != 1 {
+		return "", nil, bad("unsupported version %d", stream[4])
+	}
+	nameLen, n := binary.Uvarint(stream[5:])
+	switch {
+	case n == 0:
+		return "", nil, truncated
+	case n < 0 || nameLen > trace.MaxNameLen:
+		return "", nil, bad("name too long")
+	case uint64(len(stream)-5-n) < nameLen:
+		return "", nil, truncated
+	}
+	p := 5 + n
+	name = string(stream[p : p+int(nameLen)])
+	p += int(nameLen)
+	var lastPC, lastAddr uint64
+	for p < len(stream) {
+		kind := stream[p]
+		p++
+		switch kind {
+		case 0: // Instr
+			v, n := binary.Uvarint(stream[p:])
+			if n == 0 {
+				return name, events, truncated
+			}
+			if n < 0 || v > trace.MaxInstrCount {
+				return name, events, bad("instr count %d exceeds %d", v, trace.MaxInstrCount)
+			}
+			events = append(events, trace.Event{Kind: trace.Instr, N: int(v)})
+			p += n
+		case 1, 2: // Load, Store
+			dpc, n := binary.Varint(stream[p:])
+			if n == 0 {
+				return name, events, truncated
+			}
+			if n < 0 {
+				return name, events, bad("bad pc delta")
+			}
+			p += n
+			daddr, n := binary.Varint(stream[p:])
+			if n == 0 {
+				return name, events, truncated
+			}
+			if n < 0 {
+				return name, events, bad("bad addr delta")
+			}
+			p += n
+			lastPC += uint64(dpc)
+			lastAddr += uint64(daddr)
+			events = append(events, trace.Event{Kind: trace.Kind(kind), PC: lastPC, Addr: mem.Addr(lastAddr)})
+		case 3, 4: // BlockBegin, BlockEnd
+			v, n := binary.Uvarint(stream[p:])
+			if n == 0 {
+				return name, events, truncated
+			}
+			if n < 0 || v > trace.MaxBlockID {
+				return name, events, bad("block ID %d exceeds %d", v, trace.MaxBlockID)
+			}
+			events = append(events, trace.Event{Kind: trace.Kind(kind), Block: int(v)})
+			p += n
+		case 5: // Branch
+			dpc, n := binary.Varint(stream[p:])
+			if n == 0 {
+				return name, events, truncated
+			}
+			if n < 0 {
+				return name, events, bad("bad pc delta")
+			}
+			p += n
+			taken, n := binary.Uvarint(stream[p:])
+			if n == 0 {
+				return name, events, truncated
+			}
+			if n < 0 || taken > 1 {
+				return name, events, bad("branch outcome %d is not 0 or 1", taken)
+			}
+			p += n
+			lastPC += uint64(dpc)
+			events = append(events, trace.Event{Kind: trace.Branch, PC: lastPC, Taken: taken == 1})
+		case 0xFF:
+			return name, events, nil
+		default:
+			return name, events, bad("unknown kind %d", kind)
+		}
+	}
+	return name, events, truncated
 }

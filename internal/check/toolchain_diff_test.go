@@ -1,6 +1,7 @@
 package check_test
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -102,6 +103,22 @@ func TestToolchainVsRefEdgeCases(t *testing.T) {
 	}
 	streams["pc-revisited"] = revisit
 
+	// The analyzer keys its footprint by 2 KB region, 32 lines a
+	// bitmap: region key 0 (the table's reserved key), the last line of
+	// one region and the first two of the next, and the top of the
+	// address space, where line addresses approach 2^58.
+	top := mem.LineAddr(1<<58 - 1)
+	var regions []trace.Event
+	for it := 0; it < 5; it++ {
+		regions = append(regions, begin(8),
+			ld(0x40, 0), ld(0x44, 31+it%3), ld(0x48, 32), ld(0x4c, 33),
+			trace.Event{Kind: trace.Store, PC: 0x50, Addr: (top - mem.LineAddr(it*31)).Byte()},
+			trace.Event{Kind: trace.Load, PC: 0x54, Addr: (top - 32 - mem.LineAddr(it)).Byte() + 63},
+			end(8),
+			trace.Event{Kind: trace.Load, PC: 0x58, Addr: mem.Addr(it)})
+	}
+	streams["region-edges"] = regions
+
 	for name, events := range streams {
 		requireToolchainVsRef(t, &trace.Trace{TraceName: name, Events: events})
 	}
@@ -110,18 +127,24 @@ func TestToolchainVsRefEdgeCases(t *testing.T) {
 // decodeToolchainEvents turns fuzz input into a trace event stream,
 // three bytes a record: the op byte picks the kind, the PC (one of
 // eight) and the block ID (one of four); the other two bytes pick an
-// address over 2^16 × 24 bytes, so records share lines and regions,
-// and double as the instruction count and branch outcome.
+// address over 2^15 × 24 bytes, at the bottom of the address space or,
+// with the top bit of the first, as far below its top, so records share
+// lines and regions, region 0 and the last regions included; they
+// double as the instruction count and branch outcome.
 func decodeToolchainEvents(data []byte) []trace.Event {
 	feed := &byteFeed{data: data}
 	events := make([]trace.Event, 0, len(data)/3)
 	for i := 0; i < len(data)/3; i++ {
 		op, hi, lo := feed.next(), feed.next(), feed.next()
-		v := uint64(hi)<<8 | uint64(lo)
+		v := uint64(hi&0x7f)<<8 | uint64(lo)
+		addr := mem.Addr(v * 24)
+		if hi&0x80 != 0 {
+			addr = ^addr
+		}
 		e := trace.Event{
 			Kind:  trace.Kind(op % 6),
 			PC:    0x400000 + uint64(op>>3&7)*0x40,
-			Addr:  mem.Addr(v * 24),
+			Addr:  addr,
 			Block: int(op >> 6),
 			N:     int(lo),
 			Taken: hi&1 != 0,
@@ -138,6 +161,15 @@ func FuzzAnalyzeVsRef(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x03, 0x00, 0x00, 0x01, 0x00, 0x01, 0x01, 0x00, 0x02, 0x04, 0x00, 0x00,
 		0x03, 0x00, 0x00, 0x01, 0x00, 0x03, 0x01, 0x00, 0x04, 0x04, 0x00, 0x00})
+	// One block, three times over: region 0's first line, lines 31, 32
+	// and 33 (a region's last and the next one's first two), and lines
+	// near 2^58 at the top of the address space.
+	edges := []byte{0x03, 0x00, 0x00}
+	for _, v := range []uint16{0, 83, 86, 88, 0x8000, 0x8000 + 86, 0x8000 + 88} {
+		edges = append(edges, 0x01, byte(v>>8), byte(v))
+	}
+	edges = append(edges, 0x04, 0x00, 0x00)
+	f.Add(bytes.Repeat(edges, 3))
 	for _, name := range []string{"stencil-default", "429.mcf-ref"} {
 		spec, _ := workload.ByName(name)
 		tr := trace.Capture(trace.Limit{Gen: spec.Make(), Max: 2048})

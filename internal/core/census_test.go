@@ -1,12 +1,18 @@
 package core
 
 import (
+	"hash/maphash"
 	"math"
+	"slices"
 	"testing"
 
+	"cbws/internal/check"
 	"cbws/internal/mem"
 	"cbws/internal/trace"
 )
+
+// observe feeds c one event.
+func (c *Census) observe(e *trace.Event) { c.ConsumeBatch([]trace.Event{*e}) }
 
 // feedBlocks runs block instances through a census.
 func feedBlocks(c *Census, id int, blocks [][]mem.LineAddr) {
@@ -118,5 +124,65 @@ func TestCensusIgnoresOutsideBlocks(t *testing.T) {
 	c.observe(&trace.Event{Kind: trace.Load, PC: 1, Addr: 0x4000})
 	if c.Iterations() != 0 || c.DistinctVectors() != 0 {
 		t.Error("accesses outside blocks were counted")
+	}
+}
+
+// TestDiffTableSharedHash counts two distinct keys under one hash: the
+// table must tell them apart by their bytes.
+func TestDiffTableSharedHash(t *testing.T) {
+	tab := newDiffTable(16)
+	for _, k := range []string{"\x02", "\x04\x02", "\x02", "\x02"} {
+		tab.addHashed([]byte(k), 42)
+	}
+	if tab.n != 2 {
+		t.Fatalf("%d distinct keys, want 2", tab.n)
+	}
+	counts := tab.counts()
+	slices.Sort(counts)
+	if !slices.Equal(counts, []uint64{1, 3}) {
+		t.Errorf("counts %v, want [1 3]", counts)
+	}
+}
+
+// TestCensusSharedBucketVsRef feeds a census two differentials whose
+// keys land in the same bucket of its table, alternately, and compares
+// it with check.RefCensus: both must be counted, and apart.
+func TestCensusSharedBucketVsRef(t *testing.T) {
+	c, ref := NewCensus(16), check.NewRefCensus(16)
+	bucket := func(d int64) uint64 {
+		return maphash.Bytes(c.diffs.seed, appendDiffKey(nil, Diff{d})) >> c.diffs.shift
+	}
+	// Birthday search over one-element differentials: 256 buckets.
+	seen := map[uint64]int64{}
+	var d1, d2 int64
+	for d := int64(1); d2 == 0; d++ {
+		if other, ok := seen[bucket(d)]; ok {
+			d1, d2 = other, d
+		}
+		seen[bucket(d)] = d
+	}
+	line := mem.LineAddr(1 << 20)
+	var events []trace.Event
+	for _, d := range []int64{0, d1, d2, d1, d2, d1} {
+		line = line.Add(d)
+		events = append(events,
+			trace.Event{Kind: trace.BlockBegin, Block: 3},
+			trace.Event{Kind: trace.Load, PC: 1, Addr: line.Byte()},
+			trace.Event{Kind: trace.BlockEnd, Block: 3})
+	}
+	c.ConsumeBatch(events)
+	ref.ConsumeBatch(events)
+	if c.DistinctVectors() != 2 || ref.DistinctVectors() != 2 || c.Iterations() != 5 || ref.Iterations() != 5 {
+		t.Fatalf("census %d vectors over %d iterations, ref %d over %d; want 2 over 5",
+			c.DistinctVectors(), c.Iterations(), ref.DistinctVectors(), ref.Iterations())
+	}
+	got, want := c.Coverage(), ref.Coverage()
+	for i := range want {
+		if got[i].VectorFrac != want[i].VectorFrac || got[i].IterationFrac != want[i].IterationFrac {
+			t.Fatalf("coverage point %d is %+v, ref %+v", i, got[i], want[i])
+		}
+	}
+	if got[0].IterationFrac != 0.6 {
+		t.Errorf("top differential covers %v of iterations, want 3 of 5", got[0].IterationFrac)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 	"strings"
 
 	"cbws/internal/mem"
@@ -55,15 +54,30 @@ const blockLineCap = 17
 // regionLineShift converts a line address to its 2 KB region (32 lines).
 const regionLineShift = 11 - mem.LineShift
 
+// regionLineMask selects a line's index within its 2 KB region.
+const regionLineMask = 1<<regionLineShift - 1
+
+// nearStride bounds the strides the analyzer counts in a flat array.
+const nearStride = 64
+
 // analyzer is the BatchSink behind Analyze. Steady state allocates
-// nothing: its tables grow only on a first-seen line, region, PC or
-// stride, and the current block's lines live in a fixed slice.
+// nothing: its tables grow only on a first-seen region, PC or stride,
+// and the current block's lines live in a fixed slice.
+//
+// The footprint is kept the way spatial prefetchers keep one: a table
+// of the 2 KB regions touched, each with a bitmap of its 32 lines. A
+// line sets its bit; a bit set for the first time is a new unique
+// line, and the table's size is the region count.
 type analyzer struct {
 	s       Summary
-	lines   keyTable // set of mem.LineAddr
-	regions keyTable // set of mem.Region
+	regions keyTable // mem.Region -> bitmap of the region's lines seen
+	lines   int      // bits set across regions: the unique lines
 	pcLine  keyTable // PC -> the mem.LineAddr of its latest access
-	strides keyTable // per-PC line stride (an int64) -> count
+	strides keyTable // per-PC line stride (an int64) -> count, outside nearStrides
+
+	// nearStrides counts the strides in [-nearStride, nearStride), most
+	// of them, at index stride+nearStride, without a table probe.
+	nearStrides [2 * nearStride]uint64
 
 	blockSizes [blockLineCap + 1]uint64
 
@@ -73,8 +87,7 @@ type analyzer struct {
 
 func newAnalyzer(name string) *analyzer {
 	a := &analyzer{
-		lines:    newKeySet(),
-		regions:  newKeySet(),
+		regions:  newKeyMap(),
 		pcLine:   newKeyMap(),
 		strides:  newKeyMap(),
 		curLines: make([]mem.LineAddr, 0, blockLineCap),
@@ -95,56 +108,59 @@ func Analyze(gen Generator, max uint64) *Summary {
 	return &a.s
 }
 
-// ConsumeBatch implements BatchSink.
+// ConsumeBatch implements BatchSink. It is the analyzer's kernel: one
+// loop over the batch with each event's work in line.
 func (a *analyzer) ConsumeBatch(batch []Event) bool {
 	for i := range batch {
-		a.observe(&batch[i])
+		e := &batch[i]
+		a.s.Instructions += uint64(e.Count())
+		switch e.Kind {
+		case Load, Store:
+			if e.Kind == Load {
+				a.s.Loads++
+			} else {
+				a.s.Stores++
+			}
+			l := mem.LineOf(e.Addr)
+			bits, _ := a.regions.val(uint64(l >> regionLineShift))
+			if bit := uint64(1) << (l & regionLineMask); *bits&bit == 0 {
+				*bits |= bit
+				a.lines++
+			}
+			last, seen := a.pcLine.val(e.PC)
+			if seen {
+				if st := l.Delta(mem.LineAddr(*last)); uint64(st+nearStride) < 2*nearStride {
+					a.nearStrides[st+nearStride]++
+				} else {
+					n, _ := a.strides.val(uint64(st))
+					*n++
+				}
+			}
+			*last = uint64(l)
+			if a.inBlock && len(a.curLines) < blockLineCap && !slices.Contains(a.curLines, l) {
+				a.curLines = append(a.curLines, l)
+			}
+		case Branch:
+			a.s.Branches++
+			if e.Taken {
+				a.s.BranchTaken++
+			}
+		case BlockBegin:
+			a.inBlock = true
+			a.curLines = a.curLines[:0]
+		case BlockEnd:
+			if a.inBlock {
+				a.inBlock = false
+				a.s.Blocks++
+				a.blockSizes[len(a.curLines)]++ // index blockLineCap is the ">16" bucket
+			}
+		}
 	}
 	return true
 }
 
-func (a *analyzer) observe(e *Event) {
-	a.s.Instructions += uint64(e.Count())
-	switch e.Kind {
-	case Load, Store:
-		if e.Kind == Load {
-			a.s.Loads++
-		} else {
-			a.s.Stores++
-		}
-		l := mem.LineOf(e.Addr)
-		if a.lines.add(uint64(l)) {
-			// A line already seen has its region recorded too.
-			a.regions.add(uint64(l >> regionLineShift))
-		}
-		last, seen := a.pcLine.val(e.PC)
-		if seen {
-			n, _ := a.strides.val(uint64(l.Delta(mem.LineAddr(*last))))
-			*n++
-		}
-		*last = uint64(l)
-		if a.inBlock && len(a.curLines) < blockLineCap && !slices.Contains(a.curLines, l) {
-			a.curLines = append(a.curLines, l)
-		}
-	case Branch:
-		a.s.Branches++
-		if e.Taken {
-			a.s.BranchTaken++
-		}
-	case BlockBegin:
-		a.inBlock = true
-		a.curLines = a.curLines[:0]
-	case BlockEnd:
-		if a.inBlock {
-			a.inBlock = false
-			a.s.Blocks++
-			a.blockSizes[len(a.curLines)]++ // index blockLineCap is the ">16" bucket
-		}
-	}
-}
-
 func (a *analyzer) finish() {
-	a.s.UniqueLines = a.lines.count()
+	a.s.UniqueLines = a.lines
 	a.s.UniquePCs = a.pcLine.count()
 	a.s.FootprintBytes = uint64(a.s.UniqueLines) * mem.LineSize
 	a.s.Regions2KB = a.regions.count()
@@ -154,25 +170,41 @@ func (a *analyzer) finish() {
 			a.s.BlockSizes[n] = c
 		}
 	}
-	if n := a.strides.count(); n > 0 { // without strides, TopStrides stays nil
-		a.s.TopStrides = make([]StrideCount, 0, n)
-	}
-	a.strides.each(func(st, n uint64) {
-		a.s.TopStrides = append(a.s.TopStrides, StrideCount{Stride: int64(st), Count: n})
-	})
-	// The histogram is a hash table, so ties must break on the stride
-	// itself for the order, and the cut below, not to follow bucket
-	// order.
-	sort.Slice(a.s.TopStrides, func(i, j int) bool {
-		x, y := a.s.TopStrides[i], a.s.TopStrides[j]
-		if x.Count != y.Count {
-			return x.Count > y.Count
+	a.s.TopStrides = make([]StrideCount, 0, topStrides)
+	for i, n := range a.nearStrides {
+		if n > 0 {
+			a.offerStride(int64(i-nearStride), n)
 		}
-		return x.Stride < y.Stride
-	})
-	if len(a.s.TopStrides) > 8 {
-		a.s.TopStrides = a.s.TopStrides[:8]
 	}
+	a.strides.each(func(st, n uint64) { a.offerStride(int64(st), n) })
+	if len(a.s.TopStrides) == 0 {
+		a.s.TopStrides = nil
+	}
+}
+
+// topStrides is the most strides Summary.TopStrides lists.
+const topStrides = 8
+
+// offerStride keeps the stride st, seen n times, in TopStrides if it
+// ranks among the topStrides most frequent so far, by insertion: one
+// pass over the histogram, instead of sorting all of it to keep eight.
+// The histogram is a hash table, so equal counts rank the smaller
+// stride first, for the order and the cut not to follow bucket order.
+func (a *analyzer) offerStride(st int64, n uint64) {
+	before := func(x StrideCount) bool { return n > x.Count || n == x.Count && st < x.Stride }
+	top := a.s.TopStrides
+	if len(top) == topStrides && !before(top[topStrides-1]) {
+		return
+	}
+	if len(top) < topStrides {
+		top = append(top, StrideCount{})
+	}
+	i := len(top) - 1
+	for ; i > 0 && before(top[i-1]); i-- {
+		top[i] = top[i-1]
+	}
+	top[i] = StrideCount{Stride: st, Count: n}
+	a.s.TopStrides = top
 }
 
 // BlocksWithin reports the fraction of dynamic blocks whose working set

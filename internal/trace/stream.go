@@ -86,6 +86,17 @@ func (d *ChunkDecoder) Feed(data []byte, sink BatchSink) error {
 		}
 	}
 	for len(data) > 0 && d.phase == phaseEvents {
+		// Whole events go to the kernel while it can take them; the
+		// event it stops before takes the path below.
+		if d.npend == 0 && len(data) >= maxEventBytes {
+			if n := d.decodeRun(data); n > 0 {
+				data = data[n:]
+				if d.nbatch == batchSize && !d.flush(sink) {
+					return nil
+				}
+				continue
+			}
+		}
 		// Each event decodes straight into its batch slot; the slot
 		// counts only once the event is complete.
 		e := &d.batch[d.nbatch]
@@ -194,6 +205,70 @@ func (d *ChunkDecoder) feedHeader(data []byte) ([]byte, error) {
 		return rest, nil
 	}
 	return nil, nil
+}
+
+// decodeRun is Feed's kernel: it decodes events from the front of data
+// into the batch by index, while the batch has room and at least
+// maxEventBytes remain, so no event in the run can be cut short. The
+// delta baselines stay in locals and are stored back once. It stops
+// before any event it cannot take whole and valid (the terminator, an
+// unknown kind, a field past its cap, a varint that overflows, or a
+// branch outcome other than a single 0 or 1 byte) and returns the
+// bytes it consumed; decodeOne then handles that event, so the errors
+// are decodeOne's.
+func (d *ChunkDecoder) decodeRun(data []byte) int {
+	lastPC, lastAddr := d.lastPC, d.lastAddr
+	i, p := d.nbatch, 0
+run:
+	for ; i < batchSize && len(data)-p >= maxEventBytes; i++ {
+		b := data[p : p+maxEventBytes]
+		e := &d.batch[i]
+		// Each field's one-byte encoding, most of them, is decoded in
+		// line; a longer one calls uvarint.
+		v, un := uint64(b[1]), 1
+		if v >= 0x80 {
+			if v, un = uvarint(b[1:]); un <= 0 {
+				break run
+			}
+		}
+		switch k := Kind(b[0]); k {
+		case Instr:
+			if v > MaxInstrCount {
+				break run
+			}
+			*e = Event{Kind: Instr, N: int(v)}
+		case BlockBegin, BlockEnd:
+			if v > MaxBlockID {
+				break run
+			}
+			*e = Event{Kind: k, Block: int(v)}
+		case Load, Store:
+			a, an := uint64(b[1+un]), 1
+			if a >= 0x80 {
+				if a, an = uvarint(b[1+un:]); an <= 0 {
+					break run
+				}
+			}
+			lastPC += uint64(unzigzag(v))
+			lastAddr += uint64(unzigzag(a))
+			*e = Event{Kind: k, PC: lastPC, Addr: mem.Addr(lastAddr)}
+			un += an
+		case Branch:
+			if t := b[1+un]; t <= 1 {
+				lastPC += uint64(unzigzag(v))
+				*e = Event{Kind: Branch, PC: lastPC, Taken: t != 0}
+				un++
+			} else {
+				break run
+			}
+		default:
+			break run
+		}
+		p += 1 + un
+	}
+	d.lastPC, d.lastAddr = lastPC, lastAddr
+	d.nbatch = i
+	return p
 }
 
 // decodeOne decodes a single event record from the front of b into e.
@@ -306,8 +381,11 @@ func uvarint(b []byte) (uint64, int) {
 // varint is uvarint for a zigzag varint, like binary.Varint.
 func varint(b []byte) (int64, int) {
 	u, n := uvarint(b)
-	return int64(u>>1) ^ -int64(u&1), n
+	return unzigzag(u), n
 }
+
+// unzigzag inverts Zigzag.
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // Finish declares the input complete and checks the stream ended
 // cleanly: the header parsed, no partial event is pending, and the

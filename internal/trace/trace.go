@@ -84,9 +84,12 @@ type Event struct {
 }
 
 // Count returns the number of dynamic instructions the event represents.
+// It reads the event through a pointer: batch scans (the limiter, the
+// simulator's boundary split, the analyzer) call it on every event, and
+// a value receiver has the compiler copy each 48-byte event first.
 //
 //cbws:hotpath
-func (e Event) Count() int {
+func (e *Event) Count() int {
 	if e.Kind == Instr {
 		if e.N <= 0 {
 			return 1
@@ -258,8 +261,8 @@ func (t *Trace) GenerateBatches(sink BatchSink) {
 // Instructions returns the total dynamic instruction count of the trace.
 func (t *Trace) Instructions() uint64 {
 	var n uint64
-	for _, e := range t.Events {
-		n += uint64(e.Count())
+	for i := range t.Events {
+		n += uint64(t.Events[i].Count())
 	}
 	return n
 }
