@@ -8,7 +8,7 @@ GOVULNCHECK_VERSION ?= v1.1.4
 
 .PHONY: all build test vet fmt-check race bench obs-smoke service-smoke check \
 	fuzz-smoke golden golden-check bench-gate bench-ab bench-smoke corpus-smoke cluster-smoke streaming-smoke \
-	lint lint-custom lint-v2 compat-manifest staticcheck govulncheck tools
+	lint lint-custom compat-manifest staticcheck govulncheck tools
 
 all: check
 
@@ -133,13 +133,6 @@ govulncheck:
 lint-custom:
 	$(GO) run ./cmd/cbwslint ./...
 	$(GO) run ./cmd/cbwslint -tags cbwscheck ./...
-
-# Just the v2 analyzers (guardedby, golifecycle, wirecompat,
-# atomicdiscipline) — faster feedback while annotating lock contracts
-# or changing the wire package.
-lint-v2:
-	$(GO) run ./cmd/cbwslint -analyzers guardedby,golifecycle,wirecompat,atomicdiscipline ./...
-	$(GO) run ./cmd/cbwslint -tags cbwscheck -analyzers guardedby,golifecycle,wirecompat,atomicdiscipline ./...
 
 # Regenerate the frozen api/v1 wire-contract manifest. CI requires the
 # committed file to match (`git diff --exit-code api/v1/compat.json`);

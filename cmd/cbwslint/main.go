@@ -1,11 +1,10 @@
 // Command cbwslint runs the repo's custom analyzer suite (see
 // internal/lint: hotpathalloc, determinism, checkguard, batchalias,
-// guardedby, golifecycle, wirecompat, atomicdiscipline) over the named
-// packages.
+// guardedby, golifecycle, wirecompat) over the named packages.
 //
 // Usage:
 //
-//	cbwslint [-tags taglist] [-analyzers a,b] [-json] [-list] packages...
+//	cbwslint [-tags taglist] [-analyzers a,b] [-list] packages...
 //	cbwslint -write-compat [-compat-bump note] ./api/v1
 //
 // Run it on both build variants, because the cbwscheck-tagged files
@@ -14,12 +13,11 @@
 //	cbwslint ./...
 //	cbwslint -tags cbwscheck ./...
 //
-// -json prints findings as a machine-readable array instead of the
-// human "file:line:col: message (cbws/analyzer)" lines; the exit
-// status is unchanged. -write-compat regenerates the wirecompat
-// manifest (compat.json) for exactly one package; when the rewrite is
-// breaking relative to the committed manifest it refuses unless
-// -compat-bump supplies the CompatVersion note.
+// Findings print as "file:line:col: message (cbws/analyzer)" lines.
+// -write-compat regenerates the wirecompat manifest (compat.json) for
+// exactly one package; when the rewrite is breaking relative to the
+// committed manifest it refuses unless -compat-bump supplies the
+// CompatVersion note.
 //
 // Exit status follows the repo convention: 0 clean, 1 findings or a
 // load/analysis failure, 2 usage error. A finding is silenced in place
@@ -48,15 +46,6 @@ func main() {
 	cli.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// jsonDiag is the -json wire form of one finding.
-type jsonDiag struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
 // run is main with the process edges (args, streams, exit) abstracted
 // so tests can drive every exit path.
 func run(args []string, stdout, stderr io.Writer) int {
@@ -64,12 +53,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	tags := fs.String("tags", "", "build tags to load packages with (e.g. cbwscheck)")
 	list := fs.Bool("list", false, "list the analyzers and exit")
-	jsonOut := fs.Bool("json", false, "emit findings as a JSON array instead of text")
 	names := fs.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
 	writeCompat := fs.Bool("write-compat", false, "regenerate the wirecompat manifest for one package and exit")
 	compatBump := fs.String("compat-bump", "", "CompatVersion note for a breaking -write-compat rewrite")
 	fs.Usage = func() {
-		fmt.Fprintln(stderr, "usage: cbwslint [-tags taglist] [-analyzers a,b] [-json] [-list] packages...")
+		fmt.Fprintln(stderr, "usage: cbwslint [-tags taglist] [-analyzers a,b] [-list] packages...")
 		fmt.Fprintln(stderr, "       cbwslint -write-compat [-compat-bump note] package")
 		fs.PrintDefaults()
 	}
@@ -119,27 +107,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "cbwslint: %v\n", err)
 		return cli.ExitFail
 	}
-	if *jsonOut {
-		out := make([]jsonDiag, 0, len(diags))
-		for _, d := range diags {
-			out = append(out, jsonDiag{
-				File:     d.Pos.Filename,
-				Line:     d.Pos.Line,
-				Col:      d.Pos.Column,
-				Analyzer: "cbws/" + d.Analyzer,
-				Message:  d.Message,
-			})
-		}
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintf(stderr, "cbwslint: %v\n", err)
-			return cli.ExitFail
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Fprintln(stdout, d.String())
-		}
+	for _, d := range diags {
+		fmt.Fprintln(stdout, d.String())
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(stderr, "cbwslint: %d findings\n", len(diags))

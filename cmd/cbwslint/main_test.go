@@ -59,13 +59,6 @@ func TestRunExitCodes(t *testing.T) {
 			wantStdout: "cbws/guardedby",
 		},
 		{
-			name:       "json findings exit 1 with machine-readable output",
-			args:       []string{"-json", "../../internal/lint/testdata/src/batchalias"},
-			wantCode:   1,
-			wantStdout: `"analyzer": "cbws/batchalias"`,
-			wantStderr: "findings",
-		},
-		{
 			name:       "unknown analyzer name is a usage error",
 			args:       []string{"-analyzers", "nope", "."},
 			wantCode:   2,

@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"path/filepath"
 	"strings"
 
 	"cbws/internal/lint/analysis"
@@ -19,36 +18,24 @@ import (
 //  2. Calls to those unexported check* helpers must themselves be
 //     guarded by check.Enabled (or be made from another helper /
 //     tagged file), closing the loop opened by rule 1.
-//  3. Reference-model files (ref*.go in the check package) must not
-//     import the optimized packages they validate (internal/cache,
-//     internal/engine, internal/core): the models are only credible
-//     while they share nothing with the code under test beyond the
-//     declared trace/mem interfaces.
 //
-// Package check itself is exempt from the guard rules (it defines the
-// hooks).
+// Package check itself is exempt (it defines the hooks). Its reference
+// models need no rule to stay independent of the optimized packages
+// they validate: internal/cache, engine, core and prefetch/learned all
+// import internal/check, so importing one from a model is an import
+// cycle the compiler rejects.
 var CheckGuard = &analysis.Analyzer{
 	Name: "checkguard",
-	Doc: "require check.Enabled guards around invariant hooks and " +
-		"keep reference models import-independent of optimized packages",
-	Run: runCheckGuard,
+	Doc:  "require check.Enabled guards around invariant hooks",
+	Run:  runCheckGuard,
 }
 
-// refDenylist names the optimized packages (by path suffix) that
-// reference models must not import.
-var refDenylist = []string{"internal/cache", "internal/engine", "internal/core", "internal/prefetch/learned"}
-
 func runCheckGuard(pass *analysis.Pass) error {
-	inCheckPkg := pass.Pkg.Name() == "check"
+	if pass.Pkg.Name() == "check" {
+		return nil // the check package defines the hooks; guards don't apply
+	}
 	helpers := collectCheckHelpers(pass)
 	for _, f := range pass.Files {
-		filename := filepath.Base(pass.Fset.Position(f.Pos()).Filename)
-		if inCheckPkg {
-			if strings.HasPrefix(filename, "ref") {
-				checkRefImports(pass, f)
-			}
-			continue // the check package defines the hooks; guards don't apply
-		}
 		if analysis.FileHasBuildTag(f, "cbwscheck") {
 			continue // the whole file only exists in checked builds
 		}
@@ -141,17 +128,4 @@ func checkGuardedCalls(pass *analysis.Pass, fd *ast.FuncDecl, helpers map[*types
 		})
 	}
 	walk(fd.Body, false)
-}
-
-// checkRefImports enforces rule 3 on one ref*.go file.
-func checkRefImports(pass *analysis.Pass, f *ast.File) {
-	for _, imp := range f.Imports {
-		path := strings.Trim(imp.Path.Value, `"`)
-		for _, deny := range refDenylist {
-			if path == deny || strings.HasSuffix(path, "/"+deny) {
-				pass.Reportf(imp.Pos(),
-					"reference model imports optimized package %s; reference and production implementations must stay independent", path)
-			}
-		}
-	}
 }

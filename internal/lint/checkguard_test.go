@@ -10,7 +10,3 @@ import (
 func TestCheckGuard(t *testing.T) {
 	linttest.Run(t, lint.CheckGuard, "testdata/src/checkguard")
 }
-
-func TestCheckGuardRefImports(t *testing.T) {
-	linttest.Run(t, lint.CheckGuard, "testdata/src/checkguardref")
-}

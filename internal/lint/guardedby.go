@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 
@@ -39,10 +40,16 @@ type lockedFact struct {
 // intersection (a lock must be held on every path reaching the
 // access). Function literals are analyzed against an empty lock set,
 // since they may run on any goroutine.
+//
+// It also bans the sync/atomic package functions (AddInt64, LoadUint32,
+// ...): a word passed to them can still be read or written plainly
+// elsewhere, while the typed wrappers (atomic.Int64, ...) admit only
+// atomic access, and go vet's copylocks check flags their copies.
 var GuardedBy = &analysis.Analyzer{
 	Name: "guardedby",
 	Doc: "verify that fields annotated //cbws:guardedby <mutex> are only " +
-		"accessed while the named sibling sync.Mutex/RWMutex is held",
+		"accessed while the named sibling sync.Mutex/RWMutex is held; " +
+		"ban the sync/atomic package functions in favour of the typed wrappers",
 	Run: runGuardedBy,
 }
 
@@ -99,6 +106,21 @@ func runGuardedBy(pass *analysis.Pass) error {
 			}
 		}
 	}
+	// Phase 4: any reference to a sync/atomic package function.
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			id, ok := n.(*ast.Ident)
+			if !ok {
+				return true
+			}
+			fn, ok := pass.TypesInfo.Uses[id].(*types.Func)
+			if ok && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic" &&
+				fn.Type().(*types.Signature).Recv() == nil {
+				pass.Reportf(id.Pos(), "sync/atomic.%s: use a typed wrapper (atomic.Int64, ...) so the word has no plain access", fn.Name())
+			}
+			return true
+		})
+	}
 	return nil
 }
 
@@ -120,7 +142,7 @@ func (c *guardedChecker) collectStruct(ts *ast.TypeSpec, st *ast.StructType) {
 				c.guards[obj] = guardInfo{mutex: guard}
 			}
 		}
-		if !containsString(mutexes, guard) {
+		if !slices.Contains(mutexes, guard) {
 			mutexes = append(mutexes, guard)
 		}
 	}
@@ -178,15 +200,6 @@ func isMutexType(t types.Type) bool {
 	obj := n.Obj()
 	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" &&
 		(obj.Name() == "Mutex" || obj.Name() == "RWMutex")
-}
-
-func containsString(list []string, s string) bool {
-	for _, v := range list {
-		if v == s {
-			return true
-		}
-	}
-	return false
 }
 
 // lockedDecl is one *Locked method awaiting contract derivation.

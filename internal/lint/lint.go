@@ -12,9 +12,7 @@
 //     sorts.
 //   - checkguard: runtime invariant hooks (check.Assertf / Failf and
 //     the unexported check* helpers that wrap them) must be gated on
-//     check.Enabled or confined to cbwscheck-tagged files, and the
-//     reference models in internal/check must not import the
-//     optimized packages they validate.
+//     check.Enabled or confined to cbwscheck-tagged files.
 //   - batchalias: BatchSink implementations must not retain or
 //     mutate the batch slice, whose backing array the producer reuses.
 //
@@ -23,16 +21,15 @@
 //   - guardedby: fields annotated //cbws:guardedby <mutex> may only be
 //     accessed while the named sibling sync.Mutex/RWMutex is held;
 //     *Locked methods carry the obligation to their callers via
-//     object facts.
+//     object facts. It also bans the sync/atomic package functions:
+//     shared words use the typed wrappers (atomic.Int64, ...), whose
+//     copies go vet's copylocks check flags.
 //   - golifecycle: no fire-and-forget goroutines in the long-lived
 //     packages — every go statement must join through a WaitGroup, a
 //     received result channel, or context cancellation.
 //   - wirecompat: the api/v1 wire contract (struct shapes, json tags,
 //     routes, job-key schema) is frozen in api/v1/compat.json;
 //     breaking drift fails lint until the manifest is bumped.
-//   - atomicdiscipline: sync/atomic state is never mixed with plain
-//     loads/stores, wrapper values are never copied, and expvar names
-//     follow the cbwsd convention.
 //
 // False positives are silenced in place with
 //
@@ -55,7 +52,7 @@ import (
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		HotPathAlloc, Determinism, CheckGuard, BatchAlias,
-		GuardedBy, GoLifecycle, WireCompat, AtomicDiscipline,
+		GuardedBy, GoLifecycle, WireCompat,
 	}
 }
 

@@ -1,6 +1,4 @@
-// Package checkguard is the fixture for the guard rules of the
-// cbws/checkguard analyzer (the reference-model import rule is
-// exercised by the sibling checkguardref fixture).
+// Package checkguard is the fixture for the cbws/checkguard analyzer.
 package checkguard
 
 import "cbws/internal/check"

@@ -1,9 +1,13 @@
 // Package guardedby is the fixture for the cbws/guardedby analyzer.
 // The box type annotates three fields; every function below accesses
-// one of them without (fully) holding the named mutex.
+// one of them without (fully) holding the named mutex, or calls a
+// sync/atomic package function.
 package guardedby
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 type box struct {
 	mu    sync.Mutex
@@ -73,3 +77,5 @@ type badAnno struct {
 }
 
 func useBadAnno(a *badAnno) int { return a.x }
+
+func badAtomicFunc(n *int64) { atomic.AddInt64(n, 1) } // want `sync/atomic.AddInt64: use a typed wrapper`

@@ -1,6 +1,9 @@
 package guardedby
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 func newBox() *box {
 	// Composite-literal construction happens before publication: no
@@ -87,3 +90,6 @@ func handoff(boxes map[string]*box) {
 	}
 	wg.Wait()
 }
+
+// The typed atomic wrappers are the sanctioned form.
+func bumpWrapper(n *atomic.Int64) int64 { return n.Add(1) }

@@ -38,16 +38,6 @@ echo "service-smoke: building cbwsd and cbwsctl"
 go build -o "$tmp/cbwsd" ./cmd/cbwsd
 go build -o "$tmp/cbwsctl" ./cmd/cbwsctl
 
-# The prefetcher roster rides inside request/response payloads as plain
-# strings, so growing it must not move the wire shape: regenerating the
-# wirecompat manifest has to be a no-op against the committed file.
-echo "service-smoke: api/v1 wire shape must be unchanged by the roster"
-go run ./cmd/cbwslint -write-compat ./api/v1 >/dev/null
-git diff --exit-code -- api/v1/compat.json || {
-    echo "service-smoke: api/v1/compat.json changed; the roster growth moved the wire shape" >&2
-    exit 1
-}
-
 mkdir -p "$tmp/cache"
 # start_daemon launches cbwsd over $tmp/cache and sets daemon_pid and url.
 start_daemon() {
