@@ -155,7 +155,7 @@ lint: fmt-check vet lint-custom
 # must stay within the baseline's time ratio with exact allocs/op.
 # To re-baseline: make bench-gate BENCHGATE_FLAGS='-write BENCH_baseline.json'
 BENCHGATE_FLAGS ?= -baseline BENCH_baseline.json
-BENCH_GATED = BenchmarkPipelineEventsPerSec$$|BenchmarkCBWSOnAccess$$|BenchmarkCorpusReplayEventsPerSec$$|BenchmarkPythiaOnAccess$$|BenchmarkGazeOnAccess$$|BenchmarkStrideOnAccess$$|BenchmarkGHBOnAccess$$|BenchmarkSMSOnAccess$$|BenchmarkHierarchyAccessInto$$|BenchmarkGoldenCell$$|BenchmarkTraceCapture$$|BenchmarkTraceDecode$$|BenchmarkCorpusPack$$|BenchmarkTraceAnalyze$$|BenchmarkCensus$$
+BENCH_GATED = BenchmarkPipelineEventsPerSec$$|BenchmarkWorkloadGenerate$$|BenchmarkCBWSOnAccess$$|BenchmarkCorpusReplayEventsPerSec$$|BenchmarkPythiaOnAccess$$|BenchmarkGazeOnAccess$$|BenchmarkStrideOnAccess$$|BenchmarkGHBOnAccess$$|BenchmarkSMSOnAccess$$|BenchmarkHierarchyAccessInto$$|BenchmarkGoldenCell$$|BenchmarkTraceCapture$$|BenchmarkTraceDecode$$|BenchmarkCorpusPack$$|BenchmarkTraceAnalyze$$|BenchmarkCensus$$
 # The end-to-end benchmark (bench/) is its own module, so the root
 # `go test ./...` never compiles it; vet and test it against the
 # current tree's APIs.

@@ -349,6 +349,27 @@ func BenchmarkPipelineEventsPerSec(b *testing.B) {
 	}
 }
 
+// BenchmarkWorkloadGenerate is the workload-generation stage's layer
+// benchmark: all 30 workloads, each driven through trace.Limit at 1M
+// instructions into a counting sink with no consumer work, reported in
+// nanoseconds per delivered event. One op generates every workload
+// once.
+func BenchmarkWorkloadGenerate(b *testing.B) {
+	specs := workload.All()
+	b.ReportAllocs()
+	var events uint64
+	for i := 0; i < b.N; i++ {
+		for _, s := range specs {
+			var cs countingBatchSink
+			trace.Limit{Gen: s.Make(), Max: 1_000_000}.GenerateBatches(&cs)
+			events += cs.events
+		}
+	}
+	if events > 0 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+	}
+}
+
 // BenchmarkCorpusReplayEventsPerSec measures replay of a packed CBWC
 // corpus — the same stencil stream as BenchmarkPipelineEventsPerSec,
 // but decoded from the columnar mmap instead of regenerated — in

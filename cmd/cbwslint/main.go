@@ -1,6 +1,9 @@
 // Command cbwslint runs the repo's custom analyzer suite (see
 // internal/lint: hotpathalloc, determinism, checkguard, batchalias,
-// guardedby, golifecycle, wirecompat) over the named packages.
+// guardedby, golifecycle, wirecompat) over the named packages. The
+// module packages they import are analyzed too, for their facts only:
+// findings in them are not reported, so a package gets the same
+// verdict alone as under ./....
 //
 // Usage:
 //
@@ -93,7 +96,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return cli.ExitFail
 	}
 	if *writeCompat {
-		return runWriteCompat(pkgs, *compatBump, stdout, stderr)
+		var named []*analysis.Package
+		for _, p := range pkgs {
+			if !p.FactsOnly {
+				named = append(named, p)
+			}
+		}
+		return runWriteCompat(named, *compatBump, stdout, stderr)
 	}
 	module := ""
 	for _, p := range pkgs {

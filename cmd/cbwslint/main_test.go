@@ -48,6 +48,13 @@ func TestRunExitCodes(t *testing.T) {
 			wantStderr: "findings",
 		},
 		{
+			// Named alone, prefetch must still see the //cbws:hotpath
+			// facts of its unnamed dependency mem (LineAddr.Delta).
+			name:     "package subset imports its dependencies' facts",
+			args:     []string{"../../internal/prefetch"},
+			wantCode: 0,
+		},
+		{
 			name:     "clean package exits 0",
 			args:     []string{"."},
 			wantCode: 0,

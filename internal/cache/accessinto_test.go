@@ -80,7 +80,7 @@ func genericAccess(t *testing.T, h *Hierarchy, info *AccessInfo, pc uint64, addr
 	l := mem.LineOf(addr)
 	*info = AccessInfo{PC: pc, Addr: addr, Line: l, Write: write}
 	r := h.L1.Access(l, now)
-	if !r.FilledNew {
+	if r.Hit || r.Merged {
 		info.HitL1 = r.Hit
 		info.ReadyAt = r.ReadyAt
 		if write {

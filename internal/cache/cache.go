@@ -348,19 +348,20 @@ func (c *Cache) Check() error {
 }
 
 // AccessResult describes the outcome of one demand access at a level.
+// It has at most four fields and fits in 32 bytes, so the compiler keeps
+// it in registers (see TestAccessResultRegisterSized): a larger result
+// is spilled field by field and reloaded wide on every access.
 type AccessResult struct {
-	Hit       bool   // resident and filled
-	Merged    bool   // missed but merged with an outstanding fill
-	MergedPf  bool   // the outstanding fill was a prefetch
-	ReadyAt   uint64 // cycle at which the data is available at this level
-	WasPfHit  bool   // hit on a prefetched line's first demand use
-	FilledNew bool   // a new fill was allocated (caller provides fill latency)
+	Hit     bool   // resident and filled
+	Merged  bool   // missed but merged with an outstanding fill
+	Pf      bool   // first demand use of a prefetched line (a hit on it or a merge with its fill)
+	ReadyAt uint64 // cycle at which the data is available at this level
 }
 
 // Access performs a demand lookup of line l at cycle now. If the line
 // misses and does not merge, the caller must complete the fill by calling
-// Fill with the backing-store completion time; Access returns with
-// FilledNew=true and ReadyAt=0 in that case.
+// Fill with the backing-store completion time; Access returns the zero
+// AccessResult (neither Hit nor Merged, ReadyAt=0) in that case.
 //
 //cbws:hotpath
 func (c *Cache) Access(l mem.LineAddr, now uint64) AccessResult {
@@ -375,29 +376,27 @@ func (c *Cache) Access(l mem.LineAddr, now uint64) AccessResult {
 	if i := c.findWay(l); i >= 0 {
 		c.touch(i)
 		fillAt := c.fillAt[i]
+		pf := c.flags[i]&pfUnused == flagPrefetch
+		if pf {
+			c.flags[i] |= flagUsed
+		}
 		if fillAt <= now {
 			c.Stats.Hits++
-			res := AccessResult{Hit: true, ReadyAt: now + c.cfg.LatencyCycles}
-			if c.flags[i]&pfUnused == flagPrefetch {
-				c.flags[i] |= flagUsed
+			if pf {
 				c.Stats.PrefetchUseful++
-				res.WasPfHit = true
 			}
-			return res
+			return AccessResult{Hit: true, Pf: pf, ReadyAt: now + c.cfg.LatencyCycles}
 		}
 		// In flight: merge with the outstanding fill.
 		c.Stats.Misses++
 		c.Stats.MergedMiss++
-		res := AccessResult{Merged: true, ReadyAt: fillAt}
-		if c.flags[i]&pfUnused == flagPrefetch {
-			c.flags[i] |= flagUsed
+		if pf {
 			c.Stats.PrefetchLate++
-			res.MergedPf = true
 		}
-		return res
+		return AccessResult{Merged: true, Pf: pf, ReadyAt: fillAt}
 	}
 	c.Stats.Misses++
-	return AccessResult{FilledNew: true}
+	return AccessResult{}
 }
 
 // Fill installs line l with data arriving at cycle fillAt, allocated at

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"reflect"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -21,6 +22,18 @@ func mustCache(t *testing.T, cfg Config) *Cache {
 
 func small() Config {
 	return Config{Name: "t", SizeBytes: 8 * mem.LineSize, Ways: 2, LatencyCycles: 2, MSHRs: 2}
+}
+
+func TestAccessResultRegisterSized(t *testing.T) {
+	// The compiler keeps a struct in registers (SSA) only when it has
+	// at most 4 fields and fits in 32 bytes (MaxStruct in
+	// cmd/compile's CanSSA). Past either bound every Access result is
+	// spilled field by field and reloaded with wide loads that defeat
+	// store-to-load forwarding, on each L1 miss of the simulation.
+	typ := reflect.TypeOf(AccessResult{})
+	if typ.NumField() > 4 || typ.Size() > 32 {
+		t.Errorf("AccessResult has %d fields and %d bytes; want <= 4 and <= 32", typ.NumField(), typ.Size())
+	}
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -58,7 +71,7 @@ func TestSets(t *testing.T) {
 func TestMissThenHit(t *testing.T) {
 	c := mustCache(t, small())
 	r := c.Access(100, 10)
-	if !r.FilledNew {
+	if r.Hit || r.Merged {
 		t.Fatalf("first access should miss: %+v", r)
 	}
 	fillAt := c.Fill(100, 10, 300, false)
@@ -174,7 +187,7 @@ func TestPrefetchAccounting(t *testing.T) {
 	}
 	// Demand use while in flight: late prefetch.
 	r := c.Access(5, 100)
-	if !r.Merged || !r.MergedPf {
+	if !r.Merged || !r.Pf {
 		t.Errorf("late merge: %+v", r)
 	}
 	if c.Stats.PrefetchLate != 1 {
@@ -186,7 +199,7 @@ func TestPrefetchTimelyUse(t *testing.T) {
 	c := mustCache(t, small())
 	c.TryPrefetch(5, 0, 100)
 	r := c.Access(5, 200)
-	if !r.Hit || !r.WasPfHit {
+	if !r.Hit || !r.Pf {
 		t.Fatalf("timely hit: %+v", r)
 	}
 	if c.Stats.PrefetchUseful != 1 {
@@ -194,7 +207,7 @@ func TestPrefetchTimelyUse(t *testing.T) {
 	}
 	// Second use is a plain hit, not another useful prefetch.
 	r = c.Access(5, 300)
-	if !r.Hit || r.WasPfHit {
+	if !r.Hit || r.Pf {
 		t.Errorf("second use: %+v", r)
 	}
 	if c.Stats.PrefetchUseful != 1 {
@@ -284,7 +297,7 @@ func TestResidentNeverExceedsCapacity(t *testing.T) {
 			now += uint64(rng.Intn(10))
 			l := mem.LineAddr(rng.Intn(64))
 			if rng.Intn(2) == 0 {
-				if r := c.Access(l, now); r.FilledNew {
+				if r := c.Access(l, now); !r.Hit && !r.Merged {
 					c.Fill(l, now, uint64(rng.Intn(50)), false)
 				}
 			} else {
@@ -314,7 +327,7 @@ func TestProbeContainsConsistency(t *testing.T) {
 		for i := 0; i < 300; i++ {
 			now += uint64(rng.Intn(20))
 			l := mem.LineAddr(rng.Intn(32))
-			if r := c.Access(l, now); r.FilledNew {
+			if r := c.Access(l, now); !r.Hit && !r.Merged {
 				c.Fill(l, now, uint64(rng.Intn(100)), rng.Intn(2) == 0)
 			}
 			probe := mem.LineAddr(rng.Intn(32))

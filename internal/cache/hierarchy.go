@@ -296,7 +296,7 @@ func (h *Hierarchy) AccessInto(info *AccessInfo, pc uint64, addr mem.Addr, write
 	case r2.Hit:
 		info.HitL2 = true
 		ready = r2.ReadyAt
-		if r2.WasPfHit {
+		if r2.Pf {
 			info.PfHit = true
 			h.Timeliness.Timely++
 		} else {
@@ -305,7 +305,7 @@ func (h *Hierarchy) AccessInto(info *AccessInfo, pc uint64, addr mem.Addr, write
 	case r2.Merged:
 		info.HitL2 = true
 		ready = r2.ReadyAt
-		if r2.MergedPf {
+		if r2.Pf {
 			info.PfHit = true
 			h.Timeliness.ShorterWT++
 		} else {

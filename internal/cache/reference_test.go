@@ -63,7 +63,7 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 				t.Fatalf("seed %d access %d line %v: cache hit=%v, reference hit=%v",
 					seed, i, l, got.Hit, want)
 			}
-			if got.FilledNew {
+			if !got.Hit && !got.Merged {
 				c.Fill(l, now, 0, false)
 			}
 			if got.Merged {
@@ -104,7 +104,7 @@ func TestCacheMatchesReferenceWithInvalidations(t *testing.T) {
 		if got.Hit != want {
 			t.Fatalf("access %d line %v: cache hit=%v, reference hit=%v", i, l, got.Hit, want)
 		}
-		if got.FilledNew {
+		if !got.Hit && !got.Merged {
 			c.Fill(l, now, 0, false)
 		}
 	}

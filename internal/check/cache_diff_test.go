@@ -69,13 +69,11 @@ func driveCachePair(t testingT, c *cache.Cache, ref *check.RefCache, rng *rand.R
 		case op < 6: // demand access + protocol fill
 			got := c.Access(l, at)
 			want := ref.Access(l, at)
-			if got.Hit != want.Hit || got.Merged != want.Merged ||
-				got.MergedPf != want.MergedPf || got.ReadyAt != want.ReadyAt ||
-				got.WasPfHit != want.WasPfHit || got.FilledNew != want.FilledNew {
+			if got != cache.AccessResult(want) {
 				t.Fatalf("op %d: access %v at %d diverged:\n real %+v\n  ref %+v",
 					i, l, at, got, want)
 			}
-			if got.FilledNew {
+			if !got.Hit && !got.Merged {
 				lat := uint64(rng.Intn(memLatency))
 				gf := c.Fill(l, at, lat, false)
 				wf := ref.Fill(l, at, lat, false)

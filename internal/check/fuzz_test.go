@@ -69,13 +69,11 @@ func FuzzCacheVsRef(f *testing.F) {
 			case op&0x03 != 0: // demand access + protocol fill
 				got := c.Access(l, at)
 				want := ref.Access(l, at)
-				if got.Hit != want.Hit || got.Merged != want.Merged ||
-					got.MergedPf != want.MergedPf || got.ReadyAt != want.ReadyAt ||
-					got.WasPfHit != want.WasPfHit || got.FilledNew != want.FilledNew {
+				if got != cache.AccessResult(want) {
 					t.Fatalf("op %d: access %v at %d diverged:\n real %+v\n  ref %+v",
 						i, l, at, got, want)
 				}
-				if got.FilledNew {
+				if !got.Hit && !got.Merged {
 					lat := uint64(op>>2) + 1
 					if gf, wf := c.Fill(l, at, lat, false), ref.Fill(l, at, lat, false); gf != wf {
 						t.Fatalf("op %d: fill %v: real completes %d, ref %d", i, l, gf, wf)

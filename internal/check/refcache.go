@@ -34,14 +34,13 @@ type RefCacheStats struct {
 	Writebacks uint64
 }
 
-// RefAccessResult mirrors cache.AccessResult.
+// RefAccessResult mirrors cache.AccessResult field for field, so a
+// differential test compares the two by conversion.
 type RefAccessResult struct {
-	Hit       bool
-	Merged    bool
-	MergedPf  bool
-	ReadyAt   uint64
-	WasPfHit  bool
-	FilledNew bool
+	Hit     bool
+	Merged  bool
+	Pf      bool
+	ReadyAt uint64
 }
 
 // refLine is one resident line of the reference cache.
@@ -209,7 +208,7 @@ func (c *RefCache) Access(l mem.LineAddr, now uint64) RefAccessResult {
 			if w.prefetch && !w.used {
 				w.used = true
 				c.Stats.PrefetchUseful++
-				res.WasPfHit = true
+				res.Pf = true
 			}
 			return res
 		}
@@ -219,12 +218,12 @@ func (c *RefCache) Access(l mem.LineAddr, now uint64) RefAccessResult {
 		if w.prefetch && !w.used {
 			w.used = true
 			c.Stats.PrefetchLate++
-			res.MergedPf = true
+			res.Pf = true
 		}
 		return res
 	}
 	c.Stats.Misses++
-	return RefAccessResult{FilledNew: true}
+	return RefAccessResult{}
 }
 
 // Fill installs line l with data arriving latency cycles after the MSHR

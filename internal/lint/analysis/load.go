@@ -26,6 +26,11 @@ type Package struct {
 	Files     []*ast.File
 	Types     *types.Package
 	TypesInfo *types.Info
+	// FactsOnly marks an in-module dependency that no pattern named.
+	// Run analyzes it so that the named packages can import its facts
+	// (a hot-path callee's annotation, a *Locked method's contract) and
+	// reports nothing found in it.
+	FactsOnly bool
 	// depCount is the transitive import count, used to order analysis
 	// dependencies-first so facts flow from callee to caller packages.
 	depCount int
@@ -41,12 +46,16 @@ type listPkg struct {
 	Deps       []string
 	Standard   bool
 	DepOnly    bool
-	Module     *struct{ Path string }
-	Error      *struct{ Err string }
+	Module     *struct {
+		Path string
+		Main bool
+	}
+	Error *struct{ Err string }
 }
 
 // Load resolves patterns (e.g. "./...") with the go command and
-// type-checks every matched non-test package from source. Imports —
+// type-checks every matched non-test package from source, together
+// with the main-module packages they depend on, marked FactsOnly. Imports —
 // stdlib and module-internal alike — are satisfied from the compiler
 // export data that `go list -export` leaves in the build cache, so
 // loading is hermetic: no network, no GOPATH archives. tags is the
@@ -75,7 +84,7 @@ func Load(dir string, tags string, patterns ...string) ([]*Package, error) {
 	}
 
 	exports := make(map[string]string)
-	var roots []listPkg
+	var roots, deps []listPkg
 	dec := json.NewDecoder(bytes.NewReader(out))
 	for {
 		var p listPkg
@@ -90,18 +99,28 @@ func Load(dir string, tags string, patterns ...string) ([]*Package, error) {
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
 		}
-		if !p.DepOnly && !p.Standard {
+		switch {
+		case p.Standard:
+		case p.DepOnly:
+			// The analyzers demand facts about module-internal
+			// callees alone.
+			if p.Module != nil && p.Module.Main {
+				deps = append(deps, p)
+			}
+		default:
 			roots = append(roots, p)
 		}
 	}
 	if len(roots) == 0 {
 		return nil, fmt.Errorf("go list %s: no packages matched", strings.Join(patterns, " "))
 	}
+	nroots := len(roots)
+	roots = append(roots, deps...)
 
 	fset := token.NewFileSet()
 	imp := ExportImporter(fset, exports)
 	var pkgs []*Package
-	for _, root := range roots {
+	for i, root := range roots {
 		files, err := parseDir(fset, root.Dir, root.GoFiles)
 		if err != nil {
 			return nil, err
@@ -122,6 +141,7 @@ func Load(dir string, tags string, patterns ...string) ([]*Package, error) {
 			Files:     files,
 			Types:     pkg,
 			TypesInfo: info,
+			FactsOnly: i >= nroots,
 			depCount:  len(root.Deps),
 		})
 	}

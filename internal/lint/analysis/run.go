@@ -10,8 +10,9 @@ import (
 // Run applies analyzers to pkgs (already sorted dependencies-first by
 // Load) and returns the surviving diagnostics in deterministic order:
 // by file, line, column, analyzer, message. Findings suppressed by a
-// //lint:ignore comment are dropped. Analyzer Scope is honored:
-// out-of-scope packages are skipped.
+// //lint:ignore comment are dropped, as is every finding in a
+// FactsOnly package. Analyzer Scope is honored: out-of-scope packages
+// are skipped.
 func Run(analyzers []*Analyzer, pkgs []*Package, modulePath string) ([]Diagnostic, error) {
 	facts := NewFactStore()
 	var diags []Diagnostic
@@ -31,7 +32,7 @@ func Run(analyzers []*Analyzer, pkgs []*Package, modulePath string) ([]Diagnosti
 				Dir:        pkg.Dir,
 				facts:      facts,
 				report: func(d Diagnostic) {
-					if !sup.suppressed(d) {
+					if !pkg.FactsOnly && !sup.suppressed(d) {
 						diags = append(diags, d)
 					}
 				},

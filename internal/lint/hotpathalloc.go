@@ -25,7 +25,10 @@ type hotFact struct{}
 // (address-taken) composite literals, no append to slices that are not
 // owned by the receiver, no capturing closures, no goroutines, no fmt
 // calls, no string concatenation, no interface conversions of
-// non-pointer values, and no calls to unannotated module functions.
+// non-pointer values, no string <-> []byte/[]rune conversions (except
+// the forms the compiler performs in place: a map lookup key, a
+// comparison operand, and ranging over []byte(s)), and no calls to
+// unannotated module functions.
 // Code inside an `if check.Enabled` block is exempt: checked builds
 // may allocate.
 var HotPathAlloc = &analysis.Analyzer{
@@ -77,13 +80,19 @@ type hotChecker struct {
 	// it by plain assignment/reslicing: appending to these reuses
 	// preallocated receiver-owned capacity and is permitted.
 	owned map[types.Object]bool
+	// inPlace holds the expressions in a position where the compiler
+	// converts string <-> []byte without allocating; stored holds the
+	// assignment targets, whose map keys are copied into the map.
+	inPlace map[ast.Expr]bool
+	stored  map[ast.Expr]bool
 }
 
 func checkHotFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 	if fd.Body == nil {
 		return
 	}
-	c := &hotChecker{pass: pass, decl: fd, owned: make(map[types.Object]bool)}
+	c := &hotChecker{pass: pass, decl: fd, owned: make(map[types.Object]bool),
+		inPlace: make(map[ast.Expr]bool), stored: make(map[ast.Expr]bool)}
 	if fd.Recv != nil && len(fd.Recv.List) == 1 && len(fd.Recv.List[0].Names) == 1 {
 		if obj := pass.TypesInfo.Defs[fd.Recv.List[0].Names[0]]; obj != nil {
 			c.owned[obj] = true
@@ -179,9 +188,27 @@ func (c *hotChecker) walkStmt(n ast.Node) {
 			if e.Op == token.ADD && c.isString(e.X) {
 				c.pass.Reportf(e.Pos(), "hot path concatenates strings (allocates)")
 			}
+			switch e.Op {
+			case token.EQL, token.NEQ, token.LSS, token.LEQ, token.GTR, token.GEQ:
+				c.inPlace[ast.Unparen(e.X)] = true
+				c.inPlace[ast.Unparen(e.Y)] = true
+			}
+		case *ast.IndexExpr:
+			if t := c.pass.TypesInfo.TypeOf(e.X); t != nil && isMap(t) && !c.stored[e] {
+				c.inPlace[ast.Unparen(e.Index)] = true
+			}
+		case *ast.RangeStmt:
+			if x := ast.Unparen(e.X); sliceElemKind(c.pass.TypesInfo.TypeOf(x)) == types.Uint8 {
+				c.inPlace[x] = true
+			}
+		case *ast.IncDecStmt:
+			c.stored[ast.Unparen(e.X)] = true
 		case *ast.AssignStmt:
 			if e.Tok == token.ADD_ASSIGN && len(e.Lhs) == 1 && c.isString(e.Lhs[0]) {
 				c.pass.Reportf(e.Pos(), "hot path concatenates strings (allocates)")
+			}
+			for _, lhs := range e.Lhs {
+				c.stored[ast.Unparen(lhs)] = true
 			}
 		case *ast.CallExpr:
 			c.checkCall(e)
@@ -191,12 +218,41 @@ func (c *hotChecker) walkStmt(n ast.Node) {
 }
 
 func (c *hotChecker) isString(expr ast.Expr) bool {
-	t := c.pass.TypesInfo.TypeOf(expr)
+	return isStringType(c.pass.TypesInfo.TypeOf(expr))
+}
+
+func isMap(t types.Type) bool {
+	_, ok := t.Underlying().(*types.Map)
+	return ok
+}
+
+func isStringType(t types.Type) bool {
 	if t == nil {
 		return false
 	}
 	b, ok := t.Underlying().(*types.Basic)
 	return ok && b.Info()&types.IsString != 0
+}
+
+// sliceElemKind returns the kind of t's element when t is a slice of a
+// basic type (types.Uint8 for []byte, types.Int32 for []rune), and
+// types.Invalid otherwise.
+func sliceElemKind(t types.Type) types.BasicKind {
+	if t == nil {
+		return types.Invalid
+	}
+	if s, ok := t.Underlying().(*types.Slice); ok {
+		if b, ok := s.Elem().Underlying().(*types.Basic); ok {
+			return b.Kind()
+		}
+	}
+	return types.Invalid
+}
+
+// isBytesOrRunes reports whether t is a []byte or []rune type.
+func isBytesOrRunes(t types.Type) bool {
+	k := sliceElemKind(t)
+	return k == types.Uint8 || k == types.Int32
 }
 
 func (c *hotChecker) checkFuncLit(fl *ast.FuncLit) {
@@ -238,10 +294,19 @@ func (c *hotChecker) checkCompositeLit(cl *ast.CompositeLit) {
 func (c *hotChecker) checkCall(call *ast.CallExpr) {
 	info := c.pass.TypesInfo
 	// Type conversions: converting a non-pointer-shaped value to an
-	// interface boxes it.
+	// interface boxes it, and string <-> []byte/[]rune copies the bytes
+	// unless the compiler can use them in place.
 	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
-		if len(call.Args) == 1 && types.IsInterface(tv.Type) && !pointerShaped(info.TypeOf(call.Args[0])) {
+		if len(call.Args) != 1 {
+			return
+		}
+		from := info.TypeOf(call.Args[0])
+		switch {
+		case types.IsInterface(tv.Type) && !pointerShaped(from):
 			c.pass.Reportf(call.Pos(), "hot path converts non-pointer value to interface (allocates)")
+		case (isStringType(tv.Type) && isBytesOrRunes(from) ||
+			isBytesOrRunes(tv.Type) && isStringType(from)) && !c.inPlace[call]:
+			c.pass.Reportf(call.Pos(), "hot path converts %s to %s (allocates)", from, tv.Type)
 		}
 		return
 	}

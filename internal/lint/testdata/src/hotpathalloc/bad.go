@@ -63,3 +63,20 @@ func appendForeign(dst []int, v int) []int {
 func spawn() {
 	go func() {}() // want `spawns a goroutine`
 }
+
+var (
+	sink  []byte
+	runes []rune
+	name  string
+)
+
+//cbws:hotpath
+func convert(s string, b []byte, m map[string]int) {
+	sink = []byte(s)      // want `converts string to \[\]byte`
+	runes = []rune(s)     // want `converts string to \[\]rune`
+	name = string(b)      // want `converts \[\]byte to string`
+	m[string(b)] = 1      // want `converts \[\]byte to string`
+	m[string(b)]++        // want `converts \[\]byte to string`
+	for range []rune(s) { // want `converts string to \[\]rune`
+	}
+}

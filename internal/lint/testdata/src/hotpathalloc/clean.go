@@ -58,3 +58,17 @@ func sum(xs []int) int {
 	v := val{x: total}
 	return v.x
 }
+
+//cbws:hotpath
+func lookup(m map[string]int, b []byte, s string) int {
+	// The compiler converts in place for a map lookup key, a comparison
+	// operand and a range over []byte(s): none of them allocates.
+	n := m[string(b)]
+	if string(b) == s {
+		n++
+	}
+	for _, c := range []byte(s) {
+		n += int(c)
+	}
+	return n
+}

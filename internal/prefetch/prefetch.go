@@ -31,10 +31,13 @@ type Access struct {
 	PfHit bool
 }
 
-// Miss reports whether the access missed the whole hierarchy.
+// Miss reports whether the access missed the whole hierarchy. It reads
+// the access through a pointer: Access has too many fields to live in
+// registers, and a value receiver copies it out of its stack spill with
+// wide loads over the narrower stores that wrote it.
 //
 //cbws:hotpath
-func (a Access) Miss() bool { return !a.HitL1 && !a.HitL2 }
+func (a *Access) Miss() bool { return !a.HitL1 && !a.HitL2 }
 
 // IssueFunc receives candidate prefetch line addresses.
 type IssueFunc func(mem.LineAddr)

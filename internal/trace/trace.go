@@ -83,20 +83,20 @@ type Event struct {
 	Taken bool     // branch outcome (Branch)
 }
 
-// Count returns the number of dynamic instructions the event represents.
-// It reads the event through a pointer: batch scans (the limiter, the
-// simulator's boundary split, the analyzer) call it on every event, and
-// a value receiver has the compiler copy each 48-byte event first.
+// Count returns the number of dynamic instructions the event represents:
+// N (at least 1) for an Instr event and 1 for any other, whatever its N.
+// Batch scans (the limiter, the simulator's boundary split, the
+// analyzer) call it on every event, so it reads the event through a
+// pointer (a value receiver copies each 48-byte event first) and
+// compiles to two conditional moves instead of branches on the kind.
 //
 //cbws:hotpath
 func (e *Event) Count() int {
-	if e.Kind == Instr {
-		if e.N <= 0 {
-			return 1
-		}
-		return e.N
+	n := e.N
+	if e.Kind != Instr {
+		n = 0
 	}
-	return 1
+	return max(n, 1)
 }
 
 // IsMem reports whether the event is a memory access.

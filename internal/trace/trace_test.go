@@ -7,20 +7,18 @@ import (
 )
 
 func TestEventCount(t *testing.T) {
-	cases := []struct {
-		ev   Event
-		want int
-	}{
-		{Event{Kind: Instr, N: 5}, 5},
-		{Event{Kind: Instr, N: 0}, 1},
-		{Event{Kind: Instr, N: -3}, 1},
-		{Event{Kind: Load}, 1},
-		{Event{Kind: Store}, 1},
-		{Event{Kind: BlockBegin}, 1},
-	}
-	for _, c := range cases {
-		if got := c.ev.Count(); got != c.want {
-			t.Errorf("%v.Count() = %d, want %d", c.ev, got, c.want)
+	// Every kind against every interesting N: an Instr event counts N,
+	// at least 1; any other event counts 1 whatever its N carries.
+	for k := Instr; k <= Branch; k++ {
+		for _, n := range []int{-5, 0, 1, 3, MaxInstrCount} {
+			want := 1
+			if k == Instr && n > 1 {
+				want = n
+			}
+			ev := Event{Kind: k, N: n}
+			if got := ev.Count(); got != want {
+				t.Errorf("Event{Kind: %v, N: %d}.Count() = %d, want %d", k, n, got, want)
+			}
 		}
 	}
 }

@@ -121,16 +121,21 @@ type emit struct {
 
 func newEmit(sink trace.BatchSink) *emit { return &emit{sink: sink} }
 
-// push appends one event, delivering the buffer when it is full and
-// unwinding the workload body when the consumer stops.
-func (e *emit) push(ev trace.Event) {
+// slot returns the next free buffer slot, delivering the buffer first
+// when it is full (which unwinds the workload body when the consumer
+// stops). Callers assign their event literal through the returned
+// pointer, so the compiler builds the event in the buffer itself: an
+// Event has too many fields to live in registers, and passing one by
+// value spills it byte by byte and reloads it with wide loads that
+// defeat store-to-load forwarding on every event.
+func (e *emit) slot() *trace.Event {
 	n := e.n
 	if uint(n) >= emitBatch {
 		e.flushBuf()
 		n = 0
 	}
-	e.buf[n] = ev
 	e.n = n + 1
+	return &e.buf[n]
 }
 
 // flushBuf delivers the buffered events to the sink; a stop request
@@ -147,10 +152,9 @@ func (e *emit) flushBuf() {
 }
 
 func (e *emit) flush() {
-	if e.pend > 0 {
-		n := e.pend
+	if n := e.pend; n > 0 {
 		e.pend = 0
-		e.push(trace.Event{Kind: trace.Instr, N: n})
+		*e.slot() = trace.Event{Kind: trace.Instr, N: n}
 	}
 }
 
@@ -173,7 +177,7 @@ func (e *emit) load(pc uint64, addr mem.Addr) {
 		return
 	}
 	e.flush()
-	e.push(trace.Event{Kind: trace.Load, PC: pc, Addr: addr})
+	*e.slot() = trace.Event{Kind: trace.Load, PC: pc, Addr: addr}
 }
 
 func (e *emit) store(pc uint64, addr mem.Addr) {
@@ -192,7 +196,7 @@ func (e *emit) store(pc uint64, addr mem.Addr) {
 		return
 	}
 	e.flush()
-	e.push(trace.Event{Kind: trace.Store, PC: pc, Addr: addr})
+	*e.slot() = trace.Event{Kind: trace.Store, PC: pc, Addr: addr}
 }
 
 // branch emits a conditional-branch event at static site pc with the
@@ -213,17 +217,17 @@ func (e *emit) branch(pc uint64, taken bool) {
 		return
 	}
 	e.flush()
-	e.push(trace.Event{Kind: trace.Branch, PC: pc, Taken: taken})
+	*e.slot() = trace.Event{Kind: trace.Branch, PC: pc, Taken: taken}
 }
 
 func (e *emit) begin(id int) {
 	e.flush()
-	e.push(trace.Event{Kind: trace.BlockBegin, Block: id})
+	*e.slot() = trace.Event{Kind: trace.BlockBegin, Block: id}
 }
 
 func (e *emit) end(id int) {
 	e.flush()
-	e.push(trace.Event{Kind: trace.BlockEnd, Block: id})
+	*e.slot() = trace.Event{Kind: trace.BlockEnd, Block: id}
 }
 
 // gen adapts a workload body to trace.Generator.
