@@ -2,6 +2,9 @@ package apiv1
 
 import (
 	"encoding/json"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"cbws/internal/harness"
@@ -65,6 +68,53 @@ func TestWireShapesPinned(t *testing.T) {
 			t.Errorf("%s wire shape changed:\n got %s\nwant %s", tc.name, b, tc.want)
 		}
 	}
+
+	// The field set of every pinned struct, omitempty fields included:
+	// the bytes above omit an empty omitempty field, so an added one
+	// would pass them unseen.
+	fields := map[reflect.Type][]string{
+		reflect.TypeOf(JobView{}):       {"key", "workload", "prefetcher", "status", "progress", "cached", "error"},
+		reflect.TypeOf(Progress{}):      {"instructions", "max_instructions"},
+		reflect.TypeOf(SubmitRequest{}): {"workload", "prefetcher", "config", "workload_hash"},
+		reflect.TypeOf(ErrorBody{}):     {"error"},
+		reflect.TypeOf(RosterEntry{}):   {"name", "suite", "mi"},
+		reflect.TypeOf(Healthz{}):       {"status", "draining", "code_version"},
+	}
+	for _, tc := range cases {
+		if _, ok := fields[reflect.TypeOf(tc.v)]; !ok {
+			t.Errorf("%s: pinned type %T has no pinned field set", tc.name, tc.v)
+		}
+	}
+	for typ, want := range fields {
+		if got := jsonFields(typ); !slices.Equal(got, want) {
+			t.Errorf("%s JSON fields changed:\n got %q\nwant %q", typ.Name(), got, want)
+		}
+	}
+}
+
+// jsonFields lists the JSON member names encoding/json gives struct
+// type typ's fields, in declaration order; fields of an untagged
+// embedded struct are inlined, as the encoder does.
+func jsonFields(typ reflect.Type) []string {
+	var out []string
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		tag := f.Tag.Get("json")
+		name, _, _ := strings.Cut(tag, ",")
+		switch {
+		case name == "-":
+			continue
+		case f.Anonymous && tag == "" && f.Type.Kind() == reflect.Struct:
+			out = append(out, jsonFields(f.Type)...)
+			continue
+		case !f.IsExported():
+			continue
+		case name == "":
+			name = f.Name
+		}
+		out = append(out, name)
+	}
+	return out
 }
 
 // TestJobKeyPinned pins one concrete content address. The key decides

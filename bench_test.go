@@ -463,6 +463,119 @@ func BenchmarkCBWSOnAccess(b *testing.B) {
 	}
 }
 
+// replayWorkloads are the golden cells whose prefetcher calls
+// BenchmarkPrefetcherReplay replays: the stencil loop kernel, a
+// lattice-QCD kernel and a pointer chase.
+var replayWorkloads = []string{goldenCellWorkload, "433.milc-su3imp", "429.mcf-ref"}
+
+// replayCall is one recorded prefetcher call: an access, or a block
+// marker of block id.
+type replayCall struct {
+	a    prefetch.Access
+	kind trace.Kind // trace.Load for an access, else BlockBegin or BlockEnd
+	id   int32
+}
+
+// callRecorder passes every call to the wrapped prefetcher and logs it.
+type callRecorder struct {
+	prefetch.Prefetcher
+	calls []replayCall
+}
+
+func (r *callRecorder) OnAccess(a prefetch.Access, issue prefetch.IssueFunc) {
+	r.calls = append(r.calls, replayCall{a: a, kind: trace.Load})
+	r.Prefetcher.OnAccess(a, issue)
+}
+
+func (r *callRecorder) OnBlockBegin(id int) {
+	r.calls = append(r.calls, replayCall{kind: trace.BlockBegin, id: int32(id)})
+	r.Prefetcher.OnBlockBegin(id)
+}
+
+func (r *callRecorder) OnBlockEnd(id int, issue prefetch.IssueFunc) {
+	r.calls = append(r.calls, replayCall{kind: trace.BlockEnd, id: int32(id)})
+	r.Prefetcher.OnBlockEnd(id, issue)
+}
+
+// replayScheme and replayCalls cache the last recording: each
+// sub-benchmark runs its function several times, and holding one
+// scheme's calls (~15 MB) at a time keeps the process small.
+var (
+	replayScheme string
+	replayCalls  []replayCall
+)
+
+// recordCalls returns the calls scheme f receives over the golden
+// cells of replayWorkloads, simulating them unless they are cached.
+func recordCalls(b *testing.B, f registry.Factory) []replayCall {
+	b.Helper()
+	if replayScheme == f.Name {
+		return replayCalls
+	}
+	replayScheme, replayCalls = "", nil
+	seed, err := harness.ReadGolden(filepath.Join("golden", "seed.json"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := harness.DefaultOptions().Sim
+	cfg.MaxInstructions = seed.Instructions
+	cfg.WarmupInstructions = seed.Warmup
+	rec := &callRecorder{Prefetcher: f.New()}
+	for _, name := range replayWorkloads {
+		spec, ok := workload.ByName(name)
+		if !ok {
+			b.Fatalf("%s not registered", name)
+		}
+		if _, err := sim.Run(cfg, spec.Make(), rec); err != nil {
+			b.Fatal(err)
+		}
+	}
+	replayScheme, replayCalls = f.Name, rec.calls
+	return rec.calls
+}
+
+// replaySink keeps each replay's issue checksum live.
+var replaySink uint64
+
+// BenchmarkPrefetcherReplay is the in-situ prefetcher layer: it replays
+// the OnAccess/OnBlockBegin/OnBlockEnd calls a scheme received in the
+// golden cells of replayWorkloads, one call an op, into a fresh
+// prefetcher whose issue function folds each prefetch into a checksum.
+// Unlike the synthetic OnAccess benchmarks it weighs each path (dedup
+// scan, block-end table work, reward match) as a golden fill does.
+// allocs/op is pinned at 0 by benchgate.
+func BenchmarkPrefetcherReplay(b *testing.B) {
+	for _, name := range []string{"cbws", "pythia"} {
+		b.Run(name, func(b *testing.B) {
+			f, ok := registry.ByName(name)
+			if !ok {
+				b.Fatalf("%s not registered", name)
+			}
+			calls := recordCalls(b, f)
+			p := f.New()
+			var sum uint64
+			issue := func(l mem.LineAddr) { sum = sum*31 + uint64(l) }
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i, j := 0, 0; i < b.N; i++ {
+				c := &calls[j]
+				switch c.kind {
+				case trace.Load:
+					p.OnAccess(c.a, issue)
+				case trace.BlockBegin:
+					p.OnBlockBegin(int(c.id))
+				default:
+					p.OnBlockEnd(int(c.id), issue)
+				}
+				if j++; j == len(calls) {
+					j = 0
+				}
+			}
+			replaySink = sum
+		})
+	}
+}
+
 // BenchmarkPythiaOnAccess measures the Pythia-style agent's steady-
 // state hot path (reward-scan filter probe, and the scan when a filter
 // bucket is live, + feature hash + argmax + queue insert) on a strided

@@ -11,6 +11,9 @@
 //	go test -bench ... | benchgate -write BENCH_baseline.json -bench ...
 //	benchgate -ab -bench 'OnAccess$' [-base REV] [-overlay bench_test.go]
 //
+// -write pins the benchmarks of its input in the file: their entries
+// are replaced and every other entry is kept.
+//
 // The input (stdin or -input) is a timing pass and supplies only ns/op.
 // Go counts allocations process-wide, so a garbage collection that
 // lands inside a benchmark adds the runtime's own allocations to that
@@ -50,6 +53,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -192,9 +196,26 @@ func gate(base Baseline, got map[string]Measurement, defaultRatio float64) []str
 	return bad
 }
 
-// writeBaseline emits a fresh baseline file from the measured input.
+// writeBaseline pins the measured benchmarks in the baseline file at
+// path: each one's entry is replaced, and every other entry and the
+// file's max_time_ratio are kept, so pinning one benchmark re-pins no
+// other. A file that does not exist yet is created with ratio as its
+// max_time_ratio.
 func writeBaseline(path string, got map[string]Measurement, ratio float64) error {
-	base := Baseline{MaxTimeRatio: ratio, Benchmarks: make(map[string]BaselineEntry, len(got))}
+	base := Baseline{MaxTimeRatio: ratio}
+	raw, err := os.ReadFile(path)
+	switch {
+	case err == nil:
+		base = Baseline{}
+		if err := json.Unmarshal(raw, &base); err != nil {
+			return fmt.Errorf("%s: %v", path, err)
+		}
+	case !errors.Is(err, os.ErrNotExist):
+		return err
+	}
+	if base.Benchmarks == nil {
+		base.Benchmarks = make(map[string]BaselineEntry, len(got))
+	}
 	for name, m := range got {
 		if !m.HasAllocs {
 			return fmt.Errorf("%s: cannot baseline without allocs/op", name)
@@ -221,7 +242,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("benchgate", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	baselinePath := fs.String("baseline", "", "baseline JSON file to gate against")
-	write := fs.String("write", "", "write a new baseline JSON file from the input instead of gating")
+	write := fs.String("write", "", "pin the input's benchmarks in this baseline JSON file (other entries are kept) instead of gating")
 	ratio := fs.Float64("ratio", 2.0, "maximum measured/baseline ns/op ratio (overridden by the baseline's max_time_ratio)")
 	input := fs.String("input", "-", "bench output file (default stdin)")
 	ab := fs.Bool("ab", false, "paired A/B mode: benchmark the -base revision against the working tree instead of gating input")
@@ -309,7 +330,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		if err := writeBaseline(*write, got, *ratio); err != nil {
 			return fail("%v", err)
 		}
-		fmt.Fprintf(stderr, "benchgate: wrote %s (%d benchmarks)\n", *write, len(got))
+		fmt.Fprintf(stderr, "benchgate: pinned %d benchmarks in %s\n", len(got), *write)
 		return cli.ExitOK
 	}
 	if bad := gate(base, got, *ratio); len(bad) > 0 {

@@ -2,9 +2,11 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -227,5 +229,73 @@ func TestGateBaselineRatioOverride(t *testing.T) {
 	}
 	if bad := gate(base, got, 2.0); len(bad) != 0 {
 		t.Fatalf("baseline ratio 3.0 should win over default 2.0: %v", bad)
+	}
+}
+
+// TestWriteBaselineMerges pins -write's merge: writing one measured
+// benchmark into a two-entry file replaces that entry and keeps the
+// other and the file's max_time_ratio.
+func TestWriteBaselineMerges(t *testing.T) {
+	t.Parallel()
+	path := filepath.Join(t.TempDir(), "base.json")
+	before := `{"max_time_ratio":3,"benchmarks":{` +
+		`"BenchmarkA":{"ns_per_op":100,"allocs_per_op":2},` +
+		`"BenchmarkB":{"ns_per_op":500,"allocs_per_op":7}}}`
+	if err := os.WriteFile(path, []byte(before), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]Measurement{
+		"BenchmarkA": {Name: "BenchmarkA", NsPerOp: 80, AllocsPerOp: 1, HasAllocs: true},
+	}
+	if err := writeBaseline(path, got, 2.0); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var base Baseline
+	if err := json.Unmarshal(raw, &base); err != nil {
+		t.Fatal(err)
+	}
+	want := Baseline{MaxTimeRatio: 3, Benchmarks: map[string]BaselineEntry{
+		"BenchmarkA": {NsPerOp: 80, AllocsPerOp: 1},
+		"BenchmarkB": {NsPerOp: 500, AllocsPerOp: 7},
+	}}
+	if !reflect.DeepEqual(base, want) {
+		t.Errorf("merged baseline = %+v, want %+v", base, want)
+	}
+
+	// A measurement without allocs/op is refused and leaves the file
+	// as it was.
+	if err := writeBaseline(path, map[string]Measurement{"BenchmarkB": {Name: "BenchmarkB", NsPerOp: 1}}, 2.0); err == nil {
+		t.Error("writeBaseline pinned a benchmark without allocs/op")
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(after, raw) {
+		t.Errorf("refused write changed the file:\n%s", after)
+	}
+}
+
+// TestWriteBaselineCreates pins that -write into a missing file
+// creates it with the command-line ratio.
+func TestWriteBaselineCreates(t *testing.T) {
+	t.Parallel()
+	path := filepath.Join(t.TempDir(), "new.json")
+	got := map[string]Measurement{
+		"BenchmarkA": {Name: "BenchmarkA", NsPerOp: 80, AllocsPerOp: 1, HasAllocs: true},
+	}
+	if err := writeBaseline(path, got, 2.5); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var base Baseline
+	if err := json.Unmarshal(raw, &base); err != nil {
+		t.Fatal(err)
+	}
+	if base.MaxTimeRatio != 2.5 || len(base.Benchmarks) != 1 {
+		t.Errorf("created baseline = %+v", base)
 	}
 }

@@ -404,3 +404,38 @@ func TestTableIIL2Footprint(t *testing.T) {
 	t.Logf("Table II L2: %d ways, %.2f bytes per way", ways, perWay)
 	footprintSink = nil
 }
+
+// TestCheckMSHRCatchesCorruptMinimum corrupts the MSHR state of a
+// cache with outstanding fills and expects checkMSHR to fail: a
+// minimum that is not the earliest outstanding fill, and more fills
+// than MSHRs.
+func TestCheckMSHRCatchesCorruptMinimum(t *testing.T) {
+	loaded := func() *Cache {
+		c := mustCache(t, small()) // 2 MSHRs
+		c.Fill(0, 0, 100, false)
+		c.Fill(1, 0, 50, false)
+		if len(c.mshr) != 2 {
+			t.Fatalf("%d outstanding fills, want 2", len(c.mshr))
+		}
+		c.checkMSHR()
+		return c
+	}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(c *Cache)
+	}{
+		{"minimum is not the earliest fill", func(c *Cache) { c.mshrMin = 100 }},
+		{"more fills than MSHRs", func(c *Cache) { c.mshr = append(c.mshr, 200) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := loaded()
+			tc.corrupt(c)
+			defer func() {
+				if recover() == nil {
+					t.Error("checkMSHR accepted a corrupted MSHR list")
+				}
+			}()
+			c.checkMSHR()
+		})
+	}
+}

@@ -15,12 +15,12 @@ type TableEntryView struct {
 
 // TableDump snapshots the differential history table.
 func (p *Prefetcher) TableDump() []TableEntryView {
-	out := make([]TableEntryView, len(p.table))
-	for i, e := range p.table {
-		v := TableEntryView{Valid: e.valid, Tag: e.tag}
-		if e.valid {
-			v.Diff = make(Diff, 0, len(e.diff))
-			for _, s := range e.diff {
+	out := make([]TableEntryView, len(p.tags))
+	for i, k := range p.tags {
+		v := TableEntryView{Valid: k&tableValid != 0, Tag: uint16(k)}
+		if v.Valid {
+			v.Diff = make(Diff, 0, p.diffLen[i])
+			for _, s := range row(p.diffs, p.mv, i, p.diffLen[i]) {
 				if s == invalidStride {
 					continue
 				}
@@ -35,29 +35,24 @@ func (p *Prefetcher) TableDump() []TableEntryView {
 // CurrentCBWS returns the working set being traced for the active block
 // (empty outside blocks).
 func (p *Prefetcher) CurrentCBWS() Vector {
-	return append(Vector(nil), p.cur...)
+	return append(Vector(nil), row(p.sets, p.mv, p.head, p.setLen[p.head])...)
 }
 
 // LastCBWS returns the working set of the i-th previous block instance
 // (0 = most recent), or nil if none is recorded.
 func (p *Prefetcher) LastCBWS(i int) Vector {
-	if i < 0 || i >= len(p.last) || p.last[i] == nil {
+	if i < 0 || i >= p.cfg.Steps {
 		return nil
 	}
-	return append(Vector(nil), p.last[i]...)
+	b := (p.head + 1 + i) % len(p.setLen)
+	return append(Vector(nil), row(p.sets, p.mv, b, p.setLen[b])...)
 }
 
 // String summarizes the prefetcher state: active context, table
 // occupancy and counters.
 func (p *Prefetcher) String() string {
 	var b strings.Builder
-	occupied := 0
-	for _, e := range p.table {
-		if e.valid {
-			occupied++
-		}
-	}
-	fmt.Fprintf(&b, "cbws{block=%d inBlock=%v confident=%v table=%d/%d", p.curBlock, p.inBlock, p.confident, occupied, len(p.table))
+	fmt.Fprintf(&b, "cbws{block=%d inBlock=%v confident=%v table=%d/%d", p.curBlock, p.inBlock, p.confident, p.filled, len(p.tags))
 	fmt.Fprintf(&b, " blocks=%d hits=%d misses=%d predicted=%d overflows=%d}",
 		p.Stats.Blocks, p.Stats.TableHits, p.Stats.TableMisses, p.Stats.LinesPredicted, p.Stats.Overflows)
 	return b.String()

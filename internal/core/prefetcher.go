@@ -70,30 +70,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// tableEntry is one differential history table slot.
-type tableEntry struct {
-	valid bool
-	tag   uint16
-	diff  []int32 // clamped strides; length ≤ MaxVector
-}
-
-// shiftReg is a history shift register: the HistoryDepth most recent
-// differential hashes for one step, newest last.
-type shiftReg struct {
-	vals  []uint16
-	count int // total enqueued, to gate predictions until warm
-}
-
-//cbws:hotpath
-func (r *shiftReg) push(h uint16) {
-	copy(r.vals, r.vals[1:])
-	r.vals[len(r.vals)-1] = h
-	r.count++
-}
-
-//cbws:hotpath
-func (r *shiftReg) warm() bool { return r.count >= len(r.vals) }
-
 // Stats counts prefetcher-internal events.
 type Stats struct {
 	Blocks         uint64 // block instances observed
@@ -108,19 +84,50 @@ type Stats struct {
 // access inside an annotated block, and at BLOCK_END stores the
 // differentials in the history table and predicts the working sets of
 // the next Steps iterations.
+//
+// Every structure is a flat array of MaxVector-wide rows, so no block
+// boundary copies a row or writes a slice header.
 type Prefetcher struct {
 	cfg Config
+	mv  int // cfg.MaxVector: the row width of sets, curDiff and diffs
 
 	inBlock  bool
 	curBlock int
 
-	cur     []mem.LineAddr   // current CBWS buffer
-	last    [][]mem.LineAddr // last[i] = CBWS of the (i+1)-th previous block
-	curDiff [][]int32        // curDiff[i] = differential vs last[i]
-	hist    []shiftReg       // one shift register per step
+	// sets is a ring of Steps+1 working-set rows and setLen their
+	// lengths. Row head traces the current block; row (head+1+i) mod
+	// (Steps+1) holds the CBWS of the (i+1)-th previous block. BLOCK_END
+	// rotates the ring by moving head: the finished row becomes the
+	// newest predecessor and the oldest is recycled, copying nothing.
+	sets   []mem.LineAddr
+	setLen []int
+	head   int
 
-	table []tableEntry
-	rng   uint32 // xorshift32 for random replacement
+	// curDiff row i is the current block's differential against
+	// predecessor i. Its length is min(len(current), len(predecessor)):
+	// the access flow writes element k exactly when both reach k.
+	curDiff []int32
+
+	// hist holds one history register per step as the concatenation of
+	// its HistoryDepth most recent differential hashes, newest in the
+	// low HashBits, so a table tag folds from it in O(1). histCount
+	// counts the hashes enqueued, to gate predictions until warm.
+	hist      []uint64
+	histCount []int
+	histMask  uint64 // the HistoryDepth×HashBits bits a register keeps
+
+	// The fully-associative differential history table: tags[i] is
+	// tableValid|tag of slot i (0 when empty) and row i of diffs, of
+	// length diffLen[i], its stored differential. Slots fill in order
+	// and are never invalidated, so slots [0, filled) are exactly the
+	// valid ones and a store into a non-full table takes slot filled.
+	tags    []uint32
+	diffs   []int32
+	diffLen []int
+	filled  int
+	rng     uint32 // xorshift32 for random replacement
+
+	rot []uint32 // hashDiff's rotation of each vector position
 
 	strideMin, strideMax int64
 	hashMask             uint16
@@ -129,6 +136,9 @@ type Prefetcher struct {
 
 	Stats Stats
 }
+
+// tableValid marks an occupied history-table slot in tags.
+const tableValid = 1 << 16
 
 var _ prefetch.Prefetcher = (*Prefetcher)(nil)
 
@@ -153,24 +163,26 @@ func (p *Prefetcher) Config() Config { return p.cfg }
 // AllocsPerRun regression tests).
 func (p *Prefetcher) Reset() {
 	c := p.cfg
+	p.mv = c.MaxVector
 	p.inBlock = false
 	p.curBlock = -1
-	p.cur = make([]mem.LineAddr, 0, c.MaxVector)
-	p.last = make([][]mem.LineAddr, c.Steps)
-	for i := range p.last {
-		p.last[i] = make([]mem.LineAddr, 0, c.MaxVector)
+	p.sets = make([]mem.LineAddr, (c.Steps+1)*c.MaxVector)
+	p.setLen = make([]int, c.Steps+1)
+	p.head = 0
+	p.curDiff = make([]int32, c.Steps*c.MaxVector)
+	p.hist = make([]uint64, c.Steps)
+	p.histCount = make([]int, c.Steps)
+	p.histMask = ^uint64(0)
+	if n := c.HistoryDepth * c.HashBits; n < 64 {
+		p.histMask = 1<<uint(n) - 1
 	}
-	p.curDiff = make([][]int32, c.Steps)
-	for i := range p.curDiff {
-		p.curDiff[i] = make([]int32, 0, c.MaxVector)
-	}
-	p.hist = make([]shiftReg, c.Steps)
-	for i := range p.hist {
-		p.hist[i] = shiftReg{vals: make([]uint16, c.HistoryDepth)}
-	}
-	p.table = make([]tableEntry, c.TableEntries)
-	for i := range p.table {
-		p.table[i].diff = make([]int32, 0, c.MaxVector)
+	p.tags = make([]uint32, c.TableEntries)
+	p.diffs = make([]int32, c.TableEntries*c.MaxVector)
+	p.diffLen = make([]int, c.TableEntries)
+	p.filled = 0
+	p.rot = make([]uint32, c.MaxVector)
+	for i := range p.rot {
+		p.rot[i] = uint32(i * 5 % c.HashBits)
 	}
 	p.rng = 0x20140612 // deterministic seed (MICRO 2014)
 	p.strideMax = 1<<(uint(c.StrideBits)-1) - 1
@@ -212,6 +224,12 @@ func (p *Prefetcher) storedLine(l mem.LineAddr) mem.LineAddr {
 	return l & mem.LineAddr(1<<uint(p.cfg.AddrBits)-1)
 }
 
+// row returns row i of a flat array of MaxVector-wide rows, cut to n
+// elements.
+//
+//cbws:hotpath
+func row[T any](a []T, mv, i, n int) []T { return a[i*mv : i*mv+n] }
+
 // hashDiff bit-selects a differential vector into HashBits bits: each
 // stride contributes its low bits at a position-dependent rotation, and
 // the vector length is mixed in so that divergent iterations hash apart.
@@ -219,25 +237,34 @@ func (p *Prefetcher) storedLine(l mem.LineAddr) mem.LineAddr {
 //cbws:hotpath
 func (p *Prefetcher) hashDiff(d []int32) uint16 {
 	hb := uint(p.cfg.HashBits)
+	mask := uint32(p.hashMask)
+	rot := p.rot[:len(d)]
 	h := uint32(len(d)) * 0x9E5
 	for i, s := range d {
-		v := uint32(s) & uint32(p.hashMask)
-		rot := uint(i*5) % hb
-		v = (v<<rot | v>>(hb-rot)) & uint32(p.hashMask)
-		h ^= v
+		v := uint32(s) & mask
+		r := uint(rot[i])
+		h ^= (v<<r | v>>(hb-r)) & mask
 	}
 	return uint16(h) & p.hashMask
 }
 
-// foldTag xor-folds a history register's concatenated hashes into a
-// 16-bit table tag (the paper xor-folds 48 bits to 16).
+// push enqueues hash h into step i's history register.
 //
 //cbws:hotpath
-func (p *Prefetcher) foldTag(r *shiftReg) uint16 {
-	var x uint64
-	for _, v := range r.vals {
-		x = x<<uint(p.cfg.HashBits) | uint64(v)
-	}
+func (p *Prefetcher) push(i int, h uint16) {
+	p.hist[i] = (p.hist[i]<<uint(p.cfg.HashBits) | uint64(h)) & p.histMask
+	p.histCount[i]++
+}
+
+//cbws:hotpath
+func (p *Prefetcher) warm(i int) bool { return p.histCount[i] >= p.cfg.HistoryDepth }
+
+// foldTag xor-folds step i's history register, its hashes concatenated,
+// into a 16-bit table tag (the paper xor-folds 48 bits to 16).
+//
+//cbws:hotpath
+func (p *Prefetcher) foldTag(i int) uint16 {
+	x := p.hist[i]
 	return uint16(x) ^ uint16(x>>16) ^ uint16(x>>32) ^ uint16(x>>48)
 }
 
@@ -251,16 +278,17 @@ func (p *Prefetcher) xorshift() uint32 {
 	return x
 }
 
-// tableLookup returns the entry matching tag, if any.
+// tableLookup returns the slot holding tag, or -1.
 //
 //cbws:hotpath
-func (p *Prefetcher) tableLookup(tag uint16) *tableEntry {
-	for i := range p.table {
-		if p.table[i].valid && p.table[i].tag == tag {
-			return &p.table[i]
+func (p *Prefetcher) tableLookup(tag uint16) int {
+	key := tableValid | uint32(tag)
+	for i, k := range p.tags {
+		if k == key {
+			return i
 		}
 	}
-	return nil
+	return -1
 }
 
 // tableStore writes diff under tag, using random replacement on a full
@@ -268,21 +296,17 @@ func (p *Prefetcher) tableLookup(tag uint16) *tableEntry {
 //
 //cbws:hotpath
 func (p *Prefetcher) tableStore(tag uint16, diff []int32) {
-	e := p.tableLookup(tag)
-	if e == nil {
-		for i := range p.table {
-			if !p.table[i].valid {
-				e = &p.table[i]
-				break
-			}
+	i := p.tableLookup(tag)
+	if i < 0 {
+		if p.filled < len(p.tags) {
+			i = p.filled
+			p.filled++
+		} else {
+			i = int(p.xorshift() % uint32(len(p.tags)))
 		}
 	}
-	if e == nil {
-		e = &p.table[p.xorshift()%uint32(len(p.table))]
-	}
-	e.valid = true
-	e.tag = tag
-	e.diff = append(e.diff[:0], diff...)
+	p.tags[i] = tableValid | uint32(tag)
+	p.diffLen[i] = copy(row(p.diffs, p.mv, i, p.mv), diff)
 }
 
 // OnBlockBegin implements the BLOCK_BEGIN flow (Figure 9): clear the
@@ -294,23 +318,13 @@ func (p *Prefetcher) tableStore(tag uint16, diff []int32) {
 func (p *Prefetcher) OnBlockBegin(id int) {
 	if id != p.curBlock {
 		p.curBlock = id
-		for i := range p.last {
-			p.last[i] = p.last[i][:0]
-		}
-		for i := range p.hist {
-			r := &p.hist[i]
-			for j := range r.vals {
-				r.vals[j] = 0
-			}
-			r.count = 0
-		}
+		clear(p.setLen)
+		clear(p.hist)
+		clear(p.histCount)
 		p.confident = false
 	}
 	p.inBlock = true
-	p.cur = p.cur[:0]
-	for i := range p.curDiff {
-		p.curDiff[i] = p.curDiff[i][:0]
-	}
+	p.setLen[p.head] = 0
 }
 
 // OnAccess implements the memory-access flow (Figure 10): push the line
@@ -325,21 +339,24 @@ func (p *Prefetcher) OnAccess(a prefetch.Access, issue prefetch.IssueFunc) {
 		return
 	}
 	line := p.storedLine(a.Line)
-	if len(p.cur) >= p.cfg.MaxVector {
+	idx := p.setLen[p.head]
+	if idx >= p.mv {
 		p.Stats.Overflows++
 		return
 	}
-	for _, x := range p.cur {
+	for _, x := range row(p.sets, p.mv, p.head, idx) {
 		if x == line {
 			return // already in the working set
 		}
 	}
-	idx := len(p.cur)
-	p.cur = append(p.cur, line)
-	for i := 0; i < p.cfg.Steps; i++ {
-		if idx < len(p.last[i]) {
-			stride := line.Delta(p.last[i][idx])
-			p.curDiff[i] = append(p.curDiff[i], p.clamp(stride))
+	p.sets[p.head*p.mv+idx] = line
+	p.setLen[p.head] = idx + 1
+	for i, b := 0, p.head; i < p.cfg.Steps; i++ {
+		if b++; b == len(p.setLen) {
+			b = 0
+		}
+		if idx < p.setLen[b] {
+			p.curDiff[i*p.mv+idx] = p.clamp(line.Delta(p.sets[b*p.mv+idx]))
 		}
 	}
 }
@@ -365,79 +382,83 @@ func (p *Prefetcher) OnBlockEnd(id int, issue prefetch.IssueFunc) {
 	// 1. Update the tracing + prediction DB. The table learns that the
 	// history prefix (pre-enqueue) was followed by the current
 	// differential.
-	for i := 0; i < p.cfg.Steps; i++ {
-		if len(p.curDiff[i]) > 0 {
-			if p.hist[i].warm() {
-				p.tableStore(p.foldTag(&p.hist[i]), p.curDiff[i])
+	n := p.setLen[p.head]
+	for i, b := 0, p.head; i < p.cfg.Steps; i++ {
+		if b++; b == len(p.setLen) {
+			b = 0
+		}
+		if m := min(n, p.setLen[b]); m > 0 {
+			d := row(p.curDiff, p.mv, i, m)
+			if p.warm(i) {
+				p.tableStore(p.foldTag(i), d)
 			}
-			p.hist[i].push(p.hashDiff(p.curDiff[i]))
+			p.push(i, p.hashDiff(d))
 		}
 	}
 
-	// 2. Rotate the predecessor CBWS buffers: last[0] becomes the block
-	// that just finished. The rotation permutes the Steps preallocated
-	// buffers, so the copy into the recycled oldest never allocates.
-	oldest := p.last[len(p.last)-1]
-	copy(p.last[1:], p.last[:len(p.last)-1])
-	p.last[0] = append(oldest[:0], p.cur...)
+	// 2. Rotate the predecessor CBWSs: the finished row becomes the
+	// newest predecessor, and the oldest row is recycled for the next
+	// block.
+	cur := row(p.sets, p.mv, p.head, n)
+	if p.head == 0 {
+		p.head = len(p.setLen)
+	}
+	p.head--
+	p.setLen[p.head] = 0
 
 	// 3. Predict: for each step i, the post-update history selects the
 	// differential expected between the just-finished block and the
 	// block i+1 iterations ahead; adding it to the current CBWS yields
 	// that block's predicted working set.
 	p.confident = false
-	cur := p.last[0]
 	for i := 0; i < p.cfg.Steps; i++ {
-		if !p.hist[i].warm() {
+		if !p.warm(i) {
 			continue
 		}
-		e := p.tableLookup(p.foldTag(&p.hist[i]))
-		if e == nil {
+		e := p.tableLookup(p.foldTag(i))
+		if e < 0 {
 			p.Stats.TableMisses++
 			continue
 		}
 		p.Stats.TableHits++
 		p.confident = true
-		n := len(e.diff)
-		if len(cur) < n {
-			n = len(cur)
-		}
-		for j := 0; j < n; j++ {
-			if e.diff[j] == 0 || e.diff[j] == invalidStride {
+		for j, s := range row(p.diffs, p.mv, e, min(p.diffLen[e], n)) {
+			if s == 0 || s == invalidStride {
 				// Zero stride: the line is the current iteration's,
 				// already resident or in flight. Invalid stride: the
 				// element saturated when recorded; no prediction.
 				continue
 			}
-			issue(cur[j].Add(int64(e.diff[j])))
+			issue(cur[j].Add(int64(s)))
 			p.Stats.LinesPredicted++
 		}
 	}
 }
 
 // checkWorkingSet verifies the CBWS structural invariants at a block
-// boundary: the current working set is duplicate-free and within the
-// MaxVector hardware bound, every step differential is no longer than
-// the working set (it is truncated to the shorter of the two vectors it
-// correlates), and no history-table entry exceeds MaxVector strides.
-// Called once per block under check.Enabled.
+// boundary: the current working set is duplicate-free and every
+// working-set row within the MaxVector hardware bound, every
+// history-table entry holds at most MaxVector strides, and filled
+// counts the valid tags, which are exactly slots [0, filled). Called
+// once per block under check.Enabled.
 func (p *Prefetcher) checkWorkingSet() {
-	check.Assertf(len(p.cur) <= p.cfg.MaxVector,
-		"cbws: working set length %d exceeds MaxVector %d", len(p.cur), p.cfg.MaxVector)
-	for i, a := range p.cur {
-		for _, b := range p.cur[i+1:] {
+	for b, n := range p.setLen {
+		check.Assertf(n >= 0 && n <= p.mv,
+			"cbws: working-set row %d holds %d lines, MaxVector is %d", b, n, p.mv)
+	}
+	cur := row(p.sets, p.mv, p.head, p.setLen[p.head])
+	for i, a := range cur {
+		for _, b := range cur[i+1:] {
 			check.Assertf(a != b, "cbws: duplicate line %v in working set", a)
 		}
 	}
-	for i := range p.curDiff {
-		check.Assertf(len(p.curDiff[i]) <= len(p.cur),
-			"cbws: step-%d differential length %d exceeds working set length %d",
-			i, len(p.curDiff[i]), len(p.cur))
-	}
-	for i := range p.table {
-		check.Assertf(len(p.table[i].diff) <= p.cfg.MaxVector,
-			"cbws: table entry %d holds %d strides, MaxVector is %d",
-			i, len(p.table[i].diff), p.cfg.MaxVector)
+	check.Assertf(p.filled >= 0 && p.filled <= len(p.tags),
+		"cbws: %d filled table slots, table has %d", p.filled, len(p.tags))
+	for i, k := range p.tags {
+		check.Assertf(p.diffLen[i] >= 0 && p.diffLen[i] <= p.mv,
+			"cbws: table entry %d holds %d strides, MaxVector is %d", i, p.diffLen[i], p.mv)
+		check.Assertf(k&^(tableValid|0xFFFF) == 0 && (k&tableValid != 0) == (i < p.filled),
+			"cbws: table slot %d key %#x, but %d slots are filled", i, k, p.filled)
 	}
 }
 

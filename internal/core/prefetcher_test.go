@@ -191,7 +191,7 @@ func TestDedupWithinBlock(t *testing.T) {
 	}
 	// The internal current CBWS is cleared at end; verify via the last
 	// predecessor: it must have 2 unique lines.
-	if got := len(d.p.last[0]); got != 2 {
+	if got := len(d.p.LastCBWS(0)); got != 2 {
 		t.Errorf("last CBWS has %d lines, want 2", got)
 	}
 }
@@ -216,7 +216,7 @@ func TestBlockIDChangeResetsContext(t *testing.T) {
 func TestAccessesOutsideBlocksIgnored(t *testing.T) {
 	d := newDriver(Config{})
 	d.p.OnAccess(prefetch.Access{Addr: 0x1000, Line: 64}, d.issue)
-	if len(d.p.cur) != 0 {
+	if len(d.p.CurrentCBWS()) != 0 {
 		t.Error("access outside a block was traced")
 	}
 	// BlockEnd without matching Begin is a no-op.
@@ -337,5 +337,41 @@ func TestNameAndInterface(t *testing.T) {
 	var _ prefetch.Prefetcher = New(Config{})
 	if New(Config{}).Name() != "cbws" {
 		t.Error("name")
+	}
+}
+
+// TestCheckWorkingSetCatchesCorruptTable corrupts one history-table
+// slot of a trained prefetcher and expects checkWorkingSet to fail: a
+// diff longer than MaxVector, and a valid tag past the fill cursor.
+func TestCheckWorkingSetCatchesCorruptTable(t *testing.T) {
+	trained := func() *Prefetcher {
+		d := newDriver(Config{})
+		for n := 0; n < 10; n++ {
+			d.block(0, stridedBlock(n, 4, 100, 7))
+		}
+		if d.p.filled == 0 || d.p.filled == len(d.p.tags) {
+			t.Fatalf("trained table fills %d of %d slots", d.p.filled, len(d.p.tags))
+		}
+		d.p.checkWorkingSet()
+		return d.p
+	}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(p *Prefetcher)
+	}{
+		{"diff longer than MaxVector", func(p *Prefetcher) { p.diffLen[0] = p.mv + 1 }},
+		{"valid tag past the fill cursor", func(p *Prefetcher) { p.tags[p.filled] = tableValid | 5 }},
+		{"fill cursor behind the valid tags", func(p *Prefetcher) { p.filled-- }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := trained()
+			tc.corrupt(p)
+			defer func() {
+				if recover() == nil {
+					t.Error("checkWorkingSet accepted a corrupted table")
+				}
+			}()
+			p.checkWorkingSet()
+		})
 	}
 }

@@ -375,3 +375,58 @@ func TestGazeOnAccessAllocFree(t *testing.T) {
 		t.Errorf("warm OnAccess allocates %.1f objects, want 0", avg)
 	}
 }
+
+// TestPythiaCheckQueueCatchesCorruptKeys corrupts one reward-scan key
+// of a trained queue and expects checkQueue to fail: a page key on an
+// issued entry, and a pending line moved to another filter bucket.
+func TestPythiaCheckQueueCatchesCorruptKeys(t *testing.T) {
+	trained := func() *Pythia {
+		p := NewPythia(PythiaConfig{})
+		drop := func(mem.LineAddr) {}
+		for i := 0; i < 500; i++ {
+			l := mem.LineAddr(1<<20 + i*3)
+			p.OnAccess(prefetch.Access{PC: 0x401000, Addr: l.Byte(), Line: l}, drop)
+		}
+		p.checkQueue()
+		return p
+	}
+	// liveSlot returns a queued slot of the wanted kind.
+	liveSlot := func(t *testing.T, p *Pythia, pending bool) int {
+		t.Helper()
+		for k := 0; k < p.eqLen; k++ {
+			j := (p.eqHead + k) % len(p.eq)
+			if (p.pendKey[j] != noKey) == pending && p.eq[j].issued == pending {
+				return j
+			}
+		}
+		t.Fatalf("no queued slot with pending=%v", pending)
+		return -1
+	}
+	t.Run("page key on an issued entry", func(t *testing.T) {
+		p := trained()
+		j := liveSlot(t, p, true)
+		p.openKey[j] = p.pendKey[j] >> pageLineShift
+		mustPanic(t, p.checkQueue)
+	})
+	t.Run("pending line in another bucket", func(t *testing.T) {
+		p := trained()
+		j := liveSlot(t, p, true)
+		k := p.pendKey[j] + 1
+		for p.bucket(k) == p.bucket(p.pendKey[j]) {
+			k++
+		}
+		p.pendKey[j] = k
+		mustPanic(t, p.checkQueue)
+	})
+}
+
+// mustPanic fails the test unless f panics.
+func mustPanic(t *testing.T, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Error("checker accepted a corrupted structure")
+		}
+	}()
+	f()
+}

@@ -167,18 +167,20 @@ type PythiaStats struct {
 }
 
 // pythiaEQEntry is one evaluation-queue slot: the decision taken for
-// one trigger access, awaiting its reward.
+// one trigger access, awaiting its reward. Whether it still awaits one
+// lives in the slot's pendKey/openKey, not here.
 type pythiaEQEntry struct {
-	line     mem.LineAddr // prefetched line (issued) or trigger line (no-prefetch)
-	page     uint64       // trigger page, for no-prefetch miss tracking
-	h1, h2   uint32       // Q-table rows the decision was drawn from
-	action   int32        // action index into cfg.Actions
-	tick     uint64       // insertion tick, for the timeliness split
-	issued   bool         // a prefetch actually left for this entry
-	rewarded bool
-	sawMiss  bool // (no-prefetch only) a demand miss touched page while queued
-	reward   int32
+	h1, h2 uint32 // Q-table rows the decision was drawn from
+	action int32  // action index into cfg.Actions
+	reward int32  // set when a demand access claims the prefetch
+	tick   uint64 // insertion tick, for the timeliness split
+	issued bool   // a prefetch actually left for this entry
 }
+
+// noKey marks an evaluation-queue slot that a reward scan cannot
+// change. No line or page equals it: a line is a byte address shifted
+// right by mem.LineShift, so its top bits are zero.
+const noKey = ^uint64(0)
 
 // Pythia is the online-RL prefetcher. All state is preallocated in
 // Reset; OnAccess never allocates.
@@ -196,12 +198,20 @@ type Pythia struct {
 	eqHead int
 	eqLen  int
 
-	// The reward-scan filter, the EQ's associative match in software:
-	// pendLine counts the queued entries that are issued and not yet
-	// rewarded, by bucket of their line; openPage counts the queued
-	// no-prefetch entries not yet marked sawMiss, by bucket of their
-	// page. A zero bucket proves no entry the scan could change
-	// exists, so the scan is skipped.
+	// The EQ's associative match as two flat key arrays beside the
+	// ring, one key per slot: pendKey[j] is the line of an issued
+	// entry not yet rewarded, openKey[j] the page of a no-prefetch
+	// entry not yet marked by a page miss, and noKey every other slot
+	// (empty ones included). An entry is rewarded exactly when it is
+	// issued and its pendKey is noKey, and saw a miss exactly when it
+	// is not issued and its openKey is noKey.
+	pendKey []uint64
+	openKey []uint64
+
+	// The reward-scan filter: pendLine counts the live pendKeys and
+	// openPage the live openKeys, by bucket of the key. A zero bucket
+	// proves no slot the scan could change exists, so the scan is
+	// skipped.
 	pendLine  []int32
 	openPage  []int32
 	filtShift uint    // bucket = mem.Hash(key) >> filtShift
@@ -246,6 +256,12 @@ func (p *Pythia) Reset() {
 	p.q1 = make([]int32, c.Feature1Entries*p.numActions)
 	p.q2 = make([]int32, c.Feature2Entries*p.numActions)
 	p.eq = make([]pythiaEQEntry, c.EQSize)
+	keys := make([]uint64, 2*c.EQSize)
+	for i := range keys {
+		keys[i] = noKey
+	}
+	p.pendKey = keys[:c.EQSize:c.EQSize]
+	p.openKey = keys[c.EQSize:]
 	p.eqHead = 0
 	p.eqLen = 0
 	buckets := nextPow2(4 * c.EQSize)
@@ -359,27 +375,29 @@ func (p *Pythia) clampQ(q int32) int32 {
 //
 //cbws:hotpath
 func (p *Pythia) evictOldest() {
-	e := &p.eq[p.eqHead]
+	j := p.eqHead
+	e := &p.eq[j]
 	if p.eqHead++; p.eqHead == len(p.eq) {
 		p.eqHead = 0
 	}
 	p.eqLen--
 
 	r := e.reward
-	if !e.rewarded {
-		switch {
-		case e.issued:
-			r = p.cfg.RewardInaccurate
-			p.Stats.Inaccurate++
-			p.pendLine[p.bucket(uint64(e.line))]--
-		case e.sawMiss:
-			r = p.cfg.RewardNoPrefBad
-			p.Stats.NoPrefBad++
-		default:
-			r = p.cfg.RewardNoPrefGood
-			p.Stats.NoPrefGood++
-			p.openPage[p.bucket(e.page)]--
-		}
+	switch pend, open := p.pendKey[j], p.openKey[j]; {
+	case e.issued && pend != noKey:
+		r = p.cfg.RewardInaccurate
+		p.Stats.Inaccurate++
+		p.pendLine[p.bucket(pend)]--
+		p.pendKey[j] = noKey
+	case e.issued: // rewarded by a demand hit
+	case open != noKey:
+		r = p.cfg.RewardNoPrefGood
+		p.Stats.NoPrefGood++
+		p.openPage[p.bucket(open)]--
+		p.openKey[j] = noKey
+	default:
+		r = p.cfg.RewardNoPrefBad
+		p.Stats.NoPrefBad++
 	}
 	target := r
 	if p.eqLen > 0 {
@@ -396,34 +414,53 @@ func (p *Pythia) evictOldest() {
 	p.Stats.QUpdates++
 }
 
-// settle is the reward scan over the evaluation queue: it claims the
-// oldest issued, unrewarded entry for line, and on a miss marks every
-// no-prefetch entry of page. hl and hp are the filter buckets of line
-// and page, whose counts it keeps.
+// claim rewards the oldest queued, issued and unrewarded prefetch of
+// line, if any: the first pendKey match, oldest first over the ring's
+// two segments. hl is line's filter bucket, whose count it keeps.
 //
 //cbws:hotpath
-func (p *Pythia) settle(line mem.LineAddr, page uint64, miss bool, hl, hp uint32) {
-	claimed := false
-	for i, j := 0, p.eqHead; i < p.eqLen; i++ {
-		e := &p.eq[j]
-		if j++; j == len(p.eq) {
-			j = 0
+func (p *Pythia) claim(line mem.LineAddr, hl uint32) {
+	j := matchKey(p.pendKey[p.eqHead:], uint64(line))
+	if j >= 0 {
+		j += p.eqHead
+	} else if j = matchKey(p.pendKey[:p.eqHead], uint64(line)); j < 0 {
+		return
+	}
+	p.pendKey[j] = noKey
+	p.pendLine[hl]--
+	e := &p.eq[j]
+	if p.tick-e.tick >= p.cfg.TimelyAge {
+		e.reward = p.cfg.RewardAccurateTimely
+		p.Stats.AccurateTimely++
+	} else {
+		e.reward = p.cfg.RewardAccurateLate
+		p.Stats.AccurateLate++
+	}
+}
+
+// matchKey returns the index of the first element of keys equal to
+// key, or -1.
+//
+//cbws:hotpath
+func matchKey(keys []uint64, key uint64) int {
+	for i, k := range keys {
+		if k == key {
+			return i
 		}
-		if e.issued {
-			if !claimed && !e.rewarded && e.line == line {
-				claimed = true
-				e.rewarded = true
-				p.pendLine[hl]--
-				if p.tick-e.tick >= p.cfg.TimelyAge {
-					e.reward = p.cfg.RewardAccurateTimely
-					p.Stats.AccurateTimely++
-				} else {
-					e.reward = p.cfg.RewardAccurateLate
-					p.Stats.AccurateLate++
-				}
-			}
-		} else if miss && e.page == page && !e.sawMiss {
-			e.sawMiss = true
+	}
+	return -1
+}
+
+// markPage records a demand miss on page against every queued
+// no-prefetch entry of page not yet marked. hp is page's filter
+// bucket, whose count it keeps. Slot order does not matter: every
+// match is marked.
+//
+//cbws:hotpath
+func (p *Pythia) markPage(page uint64, hp uint32) {
+	for j, k := range p.openKey {
+		if k == page {
+			p.openKey[j] = noKey
 			p.openPage[hp]--
 		}
 	}
@@ -445,9 +482,12 @@ func (p *Pythia) OnAccess(a prefetch.Access, issue prefetch.IssueFunc) {
 	// trigger accesses to complete); a demand miss marks every queued
 	// no-prefetch decision on the same page as a lost opportunity.
 	// The filter skips the scan when it could change nothing.
+	if hl := p.bucket(uint64(line)); p.pendLine[hl] != 0 {
+		p.claim(line, hl)
+	}
 	miss := a.Miss()
-	if hl, hp := p.bucket(uint64(line)), p.bucket(page); p.pendLine[hl] != 0 || miss && p.openPage[hp] != 0 {
-		p.settle(line, page, miss, hl, hp)
+	if hp := p.bucket(page); miss && p.openPage[hp] != 0 {
+		p.markPage(page, hp)
 	}
 
 	// 2. Only misses and first uses of prefetched lines trigger a new
@@ -501,24 +541,13 @@ func (p *Pythia) OnAccess(a prefetch.Access, issue prefetch.IssueFunc) {
 	if tail >= len(p.eq) {
 		tail -= len(p.eq)
 	}
-	slot := &p.eq[tail]
-	slot.line = line
-	if issued {
-		slot.line = cand
-	}
-	slot.page = page
-	slot.h1 = h1
-	slot.h2 = h2
-	slot.action = sel
-	slot.tick = p.tick
-	slot.issued = issued
-	slot.rewarded = false
-	slot.sawMiss = false
-	slot.reward = 0
+	p.eq[tail] = pythiaEQEntry{h1: h1, h2: h2, action: sel, tick: p.tick, issued: issued}
 	p.eqLen++
 	if issued {
+		p.pendKey[tail] = uint64(cand)
 		p.pendLine[p.bucket(uint64(cand))]++
 	} else {
+		p.openKey[tail] = page
 		p.openPage[p.bucket(page)]++
 	}
 
@@ -529,8 +558,10 @@ func (p *Pythia) OnAccess(a prefetch.Access, issue prefetch.IssueFunc) {
 
 // checkQueue verifies the evaluation-queue structural invariants under
 // check.Enabled: occupancy within bounds, every entry's action and
-// rows within their tables, and the reward-scan filter equal to a
-// recount of the queue. The full Q-table range scan is amortized to
+// rows within their tables, the key arrays against the entries (an
+// issued entry has no openKey, a no-prefetch entry no pendKey, a slot
+// outside the queue neither), and the reward-scan filter equal to a
+// recount of the keys. The full Q-table range scan is amortized to
 // every 4096th access — it is O(tables), and every slot write is
 // clamped anyway.
 func (p *Pythia) checkQueue() {
@@ -542,24 +573,33 @@ func (p *Pythia) checkQueue() {
 	}
 	clear(p.recount)
 	pend, open := p.recount[:nb], p.recount[nb:]
-	for i, j := 0, p.eqHead; i < p.eqLen; i++ {
+	for j := range p.eq {
 		e := &p.eq[j]
-		if j++; j == len(p.eq) {
-			j = 0
+		live := (j-p.eqHead+len(p.eq))%len(p.eq) < p.eqLen
+		pk, ok := p.pendKey[j], p.openKey[j]
+		switch {
+		case !live:
+			check.Assertf(pk == noKey && ok == noKey,
+				"pythia: empty EQ slot %d holds keys (%#x,%#x)", j, pk, ok)
+			continue
+		case e.issued:
+			check.Assertf(ok == noKey, "pythia: issued EQ slot %d holds page key %#x", j, ok)
+		default:
+			check.Assertf(pk == noKey, "pythia: no-prefetch EQ slot %d holds line key %#x", j, pk)
 		}
 		check.Assertf(int(e.action) < p.numActions, "pythia: EQ action %d out of range", e.action)
 		check.Assertf(int(e.h1) < p.cfg.Feature1Entries && int(e.h2) < p.cfg.Feature2Entries,
 			"pythia: EQ rows (%d,%d) out of range", e.h1, e.h2)
-		switch {
-		case e.issued && !e.rewarded:
-			pend[p.bucket(uint64(e.line))]++
-		case !e.issued && !e.sawMiss:
-			open[p.bucket(e.page)]++
+		if pk != noKey {
+			pend[p.bucket(pk)]++
+		}
+		if ok != noKey {
+			open[p.bucket(ok)]++
 		}
 	}
 	for b := range p.pendLine {
 		check.Assertf(p.pendLine[b] == pend[b] && p.openPage[b] == open[b],
-			"pythia: filter bucket %d counts (%d,%d), queue holds (%d,%d)",
+			"pythia: filter bucket %d counts (%d,%d), keys hold (%d,%d)",
 			b, p.pendLine[b], p.openPage[b], pend[b], open[b])
 	}
 	if p.tick&0xFFF != 0 {
