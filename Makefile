@@ -154,6 +154,9 @@ lint: fmt-check vet lint-custom
 # Benchmark regression gate: the pipeline and CBWS hot-path benchmarks
 # must stay within the baseline's time ratio with exact allocs/op.
 # To re-baseline: make bench-gate BENCHGATE_FLAGS='-write BENCH_baseline.json'
+# -write updates the measured entries and keeps every other one, and the
+# file's max_time_ratio; it names each kept entry the run did not
+# measure. A renamed or deleted benchmark's entry must be removed by hand.
 BENCHGATE_FLAGS ?= -baseline BENCH_baseline.json
 BENCH_GATED = BenchmarkPipelineEventsPerSec$$|BenchmarkWorkloadGenerate$$|BenchmarkCBWSOnAccess$$|BenchmarkCorpusReplayEventsPerSec$$|BenchmarkPythiaOnAccess$$|BenchmarkGazeOnAccess$$|BenchmarkStrideOnAccess$$|BenchmarkGHBOnAccess$$|BenchmarkSMSOnAccess$$|BenchmarkPrefetcherReplay$$|BenchmarkHierarchyAccessInto$$|BenchmarkGoldenCell$$|BenchmarkTraceCapture$$|BenchmarkTraceDecode$$|BenchmarkCorpusPack$$|BenchmarkTraceAnalyze$$|BenchmarkCensus$$
 # The end-to-end benchmark (bench/) is its own module, so the root

@@ -468,11 +468,11 @@ func BenchmarkCBWSOnAccess(b *testing.B) {
 // lattice-QCD kernel and a pointer chase.
 var replayWorkloads = []string{goldenCellWorkload, "433.milc-su3imp", "429.mcf-ref"}
 
-// replayCall is one recorded prefetcher call: an access, or a block
-// marker of block id.
+// replayCall is one recorded prefetcher call: an access, a block
+// marker of block id, or a Reset.
 type replayCall struct {
 	a    prefetch.Access
-	kind trace.Kind // trace.Load for an access, else BlockBegin or BlockEnd
+	kind trace.Kind // trace.Load for an access, BlockBegin or BlockEnd, or Instr for a Reset
 	id   int32
 }
 
@@ -480,6 +480,11 @@ type replayCall struct {
 type callRecorder struct {
 	prefetch.Prefetcher
 	calls []replayCall
+}
+
+func (r *callRecorder) Reset() {
+	r.calls = append(r.calls, replayCall{kind: trace.Instr})
+	r.Prefetcher.Reset()
 }
 
 func (r *callRecorder) OnAccess(a prefetch.Access, issue prefetch.IssueFunc) {
@@ -539,10 +544,13 @@ var replaySink uint64
 
 // BenchmarkPrefetcherReplay is the in-situ prefetcher layer: it replays
 // the OnAccess/OnBlockBegin/OnBlockEnd calls a scheme received in the
-// golden cells of replayWorkloads, one call an op, into a fresh
-// prefetcher whose issue function folds each prefetch into a checksum.
-// Unlike the synthetic OnAccess benchmarks it weighs each path (dedup
-// scan, block-end table work, reward match) as a golden fill does.
+// golden cells of replayWorkloads, one call an op, into a prefetcher
+// whose issue function folds each prefetch into a checksum. The Reset
+// that sim.Run makes before each cell is replayed too, with the timer
+// stopped, so every pass over the recording starts each cell from a
+// fresh prefetcher and ns/op does not depend on b.N. Unlike the
+// synthetic OnAccess benchmarks it weighs each path (dedup scan,
+// block-end table work, reward match) as a golden fill does.
 // allocs/op is pinned at 0 by benchgate.
 func BenchmarkPrefetcherReplay(b *testing.B) {
 	for _, name := range []string{"cbws", "pythia"} {
@@ -564,6 +572,10 @@ func BenchmarkPrefetcherReplay(b *testing.B) {
 					p.OnAccess(c.a, issue)
 				case trace.BlockBegin:
 					p.OnBlockBegin(int(c.id))
+				case trace.Instr:
+					b.StopTimer()
+					p.Reset()
+					b.StartTimer()
 				default:
 					p.OnBlockEnd(int(c.id), issue)
 				}

@@ -200,33 +200,42 @@ func gate(base Baseline, got map[string]Measurement, defaultRatio float64) []str
 // path: each one's entry is replaced, and every other entry and the
 // file's max_time_ratio are kept, so pinning one benchmark re-pins no
 // other. A file that does not exist yet is created with ratio as its
-// max_time_ratio.
-func writeBaseline(path string, got map[string]Measurement, ratio float64) error {
+// max_time_ratio. It returns the sorted names of the kept entries that
+// got did not measure: a renamed or deleted benchmark's pin is among
+// them, and only an edit of the file removes it.
+func writeBaseline(path string, got map[string]Measurement, ratio float64) ([]string, error) {
 	base := Baseline{MaxTimeRatio: ratio}
 	raw, err := os.ReadFile(path)
 	switch {
 	case err == nil:
 		base = Baseline{}
 		if err := json.Unmarshal(raw, &base); err != nil {
-			return fmt.Errorf("%s: %v", path, err)
+			return nil, fmt.Errorf("%s: %v", path, err)
 		}
 	case !errors.Is(err, os.ErrNotExist):
-		return err
+		return nil, err
 	}
 	if base.Benchmarks == nil {
 		base.Benchmarks = make(map[string]BaselineEntry, len(got))
 	}
+	var kept []string
+	for name := range base.Benchmarks {
+		if _, ok := got[name]; !ok {
+			kept = append(kept, name)
+		}
+	}
+	sort.Strings(kept)
 	for name, m := range got {
 		if !m.HasAllocs {
-			return fmt.Errorf("%s: cannot baseline without allocs/op", name)
+			return nil, fmt.Errorf("%s: cannot baseline without allocs/op", name)
 		}
 		base.Benchmarks[name] = BaselineEntry{NsPerOp: m.NsPerOp, AllocsPerOp: m.AllocsPerOp}
 	}
 	b, err := json.MarshalIndent(base, "", "  ")
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
+	return kept, os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
 func main() {
@@ -242,7 +251,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("benchgate", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	baselinePath := fs.String("baseline", "", "baseline JSON file to gate against")
-	write := fs.String("write", "", "pin the input's benchmarks in this baseline JSON file (other entries are kept) instead of gating")
+	write := fs.String("write", "", "pin the input's benchmarks in this baseline JSON file instead of gating; other entries and an existing file's max_time_ratio are kept, so a renamed or deleted benchmark's entry must be removed by hand")
 	ratio := fs.Float64("ratio", 2.0, "maximum measured/baseline ns/op ratio (overridden by the baseline's max_time_ratio)")
 	input := fs.String("input", "-", "bench output file (default stdin)")
 	ab := fs.Bool("ab", false, "paired A/B mode: benchmark the -base revision against the working tree instead of gating input")
@@ -327,10 +336,14 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	withAllocs(got, allocs)
 
 	if *write != "" {
-		if err := writeBaseline(*write, got, *ratio); err != nil {
+		kept, err := writeBaseline(*write, got, *ratio)
+		if err != nil {
 			return fail("%v", err)
 		}
 		fmt.Fprintf(stderr, "benchgate: pinned %d benchmarks in %s\n", len(got), *write)
+		for _, name := range kept {
+			fmt.Fprintf(stderr, "benchgate: kept %s, which this run did not measure (remove it by hand if it is gone)\n", name)
+		}
 		return cli.ExitOK
 	}
 	if bad := gate(base, got, *ratio); len(bad) > 0 {

@@ -233,8 +233,8 @@ func TestGateBaselineRatioOverride(t *testing.T) {
 }
 
 // TestWriteBaselineMerges pins -write's merge: writing one measured
-// benchmark into a two-entry file replaces that entry and keeps the
-// other and the file's max_time_ratio.
+// benchmark into a two-entry file replaces that entry, keeps the other
+// and the file's max_time_ratio, and names the other as kept unmeasured.
 func TestWriteBaselineMerges(t *testing.T) {
 	t.Parallel()
 	path := filepath.Join(t.TempDir(), "base.json")
@@ -247,8 +247,12 @@ func TestWriteBaselineMerges(t *testing.T) {
 	got := map[string]Measurement{
 		"BenchmarkA": {Name: "BenchmarkA", NsPerOp: 80, AllocsPerOp: 1, HasAllocs: true},
 	}
-	if err := writeBaseline(path, got, 2.0); err != nil {
+	kept, err := writeBaseline(path, got, 2.0)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(kept, []string{"BenchmarkB"}) {
+		t.Errorf("kept unmeasured entries = %q, want [BenchmarkB]", kept)
 	}
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -268,7 +272,7 @@ func TestWriteBaselineMerges(t *testing.T) {
 
 	// A measurement without allocs/op is refused and leaves the file
 	// as it was.
-	if err := writeBaseline(path, map[string]Measurement{"BenchmarkB": {Name: "BenchmarkB", NsPerOp: 1}}, 2.0); err == nil {
+	if _, err := writeBaseline(path, map[string]Measurement{"BenchmarkB": {Name: "BenchmarkB", NsPerOp: 1}}, 2.0); err == nil {
 		t.Error("writeBaseline pinned a benchmark without allocs/op")
 	}
 	if after, _ := os.ReadFile(path); !bytes.Equal(after, raw) {
@@ -284,8 +288,8 @@ func TestWriteBaselineCreates(t *testing.T) {
 	got := map[string]Measurement{
 		"BenchmarkA": {Name: "BenchmarkA", NsPerOp: 80, AllocsPerOp: 1, HasAllocs: true},
 	}
-	if err := writeBaseline(path, got, 2.5); err != nil {
-		t.Fatal(err)
+	if kept, err := writeBaseline(path, got, 2.5); err != nil || kept != nil {
+		t.Fatalf("writeBaseline = %q, %v; want no kept entries", kept, err)
 	}
 	raw, err := os.ReadFile(path)
 	if err != nil {
